@@ -18,7 +18,8 @@ Exit codes: 0 success, 2 bad arguments or config, 1 runtime failure or a
 failed verification.  Sweeps write ``mse_sweep.csv`` (full-precision
 floats, so parsing the file reproduces every value exactly) plus one SVG
 line plot per penalty level when plots are requested.  The
-``RIDGEIV_THREADS`` environment variable caps the sweep worker count.
+``RIDGEIV_THREADS`` environment variable caps the sweep worker count; a
+sweep exits 2 unless it is a positive integer.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .montecarlo import (
     SweepResult,
     collect_sampling_distribution,
     run_sweep,
+    thread_cap,
 )
 
 __all__ = [
@@ -158,12 +160,19 @@ def _check_type(value: Any, types: type | tuple[type, ...], field: str) -> Any:
     return value
 
 
+def _finite_number(value: Any, field: str) -> float:
+    number = float(_check_type(value, (int, float), field))
+    if not math.isfinite(number):
+        raise ConfigError(f"config field '{field}' must be finite, got {value!r}")
+    return number
+
+
 def _get_number(mapping: dict, field: str, default: float | None = None) -> float:
     if field not in mapping:
         if default is None:
             raise ConfigError(f"config field '{field}' is required")
         return default
-    return float(_check_type(mapping[field], (int, float), field))
+    return _finite_number(mapping[field], field)
 
 
 def _get_int(mapping: dict, field: str, default: int | None = None) -> int:
@@ -218,10 +227,7 @@ def _parse_grid(raw: Any, field: str = "grid") -> tuple[float, ...]:
     if isinstance(raw, list):
         if not raw:
             raise ConfigError(f"config field '{field}' must be non-empty")
-        return tuple(
-            float(_check_type(v, (int, float), f"{field}[{i}]"))
-            for i, v in enumerate(raw)
-        )
+        return tuple(_finite_number(v, f"{field}[{i}]") for i, v in enumerate(raw))
     if isinstance(raw, dict):
         start = _get_number(raw, "start")
         stop = _get_number(raw, "stop")
@@ -254,9 +260,15 @@ def _parse_schedule(raw: dict | None) -> PenaltySchedule:
         raise ConfigError(f"config field 'schedule.lambda0' is invalid: {exc}") from exc
 
 
+def _reject_constant(name: str) -> float:
+    raise ConfigError(
+        f"config file contains the non-finite number {name}, which JSON does not allow"
+    )
+
+
 def _load_json(path: Path) -> dict:
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -314,6 +326,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
     sweep = None
     if command in (Command.SWEEP_PI, Command.SWEEP_BETA):
+        try:
+            thread_cap()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if command is Command.SWEEP_PI:
             preset = default_pi_sweep(reps=reps, master_seed=seed)
             grid_variable = GridVariable.PI1
@@ -325,7 +341,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         )
         lambdas = (
             tuple(
-                float(_check_type(v, (int, float), f"lambdas[{i}]"))
+                _finite_number(v, f"lambdas[{i}]")
                 for i, v in enumerate(
                     _check_type(file_cfg["lambdas"], list, "lambdas")
                 )

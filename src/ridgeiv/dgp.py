@@ -73,6 +73,12 @@ class DgpParams:
     stock_c: float | None = None
 
     def __post_init__(self) -> None:
+        for name in (
+            "beta0", "beta1", "pi0", "pi1", "sigma_eps", "sigma_eta", "err_cov", "stock_c"
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.sigma_eps < 0:
             raise ValueError(f"sigma_eps must be nonnegative, got {self.sigma_eps}")
         if self.sigma_eta < 0:

@@ -10,6 +10,24 @@ Every repetition gets its own seed derived deterministically from
 performed in rep order, so results are bit-identical for a given config
 regardless of worker count or scheduling.
 
+The sweep never builds a dataset.  Each rep draws the unit shocks
+(z, e, h) that ``generate_dataset`` draws for its seed, with
+eps = sigma_eps * e and eta = sigma_eta * h, and reduces them to three
+centered cross-moments: Var z, Cov[e, z] and Cov[h, z].  These are
+sufficient for the ratio, because the model is linear in the shocks and
+the intercepts drop out of every covariance:
+
+    Cov[D,Z] = pi1 * Var z + eps_loading * sigma_eps * Cov[e,z] + sigma_eta * Cov[h,z]
+    Cov[Y,Z] = beta1 * Cov[D,Z] + sigma_eps * Cov[e,z]
+
+with pi1 the slope at the sweep's n (``DgpParams.effective_pi1``).  Reps
+are drawn and reduced in fixed blocks from one re-keyed Philox per grid
+point, with every rep's moments formed on its own row, so no result
+depends on the block layout.  The estimates match the per-dataset path
+(``demeaned_cov`` on ``generate_dataset``, as ``collect_sampling_distribution``
+still does) up to last-bit rounding: about 1e-11 relative at most on the
+default sweeps, where a near-zero denominator amplifies it.
+
 The ``lambda_values`` of a sweep are denominator shifts at covariance
 scale: each estimate is Cov[Y,Z] / (Cov[D,Z] + lambda).  At the sweep's
 sample size this is the linear-rate schedule ``lambda_n = lambda * n`` of
@@ -30,13 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .dgp import DgpParams, generate_dataset
-from .estimators import (
-    DegenerateDenominatorError,
-    PenaltySchedule,
-    demeaned_cov,
-    fit_ridge_iv,
-    shifted_ratio,
-)
+from .estimators import DegenerateDenominatorError, PenaltySchedule, fit_ridge_iv
 
 __all__ = [
     "GridVariable",
@@ -44,6 +56,7 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "derive_seed",
+    "thread_cap",
     "run_sweep",
     "collect_sampling_distribution",
 ]
@@ -75,10 +88,16 @@ class SweepConfig:
         )
         if not self.grid:
             raise ValueError("grid must be non-empty")
+        if not all(math.isfinite(g) for g in self.grid):
+            raise ValueError(f"grid values must be finite, got {self.grid}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
         if not self.lambda_values:
             raise ValueError("lambda_values must be non-empty")
+        if not all(math.isfinite(lam) for lam in self.lambda_values):
+            raise ValueError(
+                f"lambda values must be finite, got {self.lambda_values}"
+            )
         if any(lam < 0 for lam in self.lambda_values):
             raise ValueError("lambda values must be nonnegative")
         if self.n < 3:
@@ -152,11 +171,92 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _resolve_workers(workers: int | None, n_tasks: int) -> int:
+# The hash of numpy's SeedSequence (pool of four uint32 words), restated
+# over arrays so that all rep seeds of a grid point come from one pass.
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_XSHIFT = np.uint32(16)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative integer (0 -> [0])."""
+    if value < 0:
+        raise ValueError(f"seed entropy must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _derive_seeds(master_seed: int, prefix: tuple[int, ...], count: int) -> np.ndarray:
+    """``derive_seed(master_seed, *prefix, i)`` for i in range(count), as uint64.
+
+    Bit-for-bit the same as the scalar path, at a fraction of a
+    microsecond per seed instead of a SeedSequence object per call.
+    """
+    reps = np.arange(count, dtype=np.uint32)
+    run = _uint32_words(master_seed)
+    run += [0] * (_POOL_SIZE - len(run))  # run entropy is padded when spawning
+    entropy = [np.full(count, w, dtype=np.uint32) for w in run]
+    for index in prefix:
+        entropy += [np.full(count, w, dtype=np.uint32) for w in _uint32_words(index)]
+    entropy.append(reps)
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, len(entropy)):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+    # generate_state(1, uint64): two output words, low word first
+    hash_const = _INIT_B
+    words = []
+    for value in pool[:2]:
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    return words[0] | (words[1] << np.uint64(32))
+
+
+def thread_cap() -> int | None:
+    """The worker cap set by ``RIDGEIV_THREADS``, or None when it is unset.
+
+    Raises ValueError, naming the variable, unless it is a positive integer.
+    """
     env = os.environ.get("RIDGEIV_THREADS")
-    cap = int(env) if env else None
-    if cap is not None and cap < 1:
-        raise ValueError(f"RIDGEIV_THREADS must be positive, got {cap}")
+    if not env:
+        return None
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"RIDGEIV_THREADS must be a positive integer, got {env!r}")
+    return cap
+
+
+def _resolve_workers(workers: int | None, n_tasks: int) -> int:
+    cap = thread_cap()
     if workers is None:
         workers = cap if cap is not None else 1
     if workers < 1:
@@ -166,30 +266,71 @@ def _resolve_workers(workers: int | None, n_tasks: int) -> int:
     return min(workers, n_tasks)
 
 
+# Reps drawn and reduced together by the sweep kernel.  Results do not
+# depend on it: every rep is reduced on its own row.
+_BLOCK_REPS = 64
+
+
+class _UnitShocks:
+    """Draws the unit shocks of ``generate_dataset``, one seed at a time.
+
+    ``draw(seed, out)`` fills ``out`` (shape (3, n)) with the rows z,
+    eps / sigma_eps and eta / sigma_eta exactly as
+    ``generate_dataset(params, n, seed)`` draws them.  One Philox serves
+    every call: it is re-keyed to ``key = [seed, 0]`` with counter 0 and an
+    empty buffer, the state ``Philox(key=seed)`` starts in, without the
+    constructor's cost of seeding from OS entropy.
+    """
+
+    def __init__(self) -> None:
+        self._bitgen = np.random.Philox(key=0)
+        self._rng = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state
+        self._key = self._fresh["state"]["key"]
+
+    def draw(self, seed: int, out: np.ndarray) -> None:
+        self._key[0] = seed
+        self._bitgen.state = self._fresh
+        self._rng.standard_normal(out=out)
+
+
 def _sweep_grid_point(
     config: SweepConfig, grid_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """All reps for one grid point: estimates and degeneracy markers.
 
-    Returns arrays of shape (len(lambda_values), reps); datasets are shared
-    across lambda values within a rep so penalties are compared on the
-    same draws.
+    Returns arrays of shape (len(lambda_values), reps); the draws are shared
+    across lambda values within a rep so penalties are compared on the same
+    data.  Each rep is reduced to the sufficient statistics of its shocks
+    (see the module docstring); degenerate entries are 0.0.
     """
     params = config.params_at(config.grid[grid_index])
-    n_lam = len(config.lambda_values)
-    estimates = np.zeros((n_lam, config.reps))
-    degenerate = np.zeros((n_lam, config.reps), dtype=bool)
-    for rep in range(config.reps):
-        seed = derive_seed(config.master_seed, grid_index, rep)
-        data = generate_dataset(params, config.n, seed)
-        z = data.z[:, 0]
-        numerator = demeaned_cov(data.y, z)
-        cov_dz = demeaned_cov(data.d, z)
-        for li, lam in enumerate(config.lambda_values):
-            try:
-                estimates[li, rep] = shifted_ratio(numerator, cov_dz, lam)
-            except DegenerateDenominatorError:
-                degenerate[li, rep] = True
+    n, reps = config.n, config.reps
+    seeds = _derive_seeds(config.master_seed, (grid_index,), reps).tolist()
+    draw = _UnitShocks().draw
+    # rows: Var z, Cov[e, z], Cov[h, z] of the unit shocks (z, e, h) per rep
+    moments = np.empty((3, reps))
+    block = np.empty((min(_BLOCK_REPS, reps), 3, n))
+    for start in range(0, reps, _BLOCK_REPS):
+        stop = min(start + _BLOCK_REPS, reps)
+        shocks = block[: stop - start]
+        for seed, out in zip(seeds[start:stop], shocks):
+            draw(seed, out)
+        shocks -= shocks.mean(axis=2, keepdims=True)
+        shocks *= shocks[:, :1, :]  # rows become z*z, e*z, h*z
+        moments[:, start:stop] = shocks.mean(axis=2).T
+    s_zz, s_ez, s_hz = moments
+    cov_dz = (
+        params.effective_pi1(n) * s_zz
+        + params.eps_loading * params.sigma_eps * s_ez
+        + params.sigma_eta * s_hz
+    )
+    cov_yz = params.beta1 * cov_dz + params.sigma_eps * s_ez
+    denominators = cov_dz + np.array(config.lambda_values)[:, None]
+    degenerate = denominators == 0.0
+    estimates = np.divide(
+        cov_yz, denominators, out=np.zeros_like(denominators), where=~degenerate
+    )
     return estimates, degenerate
 
 
@@ -300,14 +441,18 @@ def _write_raw_estimates(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["grid_value", "lambda", "rep", "beta1_hat", "degenerate"])
         for lam_index, lam in enumerate(config.lambda_values):
+            lam_text = repr(lam)
             for gi, grid_value in enumerate(config.grid):
+                grid_text = repr(grid_value)
                 estimates, degenerate = per_point[gi]
-                for rep in range(config.reps):
-                    bad = bool(degenerate[lam_index, rep])
-                    value = math.nan if bad else float(estimates[lam_index, rep])
-                    writer.writerow(
-                        [repr(grid_value), repr(lam), rep, repr(value), int(bad)]
-                    )
+                bad = degenerate[lam_index]
+                # csv writes a float as its repr, nan included
+                values = np.where(bad, math.nan, estimates[lam_index]).tolist()
+                flags = bad.astype(np.int8).tolist()
+                writer.writerows(
+                    [grid_text, lam_text, rep, value, flag]
+                    for rep, (value, flag) in enumerate(zip(values, flags))
+                )
 
 
 def collect_sampling_distribution(

@@ -93,6 +93,44 @@ def test_negative_lambda_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_nan_literal_in_json_rejected(tmp_path, capsys):
+    # Python's json accepts NaN and Infinity unless told otherwise
+    path = tmp_path / "nan.json"
+    path.write_text('{"lambdas": [NaN], "reps": 5}')
+    out = tmp_path / "out"
+    assert run_cli(["sweep-pi", "--config", str(path), "--out", str(out)]) == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"lambdas": [0.0, math.inf]}, "'lambdas[1]'"),
+        ({"grid": [0.1, math.inf]}, "'grid[1]'"),
+        ({"grid": {"start": 0.0, "stop": -math.inf, "points": 3}}, "'stop'"),
+        ({"params": {"stock_c": math.inf}}, "'stock_c'"),
+    ],
+    ids=["lambdas", "grid-list", "grid-range", "params"],
+)
+def test_overflowing_number_named_in_error(tmp_path, capsys, override, field):
+    # 1e999 is valid JSON and parses to inf
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, **override}).replace("Infinity", "1e999"))
+    out = tmp_path / "out"
+    assert run_cli(["sweep-beta", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_env_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("RIDGEIV_THREADS", value)
+    cfg = _write_config(tmp_path, SMALL_CONFIG)
+    assert run_cli(["sweep-pi", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "RIDGEIV_THREADS" in capsys.readouterr().err
+
+
 def test_bad_params_field_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, {**SMALL_CONFIG, "params": {"sigma_eps": -1.0}})
     assert run_cli(["sweep-pi", "--config", cfg]) == 2

@@ -45,6 +45,18 @@ def test_negative_scale_rejected(field):
         DgpParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["beta0", "beta1", "pi0", "pi1", "sigma_eps", "sigma_eta", "err_cov", "stock_c"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_field_rejected(field, value):
+    kwargs = dict(beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.5)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DgpParams(**kwargs)
+
+
 def test_err_cov_requires_structural_noise():
     with pytest.raises(ValueError, match="err_cov"):
         DgpParams(beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.5, sigma_eps=0.0, err_cov=0.2)

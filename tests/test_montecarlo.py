@@ -6,10 +6,21 @@ import pytest
 
 from ridgeiv.asymptotics import cauchy_diagnostics
 from ridgeiv.dgp import DgpParams, aer_calibration, generate_dataset
-from ridgeiv.estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
+from ridgeiv.estimators import (
+    DegenerateDenominatorError,
+    PenaltyRate,
+    PenaltySchedule,
+    demeaned_cov,
+    fit_ridge_iv,
+    shifted_ratio,
+)
 from ridgeiv.montecarlo import (
+    _BLOCK_REPS,
     GridVariable,
     SweepConfig,
+    _derive_seeds,
+    _sweep_grid_point,
+    _UnitShocks,
     collect_sampling_distribution,
     derive_seed,
     run_sweep,
@@ -45,6 +56,15 @@ def test_config_validation():
         _small_config(base_params=aer_calibration(beta1=1.0, stock_c=1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_grid_and_lambdas_rejected(bad):
+    # NaN fails every comparison, so the ordering checks alone let it through
+    with pytest.raises(ValueError, match="grid values must be finite"):
+        _small_config(grid=(0.1, bad, 0.3))
+    with pytest.raises(ValueError, match="lambda values must be finite"):
+        _small_config(lambda_values=(0.0, bad))
+
+
 def test_params_at_replaces_the_right_field():
     config = _small_config()
     assert config.params_at(0.9).pi1 == 0.9
@@ -60,6 +80,99 @@ def test_derive_seed_is_stable_and_distinct():
     assert len(seeds) == 200
     assert all(0 <= s < 2**64 for s in seeds)
     assert derive_seed(7, 3) != derive_seed(8, 3)
+
+
+# ---------------------------------------------------------------------------
+# the block sweep kernel against the per-dataset path
+
+
+@pytest.mark.parametrize("master", [0, 20260810, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("grid_index", [0, 7])
+def test_vectorised_seeds_match_derive_seed(master, grid_index):
+    count = 2 * _BLOCK_REPS + 5
+    seeds = _derive_seeds(master, (grid_index,), count)
+    assert seeds.dtype == np.uint64
+    expected = [derive_seed(master, grid_index, rep) for rep in range(count)]
+    assert seeds.tolist() == expected
+
+
+def test_rekeyed_draw_matches_generate_dataset():
+    # with zero intercepts, slopes and err_cov, y = eps and d = eta exactly;
+    # power-of-two scales make the division back to unit shocks exact
+    params = DgpParams(
+        beta0=0.0, beta1=0.0, pi0=0.0, pi1=0.0,
+        sigma_eps=2.0, sigma_eta=0.5, err_cov=0.0,
+    )
+    draw = _UnitShocks().draw
+    out = np.empty((3, 40))
+    for seed in (0, 1, derive_seed(20260810, 3, 65), 2**64 - 1):
+        draw(seed, out)
+        data = generate_dataset(params, 40, seed)
+        assert np.array_equal(out[0], data.z[:, 0])
+        assert np.array_equal(out[1], data.y / params.sigma_eps)
+        assert np.array_equal(out[2], data.d / params.sigma_eta)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        _small_config(grid=(0.0, 0.05, 1.0), lambda_values=(0.0, 0.5), reps=70),
+        _small_config(
+            base_params=aer_calibration(beta1=1.0, stock_c=1.0),
+            grid_variable=GridVariable.BETA1,
+            grid=(0.0, 2.5),
+            reps=70,
+        ),
+        # zero noise, pi1 = 0: d is constant and the unpenalized ratio degenerate
+        _small_config(
+            base_params=DgpParams(
+                beta0=0.0, beta1=2.0, pi0=0.5, pi1=0.1,
+                sigma_eps=0.0, sigma_eta=0.0, err_cov=0.0,
+            ),
+            grid=(0.0, 0.5),
+            lambda_values=(0.0, 0.5),
+            reps=3,
+        ),
+    ],
+    ids=["pi1-grid", "stock-c-beta-grid", "degenerate"],
+)
+def test_kernel_matches_per_dataset_path(config):
+    for gi, grid_value in enumerate(config.grid):
+        estimates, degenerate = _sweep_grid_point(config, gi)
+        params = config.params_at(grid_value)
+        for rep in range(config.reps):
+            data = generate_dataset(
+                params, config.n, derive_seed(config.master_seed, gi, rep)
+            )
+            z = data.z[:, 0]
+            numerator = demeaned_cov(data.y, z)
+            cov_dz = demeaned_cov(data.d, z)
+            for li, lam in enumerate(config.lambda_values):
+                try:
+                    ref = shifted_ratio(numerator, cov_dz, lam)
+                except DegenerateDenominatorError:
+                    assert degenerate[li, rep]
+                    assert estimates[li, rep] == 0.0
+                    continue
+                assert not degenerate[li, rep]
+                assert abs(estimates[li, rep] - ref) <= 1e-12 * (abs(ref) + 1)
+
+
+@pytest.mark.parametrize("k", [1, _BLOCK_REPS, _BLOCK_REPS + 1])
+def test_raw_rows_do_not_depend_on_the_block_layout(tmp_path, k):
+    def rows_by_cell(reps):
+        path = tmp_path / f"raw_{reps}.csv"
+        run_sweep(_small_config(grid=(0.0, 0.6), reps=reps), raw_path=path)
+        cells: dict[tuple[str, str], list[str]] = {}
+        for line in path.read_text().splitlines()[1:]:
+            grid_value, lam, _ = line.split(",", 2)
+            cells.setdefault((grid_value, lam), []).append(line)
+        return cells
+
+    full, short = rows_by_cell(150), rows_by_cell(k)
+    assert full.keys() == short.keys()
+    for cell, lines in short.items():
+        assert lines == full[cell][:k]
 
 
 def test_sweep_is_deterministic_across_worker_counts():
