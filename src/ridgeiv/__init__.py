@@ -8,8 +8,6 @@ seeded Monte Carlo harness for MSE sweeps.
 """
 
 from .asymptotics import (
-    Assumption,
-    AsymptoticSummary,
     TailDiagnostics,
     cauchy_diagnostics,
     delta_method_variance,
@@ -18,10 +16,9 @@ from .asymptotics import (
     sigma_stochastic,
     sqrtn_bias,
     staiger_stock_moments,
-    summarize,
     v_ridge,
 )
-from .dgp import Dataset, DgpParams, ZDist, aer_calibration, generate_dataset
+from .dgp import Dataset, DgpParams, aer_calibration, generate_dataset
 from .estimators import (
     DegenerateDenominatorError,
     DegenerateInstrumentError,
@@ -54,8 +51,6 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assumption",
-    "AsymptoticSummary",
     "TailDiagnostics",
     "cauchy_diagnostics",
     "delta_method_variance",
@@ -64,11 +59,9 @@ __all__ = [
     "sigma_stochastic",
     "sqrtn_bias",
     "staiger_stock_moments",
-    "summarize",
     "v_ridge",
     "Dataset",
     "DgpParams",
-    "ZDist",
     "aer_calibration",
     "generate_dataset",
     "DegenerateDenominatorError",

@@ -20,9 +20,7 @@ Sampling regimes by penalty rate, for a nonzero first stage:
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,10 +28,9 @@ import numpy as np
 from .dgp import DgpParams
 
 __all__ = [
-    "Assumption",
-    "AsymptoticSummary",
     "TailDiagnostics",
     "KURTOSIS_FLAG_THRESHOLD",
+    "MIN_TAIL_SAMPLES",
     "sigma_red_sq",
     "sigma_fixed",
     "sigma_stochastic",
@@ -43,40 +40,20 @@ __all__ = [
     "sqrtn_bias",
     "staiger_stock_moments",
     "cauchy_diagnostics",
-    "summarize",
 ]
 
 KURTOSIS_FLAG_THRESHOLD = 20.0
-
-
-class Assumption(enum.Enum):
-    """Sampling scheme for the instruments."""
-
-    FIXED_INSTRUMENTS = "fixed_instruments"
-    STOCHASTIC_INSTRUMENTS = "stochastic_instruments"
+# Fewest samples cauchy_diagnostics accepts; the sample kurtosis behind its
+# heavy-tail flag is too noisy to read below this.
+MIN_TAIL_SAMPLES = 500
+# E[Z^4] of the instrument: the generator draws Z from a standard normal.
+_Z_FOURTH_MOMENT = 3.0
 
 
 class TailDiagnostics(NamedTuple):
     median: float
     iqr: float
     tail_index_flag: bool
-
-
-@dataclass(frozen=True)
-class AsymptoticSummary:
-    """All closed-form predictions for one parameter point.
-
-    Fields that are undefined at the given parameters (zero first stage,
-    zero penalty coefficient, or no drift constant) are NaN.
-    """
-
-    sigma_matrix: np.ndarray
-    v_ridge: float
-    sigma_red_sq: float
-    bias_sqrtn: float
-    ss_mean: float
-    ss_var: float
-    assumption: Assumption
 
 
 def sigma_red_sq(params: DgpParams) -> float:
@@ -105,10 +82,11 @@ def sigma_stochastic(params: DgpParams) -> np.ndarray:
     """Covariance matrix with fully stochastic instruments.
 
     Adds pi1^2 (m4 - 1) * [[beta1^2, beta1], [beta1, 1]] to the
-    fixed-instrument matrix, where m4 is the instrument's fourth moment.
+    fixed-instrument matrix, where m4 = 3 is the fourth moment of the
+    standard normal instrument.
     """
     b = params.beta1
-    scale = params.pi1**2 * (params.z_dist.fourth_moment - 1.0)
+    scale = params.pi1**2 * (_Z_FOURTH_MOMENT - 1.0)
     return sigma_fixed(params) + scale * np.array([[b * b, b], [b, 1.0]])
 
 
@@ -180,8 +158,8 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    if s.size < 500:
-        raise ValueError(f"need at least 500 samples, got {s.size}")
+    if s.size < MIN_TAIL_SAMPLES:
+        raise ValueError(f"need at least {MIN_TAIL_SAMPLES} samples, got {s.size}")
     median = float(np.median(s))
     q25, q75 = np.percentile(s, [25.0, 75.0])
     iqr = float(q75 - q25)
@@ -194,33 +172,3 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
     kurtosis = float(np.mean(centered**4)) / m2**2
     flag = (not math.isfinite(kurtosis)) or kurtosis > KURTOSIS_FLAG_THRESHOLD
     return TailDiagnostics(median, iqr, flag)
-
-
-def summarize(
-    params: DgpParams, lambda0: float, assumption: Assumption
-) -> AsymptoticSummary:
-    """Collect every closed-form prediction for one parameter point."""
-    if assumption is Assumption.FIXED_INSTRUMENTS:
-        sigma = sigma_fixed(params)
-    else:
-        sigma = sigma_stochastic(params)
-    if params.pi1 != 0.0:
-        vr = v_ridge(params)
-        bias = sqrtn_bias(params, lambda0)
-    else:
-        vr = math.nan
-        bias = math.nan
-    if params.stock_c is not None and lambda0 > 0.0:
-        ss_mean, ss_var = staiger_stock_moments(params, lambda0)
-    else:
-        ss_mean = math.nan
-        ss_var = math.nan
-    return AsymptoticSummary(
-        sigma_matrix=sigma,
-        v_ridge=vr,
-        sigma_red_sq=sigma_red_sq(params),
-        bias_sqrtn=bias,
-        ss_mean=ss_mean,
-        ss_var=ss_var,
-        assumption=assumption,
-    )

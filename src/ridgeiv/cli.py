@@ -17,9 +17,7 @@ single-run
 Exit codes: 0 success, 2 bad arguments or config, 1 runtime failure or a
 failed verification.  Sweeps write ``mse_sweep.csv`` (full-precision
 floats, so parsing the file reproduces every value exactly) plus one SVG
-line plot per penalty level when plots are requested.  The
-``RIDGEIV_THREADS`` environment variable caps the sweep worker count; a
-sweep exits 2 unless it is a positive integer.
+line plot per penalty level when plots are requested.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import asymptotics
-from .dgp import DgpParams, ZDist, aer_calibration, generate_dataset
+from .dgp import DgpParams, aer_calibration, generate_dataset
 from .estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
 from .montecarlo import (
     GridVariable,
@@ -45,7 +43,6 @@ from .montecarlo import (
     SweepResult,
     collect_sampling_distribution,
     run_sweep,
-    thread_cap,
 )
 
 __all__ = [
@@ -195,7 +192,6 @@ def _parse_params(raw: dict | None, field: str = "params") -> DgpParams:
         "sigma_eps",
         "sigma_eta",
         "err_cov",
-        "z_dist",
         "stock_c",
     }
     for key in raw:
@@ -205,18 +201,9 @@ def _parse_params(raw: dict | None, field: str = "params") -> DgpParams:
     kwargs: dict[str, Any] = {}
     for key in ("beta0", "beta1", "pi0", "pi1", "sigma_eps", "sigma_eta", "err_cov"):
         if key in raw:
-            kwargs[key] = _get_number(raw, key)
-    if "z_dist" in raw:
-        name = _check_type(raw["z_dist"], str, f"{field}.z_dist")
-        try:
-            kwargs["z_dist"] = ZDist(name)
-        except ValueError:
-            raise ConfigError(
-                f"config field '{field}.z_dist' must be one of "
-                f"{[d.value for d in ZDist]}, got {name!r}"
-            ) from None
-    if "stock_c" in raw and raw["stock_c"] is not None:
-        kwargs["stock_c"] = _get_number(raw, "stock_c")
+            kwargs[key] = _finite_number(raw[key], f"{field}.{key}")
+    if raw.get("stock_c") is not None:
+        kwargs["stock_c"] = _finite_number(raw["stock_c"], f"{field}.stock_c")
     try:
         return dataclasses.replace(base, **kwargs)
     except ValueError as exc:
@@ -326,10 +313,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
     sweep = None
     if command in (Command.SWEEP_PI, Command.SWEEP_BETA):
-        try:
-            thread_cap()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if command is Command.SWEEP_PI:
             preset = default_pi_sweep(reps=reps, master_seed=seed)
             grid_variable = GridVariable.PI1
@@ -382,6 +365,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
                     f"config field 'regimes' must contain only {_REGIMES}, "
                     f"got {regime!r}"
                 )
+        if "weak-instrument" in regimes and reps < asymptotics.MIN_TAIL_SAMPLES:
+            raise ConfigError(
+                f"config field 'reps' must be at least {asymptotics.MIN_TAIL_SAMPLES} "
+                f"for the weak-instrument regime, got {reps}"
+            )
 
     schedule = None
     if command is Command.SINGLE_RUN:
@@ -756,3 +744,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

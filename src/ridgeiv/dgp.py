@@ -21,30 +21,17 @@ weak no matter how large the sample grows.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ZDist",
     "DgpParams",
     "Dataset",
     "generate_dataset",
     "aer_calibration",
 ]
-
-
-class ZDist(enum.Enum):
-    """Marginal distribution of the instrument."""
-
-    STANDARD_NORMAL = "standard_normal"
-
-    @property
-    def fourth_moment(self) -> float:
-        """Fourth moment of the instrument (3 for a standard normal)."""
-        return 3.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +56,6 @@ class DgpParams:
     sigma_eps: float = 1.0
     sigma_eta: float = 1.0
     err_cov: float = 0.0
-    z_dist: ZDist = ZDist.STANDARD_NORMAL
     stock_c: float | None = None
 
     def __post_init__(self) -> None:

@@ -1,4 +1,4 @@
-"""Seeded, parallelizable repetition experiments.
+"""Seeded repetition experiments.
 
 Two kinds of experiment live here: MSE sweeps over a grid of first-stage
 slopes or effect sizes (one aggregate row per grid point and penalty
@@ -8,7 +8,7 @@ estimator for checking the closed-form limits in :mod:`.asymptotics`.
 Every repetition gets its own seed derived deterministically from
 ``(master_seed, grid index, rep index)``, and the reduction over reps is
 performed in rep order, so results are bit-identical for a given config
-regardless of worker count or scheduling.
+on every run.
 
 The sweep never builds a dataset.  Each rep draws the unit shocks
 (z, e, h) that ``generate_dataset`` draws for its seed, with
@@ -41,8 +41,6 @@ import csv
 import dataclasses
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +54,6 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "derive_seed",
-    "thread_cap",
     "run_sweep",
     "collect_sampling_distribution",
 ]
@@ -238,34 +235,6 @@ def _derive_seeds(master_seed: int, prefix: tuple[int, ...], count: int) -> np.n
     return words[0] | (words[1] << np.uint64(32))
 
 
-def thread_cap() -> int | None:
-    """The worker cap set by ``RIDGEIV_THREADS``, or None when it is unset.
-
-    Raises ValueError, naming the variable, unless it is a positive integer.
-    """
-    env = os.environ.get("RIDGEIV_THREADS")
-    if not env:
-        return None
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"RIDGEIV_THREADS must be a positive integer, got {env!r}")
-    return cap
-
-
-def _resolve_workers(workers: int | None, n_tasks: int) -> int:
-    cap = thread_cap()
-    if workers is None:
-        workers = cap if cap is not None else 1
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if cap is not None:
-        workers = min(workers, cap)
-    return min(workers, n_tasks)
-
-
 # Reps drawn and reduced together by the sweep kernel.  Results do not
 # depend on it: every rep is reduced on its own row.
 _BLOCK_REPS = 64
@@ -368,40 +337,21 @@ def _aggregate(
     )
 
 
-def run_sweep(
-    config: SweepConfig,
-    workers: int | None = None,
-    raw_path: Path | str | None = None,
-) -> SweepResult:
+def run_sweep(config: SweepConfig, raw_path: Path | str | None = None) -> SweepResult:
     """Run the full sweep and aggregate MSE/bias/variance per cell.
+
+    Grid points run in order on the calling thread.
 
     Parameters
     ----------
     config : SweepConfig
         Grid, penalties, sample size, repetition count and master seed.
-    workers : int, optional
-        Worker threads over grid points.  Defaults to the
-        ``RIDGEIV_THREADS`` environment variable (which also caps an
-        explicit value), else 1.  The output is bit-identical for any
-        worker count.
     raw_path : path, optional
         When given, per-rep estimates are persisted there as CSV with
         columns (grid_value, lambda, rep, beta1_hat, degenerate); the
         estimate field of degenerate reps is written as nan.
     """
-    n_grid = len(config.grid)
-    n_workers = _resolve_workers(workers, n_grid)
-    per_point: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_grid
-    if n_workers == 1:
-        for gi in range(n_grid):
-            per_point[gi] = _sweep_grid_point(config, gi)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = {
-                pool.submit(_sweep_grid_point, config, gi): gi for gi in range(n_grid)
-            }
-            for future, gi in futures.items():
-                per_point[gi] = future.result()
+    per_point = [_sweep_grid_point(config, gi) for gi in range(len(config.grid))]
 
     cells = []
     for lam_index, lam in enumerate(config.lambda_values):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ridgeiv.asymptotics import (
-    Assumption,
     cauchy_diagnostics,
     delta_method_variance,
     ratio_gradient,
@@ -13,7 +12,6 @@ from ridgeiv.asymptotics import (
     sigma_stochastic,
     sqrtn_bias,
     staiger_stock_moments,
-    summarize,
     v_ridge,
 )
 from ridgeiv.dgp import DgpParams, aer_calibration
@@ -79,7 +77,7 @@ def test_sigma_decomposition():
         b = params.beta1
         drift = (
             params.pi1**2
-            * (params.z_dist.fourth_moment - 1.0)
+            * (3.0 - 1.0)
             * np.array([[b * b, b], [b, 1.0]])
         )
         diff = sigma_stochastic(params) - sigma_fixed(params)
@@ -209,31 +207,6 @@ def test_cauchy_diagnostics_nonfinite_flags():
 def test_cauchy_diagnostics_needs_samples():
     with pytest.raises(ValueError, match="at least 500"):
         cauchy_diagnostics(np.ones(499))
-
-
-# ---------------------------------------------------------------------------
-# summary object
-
-
-def test_summarize_populates_all_regimes():
-    params = _params(pi1=0.5, stock_c=2.0)
-    summary = summarize(params, lambda0=0.5, assumption=Assumption.FIXED_INSTRUMENTS)
-    assert np.array_equal(summary.sigma_matrix, sigma_fixed(params))
-    assert summary.v_ridge == v_ridge(params)
-    assert summary.bias_sqrtn == sqrtn_bias(params, 0.5)
-    assert (summary.ss_mean, summary.ss_var) == staiger_stock_moments(params, 0.5)
-    assert summary.assumption is Assumption.FIXED_INSTRUMENTS
-
-
-def test_summarize_marks_undefined_fields_nan():
-    summary = summarize(
-        _params(pi1=0.0), lambda0=0.0, assumption=Assumption.STOCHASTIC_INSTRUMENTS
-    )
-    assert math.isnan(summary.v_ridge)
-    assert math.isnan(summary.bias_sqrtn)
-    assert math.isnan(summary.ss_mean)
-    assert math.isnan(summary.ss_var)
-    assert np.array_equal(summary.sigma_matrix, sigma_stochastic(_params(pi1=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -109,7 +113,7 @@ def test_nan_literal_in_json_rejected(tmp_path, capsys):
         ({"lambdas": [0.0, math.inf]}, "'lambdas[1]'"),
         ({"grid": [0.1, math.inf]}, "'grid[1]'"),
         ({"grid": {"start": 0.0, "stop": -math.inf, "points": 3}}, "'stop'"),
-        ({"params": {"stock_c": math.inf}}, "'stock_c'"),
+        ({"params": {"stock_c": math.inf}}, "'params.stock_c'"),
     ],
     ids=["lambdas", "grid-list", "grid-range", "params"],
 )
@@ -123,12 +127,12 @@ def test_overflowing_number_named_in_error(tmp_path, capsys, override, field):
     assert field in err and "finite" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_thread_env_is_a_config_error(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("RIDGEIV_THREADS", value)
-    cfg = _write_config(tmp_path, SMALL_CONFIG)
-    assert run_cli(["sweep-pi", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "RIDGEIV_THREADS" in capsys.readouterr().err
+def test_removed_z_dist_field_is_not_recognized(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, {**SMALL_CONFIG, "params": {"z_dist": "standard_normal"}}
+    )
+    assert run_cli(["sweep-pi", "--config", cfg]) == 2
+    assert "'params.z_dist' is not recognized" in capsys.readouterr().err
 
 
 def test_bad_params_field_rejected(tmp_path, capsys):
@@ -196,17 +200,6 @@ def test_csv_round_trip_is_exact(tmp_path):
         for q in ("q05", "q25", "q50", "q75", "q95"):
             assert row[q] == getattr(cell, q)
         assert row["n_degenerate"] == cell.n_degenerate
-
-
-def test_cli_output_bytes_identical_across_worker_counts(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path, SMALL_CONFIG)
-    outputs = []
-    for workers, name in (("1", "serial"), ("8", "threaded")):
-        monkeypatch.setenv("RIDGEIV_THREADS", workers)
-        out = tmp_path / name
-        assert run_cli(["sweep-pi", "--config", cfg, "--out", str(out)]) == 0
-        outputs.append((out / "mse_sweep.csv").read_bytes())
-    assert outputs[0] == outputs[1]
 
 
 def test_flag_overrides_config_seed(tmp_path, capsys):
@@ -296,6 +289,20 @@ def test_single_run_prints_estimate(capsys):
     }
 
 
+def test_module_entry_point_runs(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ridgeiv.cli", "single-run", "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert math.isfinite(json.loads(proc.stdout)["beta1_hat"])
+
+
 def test_single_run_with_schedule_config(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -332,6 +339,25 @@ def test_verify_strong_variance_passes(capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_verify_weak_instrument_needs_enough_reps(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(
+        cli, "verify_regime", lambda regime, *a, **k: (ran.append(regime) or True, [])
+    )
+    for argv in (
+        ["verify-asymptotics", "--regime", "weak-instrument", "--reps", "100"],
+        ["verify-asymptotics", "--reps", "100"],
+        ["verify-asymptotics", "--config", _write_config(tmp_path, {"reps": 499})],
+    ):
+        assert run_cli(argv) == 2
+        assert "'reps'" in capsys.readouterr().err
+    assert ran == []
+    accepted = [("strong-variance", "100"), ("sqrtn-bias", "100"), ("weak-instrument", "500")]
+    for regime, reps in accepted:
+        assert run_cli(["verify-asymptotics", "--regime", regime, "--reps", reps]) == 0
+    assert ran == [regime for regime, _ in accepted]
 
 
 def test_verify_unknown_regime_exits_2(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ridgeiv.dgp import Dataset, DgpParams, ZDist, aer_calibration, generate_dataset
+from ridgeiv.dgp import Dataset, DgpParams, aer_calibration, generate_dataset
 from ridgeiv.estimators import first_stage
 
 
@@ -94,7 +94,6 @@ def test_aer_calibration_values():
     assert (params.beta0, params.pi0, params.pi1) == (2.83, -0.346, 0.072)
     assert params.err_cov == -0.67
     assert params.eps_loading == -0.67
-    assert params.z_dist is ZDist.STANDARD_NORMAL
     assert params.stock_c is None
     assert params.beta1 == 3.475
 

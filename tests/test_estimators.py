@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ridgeiv.dgp import Dataset, DgpParams, generate_dataset
@@ -194,6 +194,79 @@ def test_std_error_matches_plugin_formula():
     assert est.std_error == expected
     degenerate = Estimate(0.0, 0.0, 1.0, 0.0, 10, 0.0, 1.0, 1.0, 1.0)
     assert degenerate.std_error == math.inf
+
+
+# ---------------------------------------------------------------------------
+# invariances of beta1_hat (std_error is not covered here)
+
+# A strong first stage and a sizeable effect keep Cov[D,Z] and Cov[Y,Z] well
+# away from zero, so rounding stays far inside the tolerance.
+_STRONG = DgpParams(beta0=2.83, beta1=2.0, pi0=-0.346, pi1=1.0, err_cov=-0.67)
+_RTOL = 1e-9
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+_sizes = st.integers(min_value=50, max_value=300)
+_schedules = st.builds(
+    PenaltySchedule, st.sampled_from(PenaltyRate), st.floats(0.0, 100.0)
+)
+_shifts = st.floats(-1e3, 1e3)
+_scales = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+def _beta_hat(y, d, z, schedule):
+    return fit_ridge_iv(Dataset(y=y, d=d, z=z), schedule).beta1_hat
+
+
+@given(_seeds, _sizes, _schedules, _shifts, _shifts, _shifts)
+@settings(max_examples=100, deadline=None)
+def test_beta_hat_ignores_additive_constants(seed, n, schedule, a, b, c):
+    data = generate_dataset(_STRONG, n, seed)
+    base = _beta_hat(data.y, data.d, data.z, schedule)
+    shifted = _beta_hat(data.y + a, data.d + b, data.z + c, schedule)
+    assert shifted == pytest.approx(base, rel=_RTOL)
+
+
+@given(_seeds, _sizes, _schedules, _scales)
+@settings(max_examples=100, deadline=None)
+def test_beta_hat_scales_with_y(seed, n, schedule, a):
+    data = generate_dataset(_STRONG, n, seed)
+    base = _beta_hat(data.y, data.d, data.z, schedule)
+    assert _beta_hat(a * data.y, data.d, data.z, schedule) == pytest.approx(
+        a * base, rel=_RTOL
+    )
+
+
+@given(_seeds, _sizes, _scales)
+@settings(max_examples=100, deadline=None)
+def test_unpenalized_beta_hat_ignores_instrument_scale(seed, n, c):
+    # Only at lambda = 0: the shift lambda_n / n does not rescale with z.
+    schedule = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
+    data = generate_dataset(_STRONG, n, seed)
+    base = _beta_hat(data.y, data.d, data.z, schedule)
+    assert _beta_hat(data.y, data.d, c * data.z, schedule) == pytest.approx(
+        base, rel=_RTOL
+    )
+
+
+@given(
+    _seeds,
+    st.integers(min_value=5, max_value=60),
+    st.sampled_from(PenaltyRate),
+    st.floats(0.0, 1e3),
+    st.floats(0.0, 1e3),
+)
+@settings(max_examples=100, deadline=None)
+def test_abs_beta_hat_non_increasing_in_lambda(seed, n, rate, lam_a, lam_b):
+    data = _random_dataset(seed, n=n)
+    cov_dz = demeaned_cov(data.d, data.z[:, 0])
+    assume(cov_dz != 0.0)
+    if cov_dz < 0:
+        data = Dataset(y=data.y, d=-data.d, z=data.z)
+    low, high = sorted((lam_a, lam_b))
+    fits = [
+        abs(fit_ridge_iv(data, PenaltySchedule(rate, lam)).beta1_hat)
+        for lam in (low, high)
+    ]
+    assert fits[1] <= fits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -175,29 +175,9 @@ def test_raw_rows_do_not_depend_on_the_block_layout(tmp_path, k):
         assert lines == full[cell][:k]
 
 
-def test_sweep_is_deterministic_across_worker_counts():
+def test_sweep_is_deterministic_on_rerun():
     config = _small_config()
-    serial = run_sweep(config, workers=1)
-    rerun = run_sweep(config, workers=1)
-    threaded = run_sweep(config, workers=4)
-    oversubscribed = run_sweep(config, workers=64)
-    assert serial == rerun == threaded == oversubscribed
-
-
-def test_worker_env_cap(monkeypatch):
-    config = _small_config()
-    baseline = run_sweep(config, workers=1)
-    monkeypatch.setenv("RIDGEIV_THREADS", "2")
-    assert run_sweep(config) == baseline
-    assert run_sweep(config, workers=8) == baseline
-    monkeypatch.setenv("RIDGEIV_THREADS", "0")
-    with pytest.raises(ValueError, match="RIDGEIV_THREADS"):
-        run_sweep(config)
-
-
-def test_invalid_worker_count():
-    with pytest.raises(ValueError, match="workers"):
-        run_sweep(_small_config(), workers=0)
+    assert run_sweep(config) == run_sweep(config)
 
 
 def test_mse_decomposition_per_cell():
