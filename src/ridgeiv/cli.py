@@ -38,11 +38,12 @@ from . import asymptotics
 from .dgp import DgpParams, aer_calibration, generate_dataset
 from .estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
 from .montecarlo import (
+    VERIFY_REGIMES,
     GridVariable,
     SweepConfig,
     SweepResult,
-    collect_sampling_distribution,
     run_sweep,
+    verify_regime,
 )
 
 __all__ = [
@@ -60,8 +61,6 @@ __all__ = [
 
 DEFAULT_SEED = 20260810
 DEFAULT_REPS = 2000
-VERIFY_TOLERANCE = 0.10
-VERIFY_N = 10_000
 
 CSV_COLUMNS = (
     "grid_value",
@@ -76,8 +75,6 @@ CSV_COLUMNS = (
     "q95",
     "n_degenerate",
 )
-
-_REGIMES = ("strong-variance", "sqrtn-bias", "weak-instrument")
 
 
 class Command(enum.Enum):
@@ -164,20 +161,30 @@ def _finite_number(value: Any, field: str) -> float:
     return number
 
 
-def _get_number(mapping: dict, field: str, default: float | None = None) -> float:
-    if field not in mapping:
+def _get_number(
+    mapping: dict, key: str, default: float | None = None, prefix: str = ""
+) -> float:
+    if key not in mapping:
         if default is None:
-            raise ConfigError(f"config field '{field}' is required")
+            raise ConfigError(f"config field '{prefix}{key}' is required")
         return default
-    return _finite_number(mapping[field], field)
+    return _finite_number(mapping[key], prefix + key)
 
 
-def _get_int(mapping: dict, field: str, default: int | None = None) -> int:
-    if field not in mapping:
+def _get_int(
+    mapping: dict, key: str, default: int | None = None, prefix: str = ""
+) -> int:
+    if key not in mapping:
         if default is None:
-            raise ConfigError(f"config field '{field}' is required")
+            raise ConfigError(f"config field '{prefix}{key}' is required")
         return default
-    return int(_check_type(mapping[field], int, field))
+    return int(_check_type(mapping[key], int, prefix + key))
+
+
+def _reject_unknown(mapping: dict, known: set[str], prefix: str = "") -> None:
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"config field '{prefix}{key}' is not recognized")
 
 
 def _parse_params(raw: dict | None, field: str = "params") -> DgpParams:
@@ -194,9 +201,7 @@ def _parse_params(raw: dict | None, field: str = "params") -> DgpParams:
         "err_cov",
         "stock_c",
     }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"config field '{field}.{key}' is not recognized")
+    _reject_unknown(raw, known, f"{field}.")
     base = aer_calibration(beta1=1.0)
     kwargs: dict[str, Any] = {}
     for key in ("beta0", "beta1", "pi0", "pi1", "sigma_eps", "sigma_eta", "err_cov"):
@@ -216,15 +221,17 @@ def _parse_grid(raw: Any, field: str = "grid") -> tuple[float, ...]:
             raise ConfigError(f"config field '{field}' must be non-empty")
         return tuple(_finite_number(v, f"{field}[{i}]") for i, v in enumerate(raw))
     if isinstance(raw, dict):
-        start = _get_number(raw, "start")
-        stop = _get_number(raw, "stop")
-        points = _get_int(raw, "points")
+        prefix = f"{field}."
+        _reject_unknown(raw, {"start", "stop", "points"}, prefix)
+        start = _get_number(raw, "start", prefix=prefix)
+        stop = _get_number(raw, "stop", prefix=prefix)
+        points = _get_int(raw, "points", prefix=prefix)
         if points < 1:
             raise ConfigError(f"config field '{field}.points' must be positive")
         return tuple(np.linspace(start, stop, points))
     raise ConfigError(
         f"config field '{field}' must be a list of numbers or "
-        "{{start, stop, points}}"
+        f"{{start, stop, points}}"
     )
 
 
@@ -232,6 +239,7 @@ def _parse_schedule(raw: dict | None) -> PenaltySchedule:
     if raw is None:
         return PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
     _check_type(raw, dict, "schedule")
+    _reject_unknown(raw, {"rate", "lambda0"}, "schedule.")
     rate_name = _check_type(raw.get("rate", "constant"), str, "schedule.rate")
     try:
         rate = PenaltyRate(rate_name)
@@ -240,7 +248,7 @@ def _parse_schedule(raw: dict | None) -> PenaltySchedule:
             f"config field 'schedule.rate' must be one of "
             f"{[r.value for r in PenaltyRate]}, got {rate_name!r}"
         ) from None
-    lambda0 = _get_number(raw, "lambda0", 0.0)
+    lambda0 = _get_number(raw, "lambda0", 0.0, prefix="schedule.")
     try:
         return PenaltySchedule(rate, lambda0)
     except ValueError as exc:
@@ -283,9 +291,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         "emit_raw",
         "regimes",
     }
-    for key in file_cfg:
-        if key not in known_top:
-            raise ConfigError(f"config field '{key}' is not recognized")
+    _reject_unknown(file_cfg, known_top)
 
     seed = args.seed if args.seed is not None else _get_int(file_cfg, "seed", DEFAULT_SEED)
     if seed < 0 or seed >= 2**64:
@@ -356,13 +362,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
                 _check_type(r, str, f"regimes[{i}]") for i, r in enumerate(raw_regimes)
             )
         elif requested == "all":
-            regimes = _REGIMES
+            regimes = VERIFY_REGIMES
         else:
             regimes = (requested,)
         for regime in regimes:
-            if regime not in _REGIMES:
+            if regime not in VERIFY_REGIMES:
                 raise ConfigError(
-                    f"config field 'regimes' must contain only {_REGIMES}, "
+                    f"config field 'regimes' must contain only {VERIFY_REGIMES}, "
                     f"got {regime!r}"
                 )
         if "weak-instrument" in regimes and reps < asymptotics.MIN_TAIL_SAMPLES:
@@ -536,99 +542,6 @@ def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verification
-
-
-def _verify_line(
-    label: str, predicted: float, empirical: float, tolerance: float
-) -> tuple[bool, str]:
-    deviation = abs(empirical - predicted) / abs(predicted)
-    ok = deviation <= tolerance
-    text = (
-        f"  {label}: predicted {predicted:.6g}, empirical {empirical:.6g}, "
-        f"rel dev {100 * deviation:.2f}% -> {'PASS' if ok else 'FAIL'} "
-        f"(tolerance {100 * tolerance:.0f}%)"
-    )
-    return ok, text
-
-
-def verify_regime(regime: str, reps: int, seed: int, n: int = VERIFY_N) -> tuple[bool, list[str]]:
-    """Run one predicted-vs-empirical check; returns (passed, report lines)."""
-    lines = [f"[{regime}] n = {n}, reps = {reps}, seed = {seed}"]
-    ok = True
-    if regime == "strong-variance":
-        params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
-        samples = collect_sampling_distribution(
-            params, PenaltySchedule(PenaltyRate.CONSTANT, 0.0), n, reps, seed
-        )
-        good, text = _verify_line(
-            "variance of sqrt(n)(beta_hat - beta1)",
-            asymptotics.v_ridge(params),
-            float(np.var(samples)),
-            VERIFY_TOLERANCE,
-        )
-        ok &= good
-        lines.append(text)
-    elif regime == "sqrtn-bias":
-        params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
-        lambda0 = 0.5
-        samples = collect_sampling_distribution(
-            params, PenaltySchedule(PenaltyRate.SQRT_N, lambda0), n, reps, seed
-        )
-        predicted = asymptotics.sqrtn_bias(params, lambda0)
-        empirical = float(np.mean(samples))
-        std_err = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-        good = abs(empirical - predicted) <= 3.0 * std_err
-        ok &= good
-        lines.append(
-            f"  mean of sqrt(n)(beta_hat - beta1): predicted {predicted:.6g}, "
-            f"empirical {empirical:.6g}, |dev| = "
-            f"{abs(empirical - predicted) / std_err:.2f} MC std errors -> "
-            f"{'PASS' if good else 'FAIL'} (tolerance 3)"
-        )
-    elif regime == "weak-instrument":
-        params = dataclasses.replace(
-            aer_calibration(beta1=1.0, stock_c=1.0), pi1=0.0
-        )
-        raw = collect_sampling_distribution(
-            params, PenaltySchedule(PenaltyRate.CONSTANT, 0.0), n, reps, seed
-        )
-        diag = asymptotics.cauchy_diagnostics(raw)
-        good = diag.tail_index_flag
-        ok &= good
-        lines.append(
-            f"  unpenalized ratio heavy-tail flag: expected True, got "
-            f"{diag.tail_index_flag} (median {diag.median:.3g}, "
-            f"iqr {diag.iqr:.3g}) -> {'PASS' if good else 'FAIL'}"
-        )
-        lambda0 = 1.0
-        ridge = collect_sampling_distribution(
-            params, PenaltySchedule(PenaltyRate.LINEAR_N, lambda0), n, reps, seed
-        )
-        mean_pred, var_pred = asymptotics.staiger_stock_moments(params, lambda0)
-        good, text = _verify_line(
-            "mean of sqrt(n) beta_hat", mean_pred, float(np.mean(ridge)), VERIFY_TOLERANCE
-        )
-        ok &= good
-        lines.append(text)
-        good, text = _verify_line(
-            "variance of sqrt(n) beta_hat", var_pred, float(np.var(ridge)), VERIFY_TOLERANCE
-        )
-        ok &= good
-        lines.append(text)
-        ridge_diag = asymptotics.cauchy_diagnostics(ridge)
-        good = not ridge_diag.tail_index_flag
-        ok &= good
-        lines.append(
-            f"  penalized heavy-tail flag: expected False, got "
-            f"{ridge_diag.tail_index_flag} -> {'PASS' if good else 'FAIL'}"
-        )
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    return ok, lines
-
-
-# ---------------------------------------------------------------------------
 # dispatch
 
 
@@ -704,7 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument(
         "--regime",
-        choices=_REGIMES + ("all",),
+        choices=VERIFY_REGIMES + ("all",),
         default="all",
         help="which limit regime to verify",
     )

@@ -121,6 +121,9 @@ class Dataset:
             raise ValueError(f"need at least 3 observations, got {y.shape[0]}")
         if z.shape[1] < 1:
             raise ValueError("need at least one instrument")
+        for name, values in (("y", y), ("d", d), ("z", z)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got a non-finite entry")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "z", z)

@@ -81,6 +81,8 @@ class PenaltySchedule:
     lambda0: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.lambda0):
+            raise ValueError(f"lambda0 must be finite, got {self.lambda0!r}")
         if self.lambda0 < 0:
             raise ValueError(f"lambda0 must be nonnegative, got {self.lambda0}")
 
@@ -94,7 +96,10 @@ class PenaltySchedule:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A fitted slope plus the pieces of the penalized ratio and stage diagnostics."""
+    """A fitted slope plus the pieces of the penalized ratio and stage diagnostics.
+
+    ``sigma_z_hat`` is the sample sd of the instrument (1/n convention).
+    """
 
     beta1_hat: float
     numerator: float
@@ -105,13 +110,21 @@ class Estimate:
     sigma_eta_hat: float
     sigma_red_hat: float
     sigma_eps_hat: float
+    sigma_z_hat: float
 
     @property
     def std_error(self) -> float:
-        """Plug-in standard error from the limiting variance sigma_eps^2 / pi1^2."""
-        if self.pi1_hat == 0.0:
+        """Plug-in standard error sigma_eps_hat / (|pi1_hat| sd(z) sqrt(n)).
+
+        This is the unpenalized (2SLS) standard error, from the limiting
+        variance sigma_eps^2 / (pi1^2 Var z); it is reported as is when
+        lambda_n > 0 and ignores the penalty's shrinkage.  It does not
+        change when z is rescaled.
+        """
+        scale = abs(self.pi1_hat) * self.sigma_z_hat
+        if scale == 0.0:
             return math.inf
-        return self.sigma_eps_hat / (abs(self.pi1_hat) * math.sqrt(self.n))
+        return self.sigma_eps_hat / (scale * math.sqrt(self.n))
 
 
 def demeaned_cov(x: np.ndarray, w: np.ndarray) -> float:
@@ -130,9 +143,8 @@ def demeaned_cov(x: np.ndarray, w: np.ndarray) -> float:
 def shifted_ratio(numerator: float, cov_dz: float, shift: float) -> float:
     """The scalar penalized ratio numerator / (cov_dz + shift).
 
-    Shared core of the scalar estimators and the sweep harness; raises
-    :class:`DegenerateDenominatorError` iff the shifted denominator is
-    exactly zero.
+    Core of the scalar estimators; raises :class:`DegenerateDenominatorError`
+    iff the shifted denominator is exactly zero.
     """
     denominator = cov_dz + shift
     if denominator == 0.0:
@@ -194,6 +206,7 @@ def _fit_scalar(data: Dataset, lambda_n: float) -> Estimate:
         sigma_eta_hat=sigma_eta_hat,
         sigma_red_hat=sigma_red_hat,
         sigma_eps_hat=sigma_eps_hat,
+        sigma_z_hat=math.sqrt(demeaned_cov(z, z)),
     )
 
 

@@ -3,30 +3,32 @@
 Two kinds of experiment live here: MSE sweeps over a grid of first-stage
 slopes or effect sizes (one aggregate row per grid point and penalty
 level), and collection of the raw sampling distribution of the scaled
-estimator for checking the closed-form limits in :mod:`.asymptotics`.
+estimator, with the checks (:func:`verify_regime`) that compare it against
+the closed-form limits in :mod:`.asymptotics`.
 
 Every repetition gets its own seed derived deterministically from
-``(master_seed, grid index, rep index)``, and the reduction over reps is
-performed in rep order, so results are bit-identical for a given config
-on every run.
+``(master_seed, grid index, rep index)``, or ``(master_seed, rep index)``
+in a sampling distribution, and the reduction over reps is performed in
+rep order, so results are bit-identical for a given config on every run.
 
-The sweep never builds a dataset.  Each rep draws the unit shocks
-(z, e, h) that ``generate_dataset`` draws for its seed, with
-eps = sigma_eps * e and eta = sigma_eta * h, and reduces them to three
-centered cross-moments: Var z, Cov[e, z] and Cov[h, z].  These are
+Neither a sweep nor a sampling distribution builds a dataset.  Each rep
+draws the unit shocks (z, e, h) that ``generate_dataset`` draws for its
+seed, with eps = sigma_eps * e and eta = sigma_eta * h, and reduces them
+to three centered cross-moments: Var z, Cov[e, z] and Cov[h, z].  These are
 sufficient for the ratio, because the model is linear in the shocks and
 the intercepts drop out of every covariance:
 
     Cov[D,Z] = pi1 * Var z + eps_loading * sigma_eps * Cov[e,z] + sigma_eta * Cov[h,z]
     Cov[Y,Z] = beta1 * Cov[D,Z] + sigma_eps * Cov[e,z]
 
-with pi1 the slope at the sweep's n (``DgpParams.effective_pi1``).  Reps
-are drawn and reduced in fixed blocks from one re-keyed Philox per grid
-point, with every rep's moments formed on its own row, so no result
-depends on the block layout.  The estimates match the per-dataset path
-(``demeaned_cov`` on ``generate_dataset``, as ``collect_sampling_distribution``
-still does) up to last-bit rounding: about 1e-11 relative at most on the
-default sweeps, where a near-zero denominator amplifies it.
+with pi1 the slope at the sample size n (``DgpParams.effective_pi1``).
+Reps are drawn and reduced in blocks from one re-keyed Philox per grid
+point or sampling distribution, with every rep's moments formed on its own
+row, so no result depends on the block layout.
+The estimates match the per-dataset path (``demeaned_cov`` or
+``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: about
+1e-11 relative at most on the default sweeps, where a near-zero
+denominator amplifies it.
 
 The ``lambda_values`` of a sweep are denominator shifts at covariance
 scale: each estimate is Cov[Y,Z] / (Cov[D,Z] + lambda).  At the sweep's
@@ -45,8 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dgp import DgpParams, generate_dataset
-from .estimators import DegenerateDenominatorError, PenaltySchedule, fit_ridge_iv
+from . import asymptotics
+from .dgp import DgpParams, aer_calibration
+from .estimators import PenaltyRate, PenaltySchedule
 
 __all__ = [
     "GridVariable",
@@ -56,7 +59,11 @@ __all__ = [
     "derive_seed",
     "run_sweep",
     "collect_sampling_distribution",
+    "verify_regime",
 ]
+
+VERIFY_TOLERANCE = 0.10
+VERIFY_REGIMES = ("strong-variance", "sqrtn-bias", "weak-instrument")
 
 
 class GridVariable(enum.Enum):
@@ -235,9 +242,15 @@ def _derive_seeds(master_seed: int, prefix: tuple[int, ...], count: int) -> np.n
     return words[0] | (words[1] << np.uint64(32))
 
 
-# Reps drawn and reduced together by the sweep kernel.  Results do not
-# depend on it: every rep is reduced on its own row.
+# Reps drawn and reduced together: at most _BLOCK_REPS, and at most
+# _BLOCK_SAMPLES samples per shock row, so memory does not grow with n.
+# Results do not depend on it: every rep is reduced on its own row.
 _BLOCK_REPS = 64
+_BLOCK_SAMPLES = 64 * 150
+
+
+def _block_reps(n: int) -> int:
+    return max(1, min(_BLOCK_REPS, _BLOCK_SAMPLES // n))
 
 
 class _UnitShocks:
@@ -263,31 +276,37 @@ class _UnitShocks:
         self._rng.standard_normal(out=out)
 
 
-def _sweep_grid_point(
-    config: SweepConfig, grid_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """All reps for one grid point: estimates and degeneracy markers.
+def _shock_moments(
+    master_seed: int, path: tuple[int, ...], reps: int, n: int
+) -> np.ndarray:
+    """Var z, Cov[e, z] and Cov[h, z] per rep, shape (3, reps).
 
-    Returns arrays of shape (len(lambda_values), reps); the draws are shared
-    across lambda values within a rep so penalties are compared on the same
-    data.  Each rep is reduced to the sufficient statistics of its shocks
-    (see the module docstring); degenerate entries are 0.0.
+    Rep i draws the shocks of seed ``derive_seed(master_seed, *path, i)``.
     """
-    params = config.params_at(config.grid[grid_index])
-    n, reps = config.n, config.reps
-    seeds = _derive_seeds(config.master_seed, (grid_index,), reps).tolist()
+    seeds = _derive_seeds(master_seed, path, reps).tolist()
     draw = _UnitShocks().draw
-    # rows: Var z, Cov[e, z], Cov[h, z] of the unit shocks (z, e, h) per rep
+    size = _block_reps(n)
     moments = np.empty((3, reps))
-    block = np.empty((min(_BLOCK_REPS, reps), 3, n))
-    for start in range(0, reps, _BLOCK_REPS):
-        stop = min(start + _BLOCK_REPS, reps)
+    block = np.empty((min(size, reps), 3, n))
+    for start in range(0, reps, size):
+        stop = min(start + size, reps)
         shocks = block[: stop - start]
         for seed, out in zip(seeds[start:stop], shocks):
             draw(seed, out)
         shocks -= shocks.mean(axis=2, keepdims=True)
         shocks *= shocks[:, :1, :]  # rows become z*z, e*z, h*z
         moments[:, start:stop] = shocks.mean(axis=2).T
+    return moments
+
+
+def _ratios(
+    params: DgpParams, n: int, moments: np.ndarray, shifts: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cov[Y,Z] / (Cov[D,Z] + shift) per shift and rep, shape (len(shifts), reps).
+
+    Also returns where the shifted denominator is exactly zero; the
+    estimate there is 0.0.
+    """
     s_zz, s_ez, s_hz = moments
     cov_dz = (
         params.effective_pi1(n) * s_zz
@@ -295,7 +314,7 @@ def _sweep_grid_point(
         + params.sigma_eta * s_hz
     )
     cov_yz = params.beta1 * cov_dz + params.sigma_eps * s_ez
-    denominators = cov_dz + np.array(config.lambda_values)[:, None]
+    denominators = cov_dz + np.array(shifts)[:, None]
     degenerate = denominators == 0.0
     estimates = np.divide(
         cov_yz, denominators, out=np.zeros_like(denominators), where=~degenerate
@@ -351,7 +370,11 @@ def run_sweep(config: SweepConfig, raw_path: Path | str | None = None) -> SweepR
         columns (grid_value, lambda, rep, beta1_hat, degenerate); the
         estimate field of degenerate reps is written as nan.
     """
-    per_point = [_sweep_grid_point(config, gi) for gi in range(len(config.grid))]
+    per_point = []  # (estimates, degenerate); every lambda shares the rep's draws
+    for gi, grid_value in enumerate(config.grid):
+        moments = _shock_moments(config.master_seed, (gi,), config.reps, config.n)
+        params = config.params_at(grid_value)
+        per_point.append(_ratios(params, config.n, moments, config.lambda_values))
 
     cells = []
     for lam_index, lam in enumerate(config.lambda_values):
@@ -421,16 +444,88 @@ def collect_sampling_distribution(
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    moments = _shock_moments(master_seed, (), reps, n)
+    estimates, degenerate = _ratios(params, n, moments, (schedule.lambda_n(n) / n,))
     center = 0.0 if params.stock_c is not None else params.beta1
-    root_n = math.sqrt(n)
-    out = np.empty(reps)
-    keep = np.ones(reps, dtype=bool)
-    for rep in range(reps):
-        data = generate_dataset(params, n, derive_seed(master_seed, rep))
-        try:
-            estimate = fit_ridge_iv(data, schedule)
-        except DegenerateDenominatorError:
-            keep[rep] = False
-            continue
-        out[rep] = root_n * (estimate.beta1_hat - center)
-    return out[keep]
+    return math.sqrt(n) * (estimates[0][~degenerate[0]] - center)
+
+
+# ---------------------------------------------------------------------------
+# verification of the limit theory
+
+
+def _verify_line(label: str, predicted: float, empirical: float) -> tuple[bool, str]:
+    deviation = abs(empirical - predicted) / abs(predicted)
+    ok = deviation <= VERIFY_TOLERANCE
+    text = (
+        f"  {label}: predicted {predicted:.6g}, empirical {empirical:.6g}, "
+        f"rel dev {100 * deviation:.2f}% -> {'PASS' if ok else 'FAIL'} "
+        f"(tolerance {100 * VERIFY_TOLERANCE:.0f}%)"
+    )
+    return ok, text
+
+
+def verify_regime(regime: str, reps: int, seed: int, n: int = 10_000) -> tuple[bool, list[str]]:
+    """Run one predicted-vs-empirical check; returns (passed, report lines)."""
+    checks: list[tuple[bool, str]] = []  # (passed, report line) per check
+    if regime == "strong-variance":
+        params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
+        samples = collect_sampling_distribution(
+            params, PenaltySchedule(PenaltyRate.CONSTANT, 0.0), n, reps, seed
+        )
+        checks.append(
+            _verify_line(
+                "variance of sqrt(n)(beta_hat - beta1)",
+                asymptotics.v_ridge(params),
+                float(np.var(samples)),
+            )
+        )
+    elif regime == "sqrtn-bias":
+        params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
+        lambda0 = 0.5
+        samples = collect_sampling_distribution(
+            params, PenaltySchedule(PenaltyRate.SQRT_N, lambda0), n, reps, seed
+        )
+        predicted = asymptotics.sqrtn_bias(params, lambda0)
+        empirical = float(np.mean(samples))
+        std_err = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
+        good = abs(empirical - predicted) <= 3.0 * std_err
+        checks.append((good, (
+            f"  mean of sqrt(n)(beta_hat - beta1): predicted {predicted:.6g}, "
+            f"empirical {empirical:.6g}, |dev| = "
+            f"{abs(empirical - predicted) / std_err:.2f} MC std errors -> "
+            f"{'PASS' if good else 'FAIL'} (tolerance 3)"
+        )))
+    elif regime == "weak-instrument":
+        params = dataclasses.replace(aer_calibration(beta1=1.0, stock_c=1.0), pi1=0.0)
+        lambda0 = 1.0
+        shifts = (0.0, PenaltySchedule(PenaltyRate.LINEAR_N, lambda0).lambda_n(n) / n)
+        # one draw serves both schedules; the drifting design centers on zero
+        moments = _shock_moments(seed, (), reps, n)
+        estimates, degenerate = _ratios(params, n, moments, shifts)
+        raw, ridge = (math.sqrt(n) * row[~bad] for row, bad in zip(estimates, degenerate))
+        diag = asymptotics.cauchy_diagnostics(raw)
+        good = diag.tail_index_flag
+        checks.append((good, (
+            f"  unpenalized ratio heavy-tail flag: expected True, got "
+            f"{diag.tail_index_flag} (median {diag.median:.3g}, "
+            f"iqr {diag.iqr:.3g}) -> {'PASS' if good else 'FAIL'}"
+        )))
+        mean_pred, var_pred = asymptotics.staiger_stock_moments(params, lambda0)
+        checks.append(
+            _verify_line("mean of sqrt(n) beta_hat", mean_pred, float(np.mean(ridge)))
+        )
+        checks.append(
+            _verify_line("variance of sqrt(n) beta_hat", var_pred, float(np.var(ridge)))
+        )
+        good = not asymptotics.cauchy_diagnostics(ridge).tail_index_flag
+        checks.append((good, (
+            f"  penalized heavy-tail flag: expected False, got "
+            f"{not good} -> {'PASS' if good else 'FAIL'}"
+        )))
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    header = f"[{regime}] n = {n}, reps = {reps}, seed = {seed}"
+    return all(good for good, _ in checks), [header] + [line for _, line in checks]

@@ -112,7 +112,7 @@ def test_nan_literal_in_json_rejected(tmp_path, capsys):
     [
         ({"lambdas": [0.0, math.inf]}, "'lambdas[1]'"),
         ({"grid": [0.1, math.inf]}, "'grid[1]'"),
-        ({"grid": {"start": 0.0, "stop": -math.inf, "points": 3}}, "'stop'"),
+        ({"grid": {"start": 0.0, "stop": -math.inf, "points": 3}}, "'grid.stop'"),
         ({"params": {"stock_c": math.inf}}, "'params.stock_c'"),
     ],
     ids=["lambdas", "grid-list", "grid-range", "params"],
@@ -125,6 +125,54 @@ def test_overflowing_number_named_in_error(tmp_path, capsys, override, field):
     assert run_cli(["sweep-beta", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert field in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"start": math.inf, "stop": 1.0, "points": 3}, "'grid.start' must be finite"),
+        ({"start": 0.0, "points": 3}, "'grid.stop' is required"),
+        ({"start": 0.0, "stop": 1.0}, "'grid.points' is required"),
+    ],
+    ids=["start", "stop", "points"],
+)
+def test_grid_range_fields_named_with_their_object(tmp_path, capsys, grid, message):
+    path = tmp_path / "grid.json"
+    # 1e999 is valid JSON and parses to inf
+    path.write_text(json.dumps({**SMALL_CONFIG, "grid": grid}).replace("Infinity", "1e999"))
+    assert run_cli(["sweep-pi", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_schedule_lambda0_named_with_its_object(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"schedule": {"rate": "linear_n", "lambda0": 1e999}}')
+    assert run_cli(["single-run", "--config", str(path)]) == 2
+    assert "'schedule.lambda0' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, override, field",
+    [
+        ("sweep-pi", {"grid": {"start": 0.0, "stop": 1.0, "points": 3, "step": 1}}, "grid.step"),
+        ("single-run", {"schedule": {"rate": "linear_n", "lamda0": 4}}, "schedule.lamda0"),
+    ],
+    ids=["grid", "schedule"],
+)
+def test_unknown_nested_key_is_not_recognized(tmp_path, capsys, command, override, field):
+    # a typo must not fall back to the default (2SLS for a misspelt lambda0)
+    cfg = _write_config(tmp_path, {**SMALL_CONFIG, **override})
+    assert run_cli([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert f"'{field}' is not recognized" in captured.err
+    assert captured.out == ""
+
+
+def test_bad_grid_type_message_shows_the_range_keys(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {**SMALL_CONFIG, "grid": "x"})
+    assert run_cli(["sweep-pi", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "{start, stop, points}" in err and "{{" not in err
 
 
 def test_removed_z_dist_field_is_not_recognized(tmp_path, capsys):
@@ -285,7 +333,8 @@ def test_single_run_prints_estimate(capsys):
     assert payload["beta1_hat"] == payload["numerator"] / payload["denominator"]
     assert set(payload) >= {
         "beta1_hat", "numerator", "denominator", "lambda_n", "n",
-        "pi1_hat", "sigma_eta_hat", "sigma_red_hat", "sigma_eps_hat", "std_error",
+        "pi1_hat", "sigma_eta_hat", "sigma_red_hat", "sigma_eps_hat", "sigma_z_hat",
+        "std_error",
     }
 
 
@@ -358,6 +407,13 @@ def test_verify_weak_instrument_needs_enough_reps(tmp_path, monkeypatch, capsys)
     for regime, reps in accepted:
         assert run_cli(["verify-asymptotics", "--regime", regime, "--reps", reps]) == 0
     assert ran == [regime for regime, _ in accepted]
+
+
+def test_verify_report_matches_reference(capsys):
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    expected = (reference / "verify-asymptotics.txt").read_text()
+    assert run_cli(["verify-asymptotics", "--reps", "500"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_verify_unknown_regime_exits_2(capsys):

@@ -108,6 +108,15 @@ def test_dataset_validation():
     assert data.z.shape == (3, 1)
 
 
+@pytest.mark.parametrize("field", ["y", "d", "z"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dataset_non_finite_entry_rejected(field, value):
+    arrays = {name: [1.0, 2.0, 3.0] for name in ("y", "d", "z")}
+    arrays[field] = [1.0, value, 2.0]
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Dataset(**arrays)
+
+
 def _recovered_errors(data, params):
     eps = data.y - params.beta0 - params.beta1 * data.d
     u = data.d - params.pi0 - params.pi1 * data.z[:, 0]

@@ -166,6 +166,13 @@ def test_penalty_schedule_rates():
         PenaltySchedule(PenaltyRate.CONSTANT, -1.0)
 
 
+@pytest.mark.parametrize("rate", list(PenaltyRate))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_penalty_schedule_rejects_non_finite_lambda0(rate, value):
+    with pytest.raises(ValueError, match="lambda0 must be finite"):
+        PenaltySchedule(rate, value)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=5, max_value=60))
 @settings(max_examples=60, deadline=None)
 def test_lambda_zero_is_2sls_bit_for_bit(seed, n):
@@ -189,15 +196,18 @@ def test_shrinkage_toward_zero():
 
 
 def test_std_error_matches_plugin_formula():
-    est = fit_2sls(_random_dataset(11, n=80))
-    expected = est.sigma_eps_hat / (abs(est.pi1_hat) * math.sqrt(est.n))
+    data = _random_dataset(11, n=80)
+    est = fit_2sls(data)
+    sd_z = float(np.std(data.z[:, 0]))
+    assert est.sigma_z_hat == pytest.approx(sd_z, rel=1e-12)
+    expected = est.sigma_eps_hat / (abs(est.pi1_hat) * est.sigma_z_hat * math.sqrt(est.n))
     assert est.std_error == expected
-    degenerate = Estimate(0.0, 0.0, 1.0, 0.0, 10, 0.0, 1.0, 1.0, 1.0)
+    degenerate = Estimate(0.0, 0.0, 1.0, 0.0, 10, 0.0, 1.0, 1.0, 1.0, 1.0)
     assert degenerate.std_error == math.inf
 
 
 # ---------------------------------------------------------------------------
-# invariances of beta1_hat (std_error is not covered here)
+# invariances of beta1_hat and std_error
 
 # A strong first stage and a sizeable effect keep Cov[D,Z] and Cov[Y,Z] well
 # away from zero, so rounding stays far inside the tolerance.
@@ -245,6 +255,15 @@ def test_unpenalized_beta_hat_ignores_instrument_scale(seed, n, c):
     assert _beta_hat(data.y, data.d, c * data.z, schedule) == pytest.approx(
         base, rel=_RTOL
     )
+
+
+@given(_seeds, _sizes, _scales)
+@settings(max_examples=100, deadline=None)
+def test_unpenalized_std_error_ignores_instrument_scale(seed, n, c):
+    data = generate_dataset(_STRONG, n, seed)
+    base = fit_2sls(data).std_error
+    scaled = fit_2sls(Dataset(y=data.y, d=data.d, z=c * data.z)).std_error
+    assert scaled == pytest.approx(base, rel=_RTOL)
 
 
 @given(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -14,16 +15,20 @@ from ridgeiv.estimators import (
     fit_ridge_iv,
     shifted_ratio,
 )
+import ridgeiv.montecarlo as montecarlo
 from ridgeiv.montecarlo import (
     _BLOCK_REPS,
     GridVariable,
     SweepConfig,
+    _block_reps,
     _derive_seeds,
-    _sweep_grid_point,
+    _ratios,
+    _shock_moments,
     _UnitShocks,
     collect_sampling_distribution,
     derive_seed,
     run_sweep,
+    verify_regime,
 )
 
 
@@ -96,6 +101,20 @@ def test_vectorised_seeds_match_derive_seed(master, grid_index):
     assert seeds.tolist() == expected
 
 
+def test_empty_seed_path_matches_derive_seed():
+    # sampling distributions seed rep i with derive_seed(master, i)
+    count = 2 * _BLOCK_REPS + 5
+    expected = [derive_seed(20260810, rep) for rep in range(count)]
+    assert _derive_seeds(20260810, (), count).tolist() == expected
+
+
+def test_block_length_follows_n():
+    assert _block_reps(3) == _block_reps(150) == _BLOCK_REPS
+    assert _block_reps(200) == 48
+    assert _block_reps(2000) == 4
+    assert _block_reps(10_000) == _block_reps(10**7) == 1
+
+
 def test_rekeyed_draw_matches_generate_dataset():
     # with zero intercepts, slopes and err_cov, y = eps and d = eta exactly;
     # power-of-two scales make the division back to unit shocks exact
@@ -138,8 +157,9 @@ def test_rekeyed_draw_matches_generate_dataset():
 )
 def test_kernel_matches_per_dataset_path(config):
     for gi, grid_value in enumerate(config.grid):
-        estimates, degenerate = _sweep_grid_point(config, gi)
         params = config.params_at(grid_value)
+        moments = _shock_moments(config.master_seed, (gi,), config.reps, config.n)
+        estimates, degenerate = _ratios(params, config.n, moments, config.lambda_values)
         for rep in range(config.reps):
             data = generate_dataset(
                 params, config.n, derive_seed(config.master_seed, gi, rep)
@@ -158,11 +178,22 @@ def test_kernel_matches_per_dataset_path(config):
                 assert abs(estimates[li, rep] - ref) <= 1e-12 * (abs(ref) + 1)
 
 
-@pytest.mark.parametrize("k", [1, _BLOCK_REPS, _BLOCK_REPS + 1])
-def test_raw_rows_do_not_depend_on_the_block_layout(tmp_path, k):
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        pytest.param(30, 1, id="1"),
+        pytest.param(30, _BLOCK_REPS, id="64"),
+        pytest.param(30, _BLOCK_REPS + 1, id="65"),
+        # blocks of 4 reps at n = 2000
+        pytest.param(2000, 1, id="n2000-1"),
+        pytest.param(2000, 4, id="n2000-4"),
+        pytest.param(2000, 5, id="n2000-5"),
+    ],
+)
+def test_raw_rows_do_not_depend_on_the_block_layout(tmp_path, n, k):
     def rows_by_cell(reps):
         path = tmp_path / f"raw_{reps}.csv"
-        run_sweep(_small_config(grid=(0.0, 0.6), reps=reps), raw_path=path)
+        run_sweep(_small_config(grid=(0.0, 0.6), n=n, reps=reps), raw_path=path)
         cells: dict[tuple[str, str], list[str]] = {}
         for line in path.read_text().splitlines()[1:]:
             grid_value, lam, _ = line.split(",", 2)
@@ -288,23 +319,86 @@ def test_estimator_consistency_in_n():
     assert median_big < median_small
 
 
-def test_collect_matches_manual_fit():
+_ZERO_NOISE = DgpParams(
+    beta0=0.0, beta1=2.0, pi0=0.5, pi1=0.0,
+    sigma_eps=0.0, sigma_eta=0.0, err_cov=0.0,
+)
+
+
+@pytest.mark.parametrize("n", [200, 2000], ids=["n200", "n2000"])
+@pytest.mark.parametrize(
+    "params, schedule",
+    [
+        (aer_calibration(beta1=1.0), PenaltySchedule(PenaltyRate.CONSTANT, 0.0)),
+        (aer_calibration(beta1=1.0), PenaltySchedule(PenaltyRate.SQRT_N, 0.3)),
+        (aer_calibration(beta1=1.0), PenaltySchedule(PenaltyRate.LINEAR_N, 1.0)),
+        # centered on zero: the drifting first stage
+        (
+            aer_calibration(beta1=1.0, stock_c=1.0),
+            PenaltySchedule(PenaltyRate.LINEAR_N, 1.0),
+        ),
+        # d is constant: every unpenalized rep is degenerate and dropped
+        (_ZERO_NOISE, PenaltySchedule(PenaltyRate.CONSTANT, 0.0)),
+        (_ZERO_NOISE, PenaltySchedule(PenaltyRate.CONSTANT, 0.5)),
+    ],
+    ids=[
+        "pi1-constant", "pi1-sqrt_n", "pi1-linear_n", "stock_c-linear_n",
+        "zero-noise-unpenalized", "zero-noise-penalized",
+    ],
+)
+def test_collect_matches_per_dataset_fit(params, schedule, n):
+    # two full blocks and a partial one
+    reps = 2 * _block_reps(n) + 3
+    samples = collect_sampling_distribution(params, schedule, n, reps, 23)
+    center = 0.0 if params.stock_c is not None else params.beta1
+    expected = []
+    for rep in range(reps):
+        data = generate_dataset(params, n, derive_seed(23, rep))
+        try:
+            expected.append(fit_ridge_iv(data, schedule).beta1_hat)
+        except DegenerateDenominatorError:
+            pass
+    if params is _ZERO_NOISE:
+        assert len(expected) == (0 if schedule.lambda0 == 0.0 else reps)
+    assert samples.shape == (len(expected),)
+    root_n = math.sqrt(n)
+    for value, ref in zip(samples, expected):
+        # the bound on beta1_hat, scaled as the samples are
+        assert abs(value - root_n * (ref - center)) <= root_n * 1e-12 * (abs(ref) + 1)
+
+
+def test_collect_validates_reps_and_n():
     params = aer_calibration(beta1=1.0)
-    schedule = PenaltySchedule(PenaltyRate.SQRT_N, 0.3)
-    samples = collect_sampling_distribution(params, schedule, 200, 5, 23)
-    data = generate_dataset(params, 200, derive_seed(23, 0))
-    expected = math.sqrt(200) * (fit_ridge_iv(data, schedule).beta1_hat - 1.0)
-    assert samples[0] == expected
-    assert samples.shape == (5,)
+    schedule = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
+    with pytest.raises(ValueError, match="reps"):
+        collect_sampling_distribution(params, schedule, 50, 0, 1)
+    with pytest.raises(ValueError, match="n must be at least 3"):
+        collect_sampling_distribution(params, schedule, 2, 5, 1)
 
 
-def test_collect_centers_on_zero_under_drifting_first_stage():
-    params = aer_calibration(beta1=1.0, stock_c=1.0)
-    schedule = PenaltySchedule(PenaltyRate.LINEAR_N, 1.0)
-    samples = collect_sampling_distribution(params, schedule, 200, 5, 23)
-    data = generate_dataset(params, 200, derive_seed(23, 0))
-    expected = math.sqrt(200) * fit_ridge_iv(data, schedule).beta1_hat
-    assert samples[0] == expected
+def test_weak_instrument_check_draws_once(monkeypatch):
+    calls = []
+    shock_moments = montecarlo._shock_moments
+
+    def counted(*args):
+        calls.append(args)
+        return shock_moments(*args)
+
+    monkeypatch.setattr(montecarlo, "_shock_moments", counted)
+    ok, lines = verify_regime("weak-instrument", 500, 9, n=1000)
+    assert calls == [(9, (), 500, 1000)]
+    assert len(lines) == 5
+    # the same values as one collection per schedule
+    params = dataclasses.replace(aer_calibration(beta1=1.0, stock_c=1.0), pi1=0.0)
+    raw = collect_sampling_distribution(
+        params, PenaltySchedule(PenaltyRate.CONSTANT, 0.0), 1000, 500, 9
+    )
+    assert f"median {cauchy_diagnostics(raw).median:.3g}," in lines[1]
+
+
+def test_unknown_regime_rejected():
+    with pytest.raises(ValueError, match="unknown regime"):
+        verify_regime("bogus", 10, 1)
 
 
 def test_heavy_tails_appear_only_without_penalty():
