@@ -14,6 +14,18 @@ verify-asymptotics
 single-run
     Fit one simulated dataset and print the estimate as JSON.
 
+Each subcommand reads only its own top-level config keys; any other key
+exits 2, naming the key and the subcommand:
+
+sweep-pi, sweep-beta  params, grid, lambdas, n, reps, seed, output_dir,
+                      emit_plots, emit_raw
+verify-asymptotics    reps, seed, regimes
+single-run            params, n, seed, schedule
+
+Every config value is checked by name; then each flag that is given
+overrides its key (``--out`` sets output_dir, ``--plots`` emit_plots,
+``--raw`` emit_raw, ``--regime`` regimes).
+
 Exit codes: 0 success, 2 bad arguments or config, 1 runtime failure or a
 failed verification.  Sweeps write ``mse_sweep.csv`` (full-precision
 floats, so parsing the file reproduces every value exactly) plus one SVG
@@ -30,7 +42,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -90,21 +102,26 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated, dispatchable experiment."""
+    """A validated, dispatchable experiment.
+
+    Each config key of the subcommand sets the field of its name (``grid``
+    and ``lambdas`` only shape ``sweep``); a key not given keeps its default.
+    """
 
     command: Command
-    sweep: SweepConfig | None
-    output_dir: Path
-    emit_plots: bool
-    emit_raw: bool
+    sweep: SweepConfig | None = None
+    # sweeps
+    output_dir: Path = Path("ridgeiv_out")
+    emit_plots: bool = False
+    emit_raw: bool = False
     # verify-asymptotics
-    regimes: tuple[str, ...] = ()
+    regimes: tuple[str, ...] = VERIFY_REGIMES
     reps: int = DEFAULT_REPS
     seed: int = DEFAULT_SEED
     # single-run
-    params: DgpParams | None = None
+    params: DgpParams = aer_calibration(beta1=1.0)
     n: int = 150
-    schedule: PenaltySchedule | None = None
+    schedule: PenaltySchedule = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
 
 
 def default_pi_sweep(
@@ -140,6 +157,41 @@ def default_beta_sweep(
 # ---------------------------------------------------------------------------
 # config parsing
 
+_SWEEP_KEYS = (
+    "params", "grid", "lambdas", "n", "reps", "seed", "output_dir", "emit_plots", "emit_raw"
+)
+
+# The top-level config keys each subcommand reads; any other key exits 2.
+_CONFIG_KEYS: dict[Command, tuple[str, ...]] = {
+    Command.SWEEP_PI: _SWEEP_KEYS,
+    Command.SWEEP_BETA: _SWEEP_KEYS,
+    Command.VERIFY_ASYMPTOTICS: ("reps", "seed", "regimes"),
+    Command.SINGLE_RUN: ("params", "n", "seed", "schedule"),
+}
+
+# flag -> (the config key it overrides, add_argument options).  A subcommand
+# has the flags of its keys; a flag left out is None and overrides nothing.
+_SWITCH = dict(action="store_const", const=True)
+_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
+    "--seed": ("seed", dict(type=int, help="master seed (u64)")),
+    "--reps": ("reps", dict(type=int, help="Monte Carlo repetitions")),
+    "--out": ("output_dir", dict(help="output directory")),
+    "--plots": ("emit_plots", dict(_SWITCH, help="emit one SVG per penalty")),
+    "--raw": ("emit_raw", dict(_SWITCH, help="persist per-rep estimates")),
+    "--regime": (
+        "regimes",
+        dict(choices=(*VERIFY_REGIMES, "all"), help="which limit regime to verify"),
+    ),
+}
+
+# config key -> SweepConfig field
+_SWEEP_FIELDS = {
+    "params": "base_params", "grid": "grid", "lambdas": "lambda_values",
+    "n": "n", "reps": "reps", "seed": "master_seed",
+}
+
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(DgpParams))
+
 
 def _check_type(value: Any, types: type | tuple[type, ...], field: str) -> Any:
     if isinstance(value, bool) and bool not in (
@@ -155,9 +207,23 @@ def _check_type(value: Any, types: type | tuple[type, ...], field: str) -> Any:
 
 
 def _finite_number(value: Any, field: str) -> float:
-    number = float(_check_type(value, (int, float), field))
+    _check_type(value, (int, float), field)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"config field '{field}' must be finite, got {value!r}")
+        # rendered as JSON writes it: NaN, Infinity, -Infinity
+        raise ConfigError(
+            f"config field '{field}' must be finite, got {json.dumps(number)}"
+        )
+    return number
+
+
+def _int_at_least(value: Any, least: int, field: str) -> int:
+    number = _check_type(value, int, field)
+    if number < least:
+        raise ConfigError(f"config field '{field}' must be at least {least}, got {number}")
     return number
 
 
@@ -171,75 +237,75 @@ def _get_number(
     return _finite_number(mapping[key], prefix + key)
 
 
-def _get_int(
-    mapping: dict, key: str, default: int | None = None, prefix: str = ""
-) -> int:
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"config field '{prefix}{key}' is required")
-        return default
-    return int(_check_type(mapping[key], int, prefix + key))
-
-
-def _reject_unknown(mapping: dict, known: set[str], prefix: str = "") -> None:
+def _reject_unknown(mapping: dict, known: Sequence[str], prefix: str) -> None:
     for key in mapping:
         if key not in known:
             raise ConfigError(f"config field '{prefix}{key}' is not recognized")
 
 
-def _parse_params(raw: dict | None, field: str = "params") -> DgpParams:
-    if raw is None:
-        return aer_calibration(beta1=1.0)
-    _check_type(raw, dict, field)
-    known = {
-        "beta0",
-        "beta1",
-        "pi0",
-        "pi1",
-        "sigma_eps",
-        "sigma_eta",
-        "err_cov",
-        "stock_c",
+def _parse_seed(value: Any) -> int:
+    seed = _check_type(value, int, "seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("config field 'seed' must be an unsigned 64-bit integer")
+    return seed
+
+
+def _parse_params(raw: Any) -> DgpParams:
+    _check_type(raw, dict, "params")
+    _reject_unknown(raw, _PARAM_KEYS, "params.")
+    kwargs = {
+        key: None
+        if key == "stock_c" and value is None
+        else _finite_number(value, f"params.{key}")
+        for key, value in raw.items()
     }
-    _reject_unknown(raw, known, f"{field}.")
-    base = aer_calibration(beta1=1.0)
-    kwargs: dict[str, Any] = {}
-    for key in ("beta0", "beta1", "pi0", "pi1", "sigma_eps", "sigma_eta", "err_cov"):
-        if key in raw:
-            kwargs[key] = _finite_number(raw[key], f"{field}.{key}")
-    if raw.get("stock_c") is not None:
-        kwargs["stock_c"] = _finite_number(raw["stock_c"], f"{field}.stock_c")
     try:
-        return dataclasses.replace(base, **kwargs)
+        return dataclasses.replace(aer_calibration(beta1=1.0), **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"config field '{field}' is invalid: {exc}") from exc
+        raise ConfigError(f"config field 'params' is invalid: {exc}") from exc
 
 
-def _parse_grid(raw: Any, field: str = "grid") -> tuple[float, ...]:
+def _finite_list(raw: list, field: str) -> tuple[float, ...]:
+    return tuple(_finite_number(v, f"{field}[{i}]") for i, v in enumerate(raw))
+
+
+def _parse_grid(raw: Any) -> tuple[float, ...]:
     if isinstance(raw, list):
         if not raw:
-            raise ConfigError(f"config field '{field}' must be non-empty")
-        return tuple(_finite_number(v, f"{field}[{i}]") for i, v in enumerate(raw))
+            raise ConfigError("config field 'grid' must be non-empty")
+        return _finite_list(raw, "grid")
     if isinstance(raw, dict):
-        prefix = f"{field}."
-        _reject_unknown(raw, {"start", "stop", "points"}, prefix)
-        start = _get_number(raw, "start", prefix=prefix)
-        stop = _get_number(raw, "stop", prefix=prefix)
-        points = _get_int(raw, "points", prefix=prefix)
-        if points < 1:
-            raise ConfigError(f"config field '{field}.points' must be positive")
+        _reject_unknown(raw, ("start", "stop", "points"), "grid.")
+        start = _get_number(raw, "start", prefix="grid.")
+        stop = _get_number(raw, "stop", prefix="grid.")
+        if "points" not in raw:
+            raise ConfigError("config field 'grid.points' is required")
+        points = _int_at_least(raw["points"], 1, "grid.points")
         return tuple(np.linspace(start, stop, points))
     raise ConfigError(
-        f"config field '{field}' must be a list of numbers or "
-        f"{{start, stop, points}}"
+        "config field 'grid' must be a list of numbers or {start, stop, points}"
     )
 
 
-def _parse_schedule(raw: dict | None) -> PenaltySchedule:
-    if raw is None:
-        return PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
+def _parse_regimes(raw: Any) -> tuple[str, ...]:
+    regimes = tuple(
+        _check_type(r, str, f"regimes[{i}]")
+        for i, r in enumerate(_check_type(raw, list, "regimes"))
+    )
+    if not regimes:
+        raise ConfigError("config field 'regimes' must be non-empty")
+    for regime in regimes:
+        if regime not in VERIFY_REGIMES:
+            raise ConfigError(
+                f"config field 'regimes' must contain only {VERIFY_REGIMES}, "
+                f"got {regime!r}"
+            )
+    return regimes
+
+
+def _parse_schedule(raw: Any) -> PenaltySchedule:
     _check_type(raw, dict, "schedule")
-    _reject_unknown(raw, {"rate", "lambda0"}, "schedule.")
+    _reject_unknown(raw, ("rate", "lambda0"), "schedule.")
     rate_name = _check_type(raw.get("rate", "constant"), str, "schedule.rate")
     try:
         rate = PenaltyRate(rate_name)
@@ -255,145 +321,78 @@ def _parse_schedule(raw: dict | None) -> PenaltySchedule:
         raise ConfigError(f"config field 'schedule.lambda0' is invalid: {exc}") from exc
 
 
-def _reject_constant(name: str) -> float:
-    raise ConfigError(
-        f"config file contains the non-finite number {name}, which JSON does not allow"
-    )
+# config key -> its parser; each raises ConfigError naming the field
+_PARSERS: dict[str, Callable[[Any], Any]] = {
+    "params": _parse_params,
+    "grid": _parse_grid,
+    "lambdas": lambda raw: _finite_list(_check_type(raw, list, "lambdas"), "lambdas"),
+    "n": lambda raw: _int_at_least(raw, 3, "n"),
+    "reps": lambda raw: _int_at_least(raw, 1, "reps"),
+    "seed": _parse_seed,
+    "output_dir": lambda raw: Path(_check_type(raw, str, "output_dir")),
+    "emit_plots": lambda raw: _check_type(raw, bool, "emit_plots"),
+    "emit_raw": lambda raw: _check_type(raw, bool, "emit_raw"),
+    "regimes": _parse_regimes,
+    "schedule": _parse_schedule,
+}
 
 
 def _load_json(path: Path) -> dict:
     try:
-        raw = json.loads(path.read_text(), parse_constant=_reject_constant)
+        raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return _check_type(raw, dict, "<top level>")
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the config file (if any) with command-line overrides."""
+    """Validate the config file (if any), then apply the flags that were given.
+
+    Each top-level key must be one the subcommand reads, and each config
+    value is checked by name even when a flag overrides it.
+    """
     command = Command(args.command)
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        file_cfg = _load_json(Path(args.config))
-
-    known_top = {
-        "params",
-        "grid",
-        "lambdas",
-        "n",
-        "reps",
-        "seed",
-        "schedule",
-        "output_dir",
-        "emit_plots",
-        "emit_raw",
-        "regimes",
-    }
-    _reject_unknown(file_cfg, known_top)
-
-    seed = args.seed if args.seed is not None else _get_int(file_cfg, "seed", DEFAULT_SEED)
-    if seed < 0 or seed >= 2**64:
-        raise ConfigError("config field 'seed' must be an unsigned 64-bit integer")
-    reps = args.reps if args.reps is not None else _get_int(file_cfg, "reps", DEFAULT_REPS)
-    if reps < 1:
-        raise ConfigError(f"config field 'reps' must be positive, got {reps}")
-
-    out_raw = (
-        args.out
-        if getattr(args, "out", None)
-        else file_cfg.get("output_dir", "ridgeiv_out")
-    )
-    output_dir = Path(_check_type(out_raw, str, "output_dir"))
-    emit_plots = bool(getattr(args, "plots", False)) or bool(
-        _check_type(file_cfg.get("emit_plots", False), bool, "emit_plots")
-    )
-    emit_raw = bool(getattr(args, "raw", False)) or bool(
-        _check_type(file_cfg.get("emit_raw", False), bool, "emit_raw")
-    )
-    params = _parse_params(file_cfg.get("params"))
-    n = _get_int(file_cfg, "n", 150)
-    if n < 3:
-        raise ConfigError(f"config field 'n' must be at least 3, got {n}")
+    file_cfg = _load_json(Path(args.config)) if args.config else {}
+    for key in file_cfg:
+        if key not in _CONFIG_KEYS[command]:
+            raise ConfigError(
+                f"config field '{key}' is not recognized by {command.value}"
+            )
+    values = {key: _PARSERS[key](raw) for key, raw in file_cfg.items()}
+    for flag, (key, _) in _FLAGS.items():
+        given = getattr(args, flag[2:], None)
+        if given is not None:
+            if key == "regimes":
+                given = list(VERIFY_REGIMES) if given == "all" else [given]
+            values[key] = _PARSERS[key](given)
 
     sweep = None
     if command in (Command.SWEEP_PI, Command.SWEEP_BETA):
-        if command is Command.SWEEP_PI:
-            preset = default_pi_sweep(reps=reps, master_seed=seed)
-            grid_variable = GridVariable.PI1
-        else:
-            preset = default_beta_sweep(reps=reps, master_seed=seed)
-            grid_variable = GridVariable.BETA1
-        grid = (
-            _parse_grid(file_cfg["grid"]) if "grid" in file_cfg else preset.grid
-        )
-        lambdas = (
-            tuple(
-                _finite_number(v, f"lambdas[{i}]")
-                for i, v in enumerate(
-                    _check_type(file_cfg["lambdas"], list, "lambdas")
-                )
-            )
-            if "lambdas" in file_cfg
-            else preset.lambda_values
-        )
-        base_params = params if "params" in file_cfg else preset.base_params
-        n_sweep = _get_int(file_cfg, "n", preset.n)
+        preset = default_pi_sweep() if command is Command.SWEEP_PI else default_beta_sweep()
         try:
-            sweep = SweepConfig(
-                base_params=base_params,
-                grid_variable=grid_variable,
-                grid=grid,
-                lambda_values=lambdas,
-                n=n_sweep,
-                reps=reps,
-                master_seed=seed,
+            sweep = dataclasses.replace(
+                preset,
+                **{_SWEEP_FIELDS[k]: v for k, v in values.items() if k in _SWEEP_FIELDS},
             )
         except ValueError as exc:
             raise ConfigError(f"invalid sweep configuration: {exc}") from exc
-
-    regimes: tuple[str, ...] = ()
-    if command is Command.VERIFY_ASYMPTOTICS:
-        requested = getattr(args, "regime", "all") or "all"
-        if "regimes" in file_cfg and requested == "all":
-            raw_regimes = _check_type(file_cfg["regimes"], list, "regimes")
-            regimes = tuple(
-                _check_type(r, str, f"regimes[{i}]") for i, r in enumerate(raw_regimes)
-            )
-        elif requested == "all":
-            regimes = VERIFY_REGIMES
-        else:
-            regimes = (requested,)
-        for regime in regimes:
-            if regime not in VERIFY_REGIMES:
-                raise ConfigError(
-                    f"config field 'regimes' must contain only {VERIFY_REGIMES}, "
-                    f"got {regime!r}"
-                )
-        if "weak-instrument" in regimes and reps < asymptotics.MIN_TAIL_SAMPLES:
-            raise ConfigError(
-                f"config field 'reps' must be at least {asymptotics.MIN_TAIL_SAMPLES} "
-                f"for the weak-instrument regime, got {reps}"
-            )
-
-    schedule = None
-    if command is Command.SINGLE_RUN:
-        schedule = _parse_schedule(file_cfg.get("schedule"))
-
-    return ExperimentConfig(
+    config = ExperimentConfig(
         command=command,
         sweep=sweep,
-        output_dir=output_dir,
-        emit_plots=emit_plots,
-        emit_raw=emit_raw,
-        regimes=regimes,
-        reps=reps,
-        seed=seed,
-        params=params,
-        n=n,
-        schedule=schedule,
+        **{k: v for k, v in values.items() if k not in ("grid", "lambdas")},
     )
+    if (
+        command is Command.VERIFY_ASYMPTOTICS
+        and "weak-instrument" in config.regimes
+        and config.reps < asymptotics.MIN_TAIL_SAMPLES
+    ):
+        raise ConfigError(
+            f"config field 'reps' must be at least {asymptotics.MIN_TAIL_SAMPLES} "
+            f"for the weak-instrument regime, got {config.reps}"
+        )
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +547,6 @@ def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
 def _run_sweep_command(config: ExperimentConfig) -> int:
     assert config.sweep is not None
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     raw_path = out / "raw_estimates.csv" if config.emit_raw else None
     result = run_sweep(config.sweep, raw_path=raw_path)
     csv_path = out / "mse_sweep.csv"
@@ -578,7 +576,6 @@ def _run_verify_command(config: ExperimentConfig) -> int:
 
 
 def _run_single_command(config: ExperimentConfig) -> int:
-    assert config.params is not None and config.schedule is not None
     data = generate_dataset(config.params, config.n, config.seed)
     estimate = fit_ridge_iv(data, config.schedule)
     payload = dataclasses.asdict(estimate)
@@ -595,35 +592,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="path to a JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-        p.add_argument("--reps", type=int, default=None, help="Monte Carlo repetitions")
-
-    for name, doc in (
-        (Command.SWEEP_PI.value, "MSE sweep over the first-stage slope"),
-        (Command.SWEEP_BETA.value, "MSE sweep over the effect size"),
+    for command, doc in (
+        (Command.SWEEP_PI, "MSE sweep over the first-stage slope"),
+        (Command.SWEEP_BETA, "MSE sweep over the effect size"),
+        (
+            Command.VERIFY_ASYMPTOTICS,
+            "check predicted limiting moments against Monte Carlo",
+        ),
+        (Command.SINGLE_RUN, "fit one simulated dataset"),
     ):
-        p = sub.add_parser(name, help=doc)
-        add_common(p)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--plots", action="store_true", help="emit one SVG per penalty")
-        p.add_argument("--raw", action="store_true", help="persist per-rep estimates")
-
-    p = sub.add_parser(
-        Command.VERIFY_ASYMPTOTICS.value,
-        help="check predicted limiting moments against Monte Carlo",
-    )
-    add_common(p)
-    p.add_argument(
-        "--regime",
-        choices=VERIFY_REGIMES + ("all",),
-        default="all",
-        help="which limit regime to verify",
-    )
-
-    p = sub.add_parser(Command.SINGLE_RUN.value, help="fit one simulated dataset")
-    add_common(p)
+        p = sub.add_parser(command.value, help=doc)
+        p.add_argument("--config", help="path to a JSON experiment config")
+        for flag, (key, options) in _FLAGS.items():
+            if key in _CONFIG_KEYS[command]:
+                p.add_argument(flag, **options)
     return parser
 
 

@@ -1,6 +1,9 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,7 +19,8 @@ from ridgeiv.cli import (
     write_sweep_csv,
 )
 from ridgeiv.dgp import aer_calibration
-from ridgeiv.montecarlo import GridVariable, SweepConfig, run_sweep
+from ridgeiv.estimators import PenaltyRate, PenaltySchedule
+from ridgeiv.montecarlo import VERIFY_REGIMES, GridVariable, SweepConfig, run_sweep
 
 SMALL_CONFIG = {
     "grid": {"start": 0.1, "stop": 0.5, "points": 3},
@@ -114,8 +118,9 @@ def test_nan_literal_in_json_rejected(tmp_path, capsys):
         ({"grid": [0.1, math.inf]}, "'grid[1]'"),
         ({"grid": {"start": 0.0, "stop": -math.inf, "points": 3}}, "'grid.stop'"),
         ({"params": {"stock_c": math.inf}}, "'params.stock_c'"),
+        ({"lambdas": [0.0, 10**400]}, "'lambdas[1]'"),
     ],
-    ids=["lambdas", "grid-list", "grid-range", "params"],
+    ids=["lambdas", "grid-list", "grid-range", "params", "lambdas-int"],
 )
 def test_overflowing_number_named_in_error(tmp_path, capsys, override, field):
     # 1e999 is valid JSON and parses to inf
@@ -125,6 +130,37 @@ def test_overflowing_number_named_in_error(tmp_path, capsys, override, field):
     assert run_cli(["sweep-beta", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert field in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("sweep-pi", '{"lambdas": [0.0, NaN]}', "'lambdas[1]' must be finite, got NaN"),
+        ("sweep-pi", '{"params": {"sigma_eps": Infinity}}',
+         "'params.sigma_eps' must be finite, got Infinity"),
+        ("sweep-beta", '{"grid": {"start": -Infinity, "stop": 1.0, "points": 3}}',
+         "'grid.start' must be finite, got -Infinity"),
+        ("single-run", '{"schedule": {"rate": "sqrt_n", "lambda0": NaN}}',
+         "'schedule.lambda0' must be finite, got NaN"),
+        ("single-run", '{"seed": NaN}', "'seed' has wrong type (float)"),
+    ],
+    ids=["lambdas", "params", "grid-range", "schedule", "seed"],
+)
+def test_non_finite_literal_named_with_its_field(tmp_path, capsys, command, text, message):
+    path = tmp_path / "literal.json"
+    path.write_text(text)
+    assert run_cli([command, "--config", str(path), "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_overlong_integer_literal_exits_2(tmp_path, capsys):
+    # json raises ValueError, not JSONDecodeError, past 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text('{"n": 1' + "0" * 5000 + "}")
+    assert run_cli(["single-run", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -152,20 +188,188 @@ def test_schedule_lambda0_named_with_its_object(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, override, field",
+    "command, payload, field",
     [
-        ("sweep-pi", {"grid": {"start": 0.0, "stop": 1.0, "points": 3, "step": 1}}, "grid.step"),
+        (
+            "sweep-pi",
+            {**SMALL_CONFIG, "grid": {"start": 0.0, "stop": 1.0, "points": 3, "step": 1}},
+            "grid.step",
+        ),
         ("single-run", {"schedule": {"rate": "linear_n", "lamda0": 4}}, "schedule.lamda0"),
     ],
     ids=["grid", "schedule"],
 )
-def test_unknown_nested_key_is_not_recognized(tmp_path, capsys, command, override, field):
+def test_unknown_nested_key_is_not_recognized(tmp_path, capsys, command, payload, field):
     # a typo must not fall back to the default (2SLS for a misspelt lambda0)
-    cfg = _write_config(tmp_path, {**SMALL_CONFIG, **override})
+    cfg = _write_config(tmp_path, payload)
     assert run_cli([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert f"'{field}' is not recognized" in captured.err
     assert captured.out == ""
+
+
+ACCEPTED_KEYS = {
+    "sweep-pi": {
+        "params", "grid", "lambdas", "n", "reps", "seed", "output_dir", "emit_plots", "emit_raw",
+    },
+    "sweep-beta": {
+        "params", "grid", "lambdas", "n", "reps", "seed", "output_dir", "emit_plots", "emit_raw",
+    },
+    "verify-asymptotics": {"reps", "seed", "regimes"},
+    "single-run": {"params", "n", "seed", "schedule"},
+}
+
+# a valid value of every config key, none of them a default
+KEY_VALUES = {
+    "params": {"pi1": 0.25, "stock_c": None},
+    "grid": [0.1, 0.2],
+    "lambdas": [7.0],
+    "n": 50,
+    "reps": 600,
+    "seed": 3,
+    "output_dir": "zz",
+    "emit_plots": True,
+    "emit_raw": True,
+    "regimes": ["sqrtn-bias"],
+    "schedule": {"rate": "sqrt_n", "lambda0": 0.5},
+}
+
+FOREIGN_KEYS = [
+    (command, key)
+    for command, accepted in ACCEPTED_KEYS.items()
+    for key in sorted(set(KEY_VALUES) - accepted)
+]
+
+
+def _build(argv):
+    return cli.build_config(cli._build_parser().parse_args(argv))
+
+
+def test_config_key_table():
+    assert {c.value: set(keys) for c, keys in cli._CONFIG_KEYS.items()} == ACCEPTED_KEYS
+    assert len(FOREIGN_KEYS) == 19
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    FOREIGN_KEYS + [("single-run", "--reps")],
+    ids=[f"{c}-{k}" for c, k in FOREIGN_KEYS] + ["single-run---reps"],
+)
+def test_key_foreign_to_command_exits_2(tmp_path, monkeypatch, capsys, command, key):
+    # each of these used to be accepted and then ignored
+    monkeypatch.chdir(tmp_path)
+    if key == "--reps":
+        argv = [command, "--reps", "5"]
+    else:
+        argv = [command, "--config", _write_config(tmp_path, {key: KEY_VALUES[key]})]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    if key == "--reps":
+        assert "--reps" in captured.err
+    else:
+        assert f"config field '{key}' is not recognized by {command}" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"] * (key != "--reps")
+
+
+@pytest.mark.parametrize("command", list(ACCEPTED_KEYS))
+def test_every_accepted_key_reaches_the_config(tmp_path, command):
+    payload = {key: KEY_VALUES[key] for key in ACCEPTED_KEYS[command]}
+    config = _build([command, "--config", _write_config(tmp_path, payload)])
+    params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=0.25)
+    if config.sweep is not None:
+        assert config.sweep.base_params == params
+        assert config.sweep.grid == (0.1, 0.2)
+        assert config.sweep.lambda_values == (7.0,)
+        assert (config.sweep.n, config.sweep.reps, config.sweep.master_seed) == (50, 600, 3)
+        assert (config.output_dir, config.emit_plots, config.emit_raw) == (Path("zz"), True, True)
+    elif command == "verify-asymptotics":
+        assert (config.regimes, config.reps, config.seed) == (("sqrtn-bias",), 600, 3)
+    else:
+        assert (config.params, config.n, config.seed) == (params, 50, 3)
+        assert config.schedule == PenaltySchedule(PenaltyRate.SQRT_N, 0.5)
+
+
+@pytest.mark.parametrize(
+    "command, payload, flags, field",
+    [
+        ("verify-asymptotics", {"seed": "abc"}, [], "'seed'"),
+        ("verify-asymptotics", {"reps": -3}, [], "'reps'"),
+        ("verify-asymptotics", {"regimes": ["bogus"]}, [], "'regimes'"),
+        ("verify-asymptotics", {"regimes": []}, [], "'regimes'"),
+        ("sweep-pi", {"output_dir": 5}, ["--out", "o"], "'output_dir'"),
+        ("sweep-pi", {"emit_plots": "yes"}, ["--plots"], "'emit_plots'"),
+        ("sweep-beta", {"emit_raw": 1}, ["--raw"], "'emit_raw'"),
+    ],
+    ids=["seed", "reps", "regimes", "regimes-empty", "output_dir", "emit_plots", "emit_raw"],
+)
+def test_config_value_checked_when_a_flag_overrides_it(
+    tmp_path, monkeypatch, capsys, command, payload, flags, field
+):
+    ran = []
+    monkeypatch.setattr(cli, "verify_regime", lambda regime, *a: (ran.append(regime) or True, []))
+    monkeypatch.chdir(tmp_path)
+    given = {
+        "sweep-pi": ["--seed", "1", "--reps", "2"],
+        "sweep-beta": ["--seed", "1", "--reps", "2"],
+        "verify-asymptotics": ["--seed", "1", "--reps", "200", "--regime", "strong-variance"],
+    }[command]
+    argv = [command, "--config", _write_config(tmp_path, payload), *given, *flags]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == "" and ran == []
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], ("strong-variance",)),
+        (["--regime", "all"], VERIFY_REGIMES),
+        (["--regime", "sqrtn-bias"], ("sqrtn-bias",)),
+    ],
+    ids=["config", "all", "one"],
+)
+def test_given_regime_flag_overrides_config_regimes(tmp_path, monkeypatch, capsys, flags, expected):
+    ran = []
+    monkeypatch.setattr(cli, "verify_regime", lambda regime, *a: (ran.append(regime) or True, []))
+    cfg = _write_config(tmp_path, {"regimes": ["strong-variance"], "reps": 500})
+    assert run_cli(["verify-asymptotics", "--config", cfg, *flags]) == 0
+    assert tuple(ran) == expected
+    capsys.readouterr()
+
+
+def _readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+@pytest.mark.parametrize("command", ["sweep-pi", "sweep-beta"])
+def test_readme_config_example_is_accepted(tmp_path, command):
+    block = re.search(r"```json\n(.*?)```", _readme_text(), re.S).group(1)
+    config = _build([command, "--config", _write_config(tmp_path, json.loads(block))])
+    assert config.sweep is not None and config.emit_plots
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_key_table_matches_the_schema():
+    subparsers = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    documented = {}
+    for line in _readme_text().splitlines():
+        cells = line.split(" | ")
+        if len(cells) == 3 and line.startswith("| `"):
+            for command in re.findall(r"`([a-z-]+)`", cells[0]):
+                documented[command] = (
+                    set(re.findall(r"`(\w+)`", cells[1])),
+                    set(re.findall(r"`(--[a-z]+)`", cells[2])),
+                )
+    flags = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert documented == {c: (ACCEPTED_KEYS[c], flags[c]) for c in ACCEPTED_KEYS}
 
 
 def test_bad_grid_type_message_shows_the_range_keys(tmp_path, capsys):
