@@ -24,12 +24,14 @@ single-run            params, n, seed, schedule
 
 Every config value is checked by name; then each flag that is given
 overrides its key (``--out`` sets output_dir, ``--plots`` emit_plots,
-``--raw`` emit_raw, ``--regime`` regimes).
+``--raw`` emit_raw, ``--regime`` regimes).  A sweep's ``params`` may not
+set the parameter its grid sets (``pi1`` or ``beta1``).
 
 Exit codes: 0 success, 2 bad arguments or config, 1 runtime failure or a
 failed verification.  Sweeps write ``mse_sweep.csv`` (full-precision
-floats, so parsing the file reproduces every value exactly) plus one SVG
-line plot per penalty level when plots are requested.
+floats, so parsing the file reproduces every value exactly), plus
+``raw_estimates.csv`` and one SVG line plot per penalty level when asked;
+this module writes every artifact.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
     "main",
     "emit_plot",
     "write_sweep_csv",
+    "write_raw_csv",
     "read_sweep_csv",
     "default_pi_sweep",
     "default_beta_sweep",
@@ -193,15 +196,23 @@ _SWEEP_FIELDS = {
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(DgpParams))
 
 
+# JSON names of the values json.loads returns, and of the types asked for
+_JSON_TYPE = {
+    bool: "boolean", int: "integer", float: "number", str: "string",
+    list: "list", dict: "object", type(None): "null",
+}
+_EXPECTED = {
+    bool: "true or false", int: "an integer", (int, float): "a number",
+    str: "a string", list: "a list", dict: "an object",
+}
+
+
 def _check_type(value: Any, types: type | tuple[type, ...], field: str) -> Any:
-    if isinstance(value, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        raise ConfigError(f"config field '{field}' has wrong type (bool)")
-    if not isinstance(value, types):
+    # bool is a subclass of int, so only a bool field accepts true or false
+    if (isinstance(value, bool) and types is not bool) or not isinstance(value, types):
         raise ConfigError(
             f"config field '{field}' has wrong type "
-            f"({type(value).__name__}), expected {types}"
+            f"({_JSON_TYPE[type(value)]}), expected {_EXPECTED[types]}"
         )
     return value
 
@@ -287,6 +298,17 @@ def _parse_grid(raw: Any) -> tuple[float, ...]:
     )
 
 
+def _parse_lambdas(raw: Any) -> tuple[float, ...]:
+    lambdas = _finite_list(_check_type(raw, list, "lambdas"), "lambdas")
+    # each penalty level names its plot file with format(lam, "g")
+    if len({format(lam, "g") for lam in lambdas}) < len(lambdas):
+        raise ConfigError(
+            f"config field 'lambdas' must not repeat a value to 6 significant digits, "
+            f"got {list(lambdas)}"
+        )
+    return lambdas
+
+
 def _parse_regimes(raw: Any) -> tuple[str, ...]:
     regimes = tuple(
         _check_type(r, str, f"regimes[{i}]")
@@ -325,7 +347,7 @@ def _parse_schedule(raw: Any) -> PenaltySchedule:
 _PARSERS: dict[str, Callable[[Any], Any]] = {
     "params": _parse_params,
     "grid": _parse_grid,
-    "lambdas": lambda raw: _finite_list(_check_type(raw, list, "lambdas"), "lambdas"),
+    "lambdas": _parse_lambdas,
     "n": lambda raw: _int_at_least(raw, 3, "n"),
     "reps": lambda raw: _int_at_least(raw, 1, "reps"),
     "seed": _parse_seed,
@@ -371,6 +393,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     sweep = None
     if command in (Command.SWEEP_PI, Command.SWEEP_BETA):
         preset = default_pi_sweep() if command is Command.SWEEP_PI else default_beta_sweep()
+        swept = preset.grid_variable.value
+        if swept in file_cfg.get("params", {}):
+            raise ConfigError(
+                f"config field 'params.{swept}' is not recognized by {command.value}: "
+                f"the grid sets {swept}"
+            )
         try:
             sweep = dataclasses.replace(
                 preset,
@@ -383,15 +411,14 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         sweep=sweep,
         **{k: v for k, v in values.items() if k not in ("grid", "lambdas")},
     )
-    if (
-        command is Command.VERIFY_ASYMPTOTICS
-        and "weak-instrument" in config.regimes
-        and config.reps < asymptotics.MIN_TAIL_SAMPLES
-    ):
-        raise ConfigError(
-            f"config field 'reps' must be at least {asymptotics.MIN_TAIL_SAMPLES} "
-            f"for the weak-instrument regime, got {config.reps}"
-        )
+    if command is Command.VERIFY_ASYMPTOTICS:
+        # every check needs a sample variance; the heavy-tail check needs more
+        least = asymptotics.MIN_TAIL_SAMPLES if "weak-instrument" in config.regimes else 2
+        if config.reps < least:
+            raise ConfigError(
+                f"config field 'reps' must be at least {least} for "
+                f"{', '.join(config.regimes)}, got {config.reps}"
+            )
     return config
 
 
@@ -419,6 +446,24 @@ def write_sweep_csv(result: SweepResult, path: Path) -> None:
                     repr(c.q95),
                     c.n_degenerate,
                 ]
+            )
+
+
+def write_raw_csv(result: SweepResult, path: Path) -> None:
+    """Write one row per rep of every cell, in cell order.
+
+    A degenerate rep has beta1_hat ``nan`` and degenerate ``1``.
+    """
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["grid_value", "lambda", "rep", "beta1_hat", "degenerate"])
+        for cell, estimates in zip(result.cells, result.estimates):
+            grid_text, lam_text = repr(cell.grid_value), repr(cell.lam)
+            # csv writes a float as its repr, nan included
+            flags = np.isnan(estimates).astype(np.int8).tolist()
+            writer.writerows(
+                [grid_text, lam_text, rep, value, flag]
+                for rep, (value, flag) in enumerate(zip(estimates.tolist(), flags))
             )
 
 
@@ -547,12 +592,13 @@ def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
 def _run_sweep_command(config: ExperimentConfig) -> int:
     assert config.sweep is not None
     out = config.output_dir
-    raw_path = out / "raw_estimates.csv" if config.emit_raw else None
-    result = run_sweep(config.sweep, raw_path=raw_path)
+    result = run_sweep(config.sweep)
     csv_path = out / "mse_sweep.csv"
     write_sweep_csv(result, csv_path)
     print(f"wrote {csv_path}")
-    if raw_path is not None:
+    if config.emit_raw:
+        raw_path = out / "raw_estimates.csv"
+        write_raw_csv(result, raw_path)
         print(f"wrote {raw_path}")
     if config.emit_plots:
         for lam in config.sweep.lambda_values:

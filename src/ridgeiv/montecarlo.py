@@ -10,6 +10,7 @@ Every repetition gets its own seed derived deterministically from
 ``(master_seed, grid index, rep index)``, or ``(master_seed, rep index)``
 in a sampling distribution, and the reduction over reps is performed in
 rep order, so results are bit-identical for a given config on every run.
+Nothing here writes a file: a sweep returns its per-rep estimates.
 
 Neither a sweep nor a sampling distribution builds a dataset.  Each rep
 draws the unit shocks (z, e, h) that ``generate_dataset`` draws for its
@@ -39,11 +40,9 @@ to tame a weak first stage.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import enum
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -104,6 +103,9 @@ class SweepConfig:
             )
         if any(lam < 0 for lam in self.lambda_values):
             raise ValueError("lambda values must be nonnegative")
+        # cells are looked up by lambda (cells_for_lambda, mse_curve)
+        if len(set(self.lambda_values)) < len(self.lambda_values):
+            raise ValueError(f"lambda values must be distinct, got {self.lambda_values}")
         if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
         if self.reps < 1:
@@ -147,11 +149,17 @@ class SweepCell:
 
 @dataclasses.dataclass(frozen=True)
 class SweepResult:
+    """Aggregated cells plus the per-rep estimates behind them.
+
+    ``estimates[i, r]`` is beta1_hat for rep r of ``cells[i]``, NaN where
+    the rep is degenerate.  ``==`` compares the cells only.
+    """
+
     grid_variable: GridVariable
     n: int
     reps: int
     cells: tuple[SweepCell, ...]
-    estimates_path: Path | None = None
+    estimates: np.ndarray = dataclasses.field(compare=False, repr=False)
 
     def cells_for_lambda(self, lam: float) -> tuple[SweepCell, ...]:
         return tuple(c for c in self.cells if c.lam == lam)
@@ -301,11 +309,12 @@ def _shock_moments(
 
 def _ratios(
     params: DgpParams, n: int, moments: np.ndarray, shifts: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Cov[Y,Z] / (Cov[D,Z] + shift) per shift and rep, shape (len(shifts), reps).
 
-    Also returns where the shifted denominator is exactly zero; the
-    estimate there is 0.0.
+    A rep whose shifted denominator is exactly zero is degenerate and gets
+    NaN.  No other rep does: its finite numerator is divided by a nonzero
+    finite denominator, so ``isnan`` is the degenerate mask.
     """
     s_zz, s_ez, s_hz = moments
     cov_dz = (
@@ -315,117 +324,46 @@ def _ratios(
     )
     cov_yz = params.beta1 * cov_dz + params.sigma_eps * s_ez
     denominators = cov_dz + np.array(shifts)[:, None]
-    degenerate = denominators == 0.0
-    estimates = np.divide(
-        cov_yz, denominators, out=np.zeros_like(denominators), where=~degenerate
-    )
-    return estimates, degenerate
+    nan = np.full_like(denominators, math.nan)
+    return np.divide(cov_yz, denominators, out=nan, where=denominators != 0.0)
 
 
 def _aggregate(
-    estimates: np.ndarray,
-    degenerate: np.ndarray,
-    true_beta1: float,
-    grid_value: float,
-    lam: float,
+    estimates: np.ndarray, true_beta1: float, grid_value: float, lam: float
 ) -> SweepCell:
-    values = estimates[~degenerate]
-    n_degenerate = int(degenerate.sum())
+    values = estimates[~np.isnan(estimates)]
+    n_degenerate = estimates.size - values.size
     if values.size == 0:
-        nan = math.nan
-        return SweepCell(
-            grid_value, lam, nan, nan, nan, nan, nan, nan, nan, nan, n_degenerate
-        )
+        return SweepCell(grid_value, lam, *[math.nan] * 8, n_degenerate)
     errors = values - true_beta1
     bias = float(errors.mean())
     variance = float(np.mean((errors - bias) ** 2))
     mse = float(np.mean(errors**2))
-    q05, q25, q50, q75, q95 = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95])
-    return SweepCell(
-        grid_value=grid_value,
-        lam=lam,
-        mse=mse,
-        bias=bias,
-        variance=variance,
-        q05=float(q05),
-        q25=float(q25),
-        q50=float(q50),
-        q75=float(q75),
-        q95=float(q95),
-        n_degenerate=n_degenerate,
-    )
+    quantiles = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95]).tolist()
+    return SweepCell(grid_value, lam, mse, bias, variance, *quantiles, n_degenerate)
 
 
-def run_sweep(config: SweepConfig, raw_path: Path | str | None = None) -> SweepResult:
+def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep and aggregate MSE/bias/variance per cell.
 
-    Grid points run in order on the calling thread.
-
-    Parameters
-    ----------
-    config : SweepConfig
-        Grid, penalties, sample size, repetition count and master seed.
-    raw_path : path, optional
-        When given, per-rep estimates are persisted there as CSV with
-        columns (grid_value, lambda, rep, beta1_hat, degenerate); the
-        estimate field of degenerate reps is written as nan.
+    Grid points run in order on the calling thread.  Cells are
+    lambda-major, and ``SweepResult.estimates`` holds each cell's per-rep
+    estimates; nothing is written to disk.
     """
-    per_point = []  # (estimates, degenerate); every lambda shares the rep's draws
-    for gi, grid_value in enumerate(config.grid):
+    grid, lambdas = config.grid, config.lambda_values
+    # every lambda shares the rep's draws
+    estimates = np.empty((len(lambdas), len(grid), config.reps))
+    for gi, grid_value in enumerate(grid):
         moments = _shock_moments(config.master_seed, (gi,), config.reps, config.n)
         params = config.params_at(grid_value)
-        per_point.append(_ratios(params, config.n, moments, config.lambda_values))
-
-    cells = []
-    for lam_index, lam in enumerate(config.lambda_values):
-        for gi, grid_value in enumerate(config.grid):
-            estimates, degenerate = per_point[gi]
-            true_beta1 = config.params_at(grid_value).beta1
-            cells.append(
-                _aggregate(
-                    estimates[lam_index],
-                    degenerate[lam_index],
-                    true_beta1,
-                    grid_value,
-                    lam,
-                )
-            )
-
-    estimates_path: Path | None = None
-    if raw_path is not None:
-        estimates_path = Path(raw_path)
-        _write_raw_estimates(config, per_point, estimates_path)
-
-    return SweepResult(
-        grid_variable=config.grid_variable,
-        n=config.n,
-        reps=config.reps,
-        cells=tuple(cells),
-        estimates_path=estimates_path,
+        estimates[:, gi] = _ratios(params, config.n, moments, lambdas)
+    cells = tuple(
+        _aggregate(estimates[li, gi], config.params_at(grid_value).beta1, grid_value, lam)
+        for li, lam in enumerate(lambdas)
+        for gi, grid_value in enumerate(grid)
     )
-
-
-def _write_raw_estimates(
-    config: SweepConfig,
-    per_point: list[tuple[np.ndarray, np.ndarray]],
-    path: Path,
-) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["grid_value", "lambda", "rep", "beta1_hat", "degenerate"])
-        for lam_index, lam in enumerate(config.lambda_values):
-            lam_text = repr(lam)
-            for gi, grid_value in enumerate(config.grid):
-                grid_text = repr(grid_value)
-                estimates, degenerate = per_point[gi]
-                bad = degenerate[lam_index]
-                # csv writes a float as its repr, nan included
-                values = np.where(bad, math.nan, estimates[lam_index]).tolist()
-                flags = bad.astype(np.int8).tolist()
-                writer.writerows(
-                    [grid_text, lam_text, rep, value, flag]
-                    for rep, (value, flag) in enumerate(zip(values, flags))
-                )
+    estimates = estimates.reshape(len(cells), config.reps)
+    return SweepResult(config.grid_variable, config.n, config.reps, cells, estimates)
 
 
 def collect_sampling_distribution(
@@ -447,9 +385,9 @@ def collect_sampling_distribution(
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
     moments = _shock_moments(master_seed, (), reps, n)
-    estimates, degenerate = _ratios(params, n, moments, (schedule.lambda_n(n) / n,))
+    (estimates,) = _ratios(params, n, moments, (schedule.lambda_n(n) / n,))
     center = 0.0 if params.stock_c is not None else params.beta1
-    return math.sqrt(n) * (estimates[0][~degenerate[0]] - center)
+    return math.sqrt(n) * (estimates[~np.isnan(estimates)] - center)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +442,8 @@ def verify_regime(regime: str, reps: int, seed: int, n: int = 10_000) -> tuple[b
         shifts = (0.0, PenaltySchedule(PenaltyRate.LINEAR_N, lambda0).lambda_n(n) / n)
         # one draw serves both schedules; the drifting design centers on zero
         moments = _shock_moments(seed, (), reps, n)
-        estimates, degenerate = _ratios(params, n, moments, shifts)
-        raw, ridge = (math.sqrt(n) * row[~bad] for row, bad in zip(estimates, degenerate))
+        estimates = _ratios(params, n, moments, shifts)
+        raw, ridge = (math.sqrt(n) * row[~np.isnan(row)] for row in estimates)
         diag = asymptotics.cauchy_diagnostics(raw)
         good = diag.tail_index_flag
         checks.append((good, (

@@ -142,7 +142,7 @@ def test_overflowing_number_named_in_error(tmp_path, capsys, override, field):
          "'grid.start' must be finite, got -Infinity"),
         ("single-run", '{"schedule": {"rate": "sqrt_n", "lambda0": NaN}}',
          "'schedule.lambda0' must be finite, got NaN"),
-        ("single-run", '{"seed": NaN}', "'seed' has wrong type (float)"),
+        ("single-run", '{"seed": NaN}', "'seed' has wrong type (number), expected an integer"),
     ],
     ids=["lambdas", "params", "grid-range", "schedule", "seed"],
 )
@@ -152,6 +152,32 @@ def test_non_finite_literal_named_with_its_field(tmp_path, capsys, command, text
     assert run_cli([command, "--config", str(path), "--seed", "3"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("sweep-pi", {"n": "many"}, "'n' has wrong type (string), expected an integer"),
+        ("sweep-pi", {"reps": True}, "'reps' has wrong type (boolean), expected an integer"),
+        ("sweep-pi", {"lambdas": [0.0, None]},
+         "'lambdas[1]' has wrong type (null), expected a number"),
+        ("sweep-pi", {"params": [1.0]}, "'params' has wrong type (list), expected an object"),
+        ("sweep-pi", {"lambdas": {"a": 1.0}},
+         "'lambdas' has wrong type (object), expected a list"),
+        ("sweep-pi", {"output_dir": 1.5},
+         "'output_dir' has wrong type (number), expected a string"),
+        ("sweep-beta", {"emit_raw": 1},
+         "'emit_raw' has wrong type (integer), expected true or false"),
+    ],
+    ids=["integer", "boolean-for-integer", "number", "object", "list", "string", "boolean"],
+)
+def test_wrong_type_named_in_json_terms(tmp_path, capsys, command, payload, message):
+    cfg = _write_config(tmp_path, payload)
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "class" not in captured.err
     assert captured.out == ""
 
 
@@ -221,7 +247,7 @@ ACCEPTED_KEYS = {
 
 # a valid value of every config key, none of them a default
 KEY_VALUES = {
-    "params": {"pi1": 0.25, "stock_c": None},
+    "params": {"pi0": 0.25, "stock_c": None},
     "grid": [0.1, 0.2],
     "lambdas": [7.0],
     "n": 50,
@@ -276,7 +302,7 @@ def test_key_foreign_to_command_exits_2(tmp_path, monkeypatch, capsys, command, 
 def test_every_accepted_key_reaches_the_config(tmp_path, command):
     payload = {key: KEY_VALUES[key] for key in ACCEPTED_KEYS[command]}
     config = _build([command, "--config", _write_config(tmp_path, payload)])
-    params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=0.25)
+    params = dataclasses.replace(aer_calibration(beta1=1.0), pi0=0.25)
     if config.sweep is not None:
         assert config.sweep.base_params == params
         assert config.sweep.grid == (0.1, 0.2)
@@ -350,6 +376,44 @@ def test_readme_config_example_is_accepted(tmp_path, command):
     config = _build([command, "--config", _write_config(tmp_path, json.loads(block))])
     assert config.sweep is not None and config.emit_plots
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, swept, other",
+    [("sweep-pi", "pi1", "beta1"), ("sweep-beta", "beta1", "pi1")],
+)
+def test_sweep_params_may_not_set_the_swept_parameter(tmp_path, capsys, command, swept, other):
+    # the grid sets the swept parameter at every point, so a value for it does nothing
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, {**SMALL_CONFIG, "params": {swept: 0.5}})
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"config field 'params.{swept}' is not recognized by {command}" in captured.err
+    assert captured.out == "" and not out.exists()
+    # the parameter the grid leaves alone is still read
+    config = _build([command, "--config", _write_config(tmp_path, {"params": {other: 0.5}})])
+    assert getattr(config.sweep.base_params, other) == 0.5
+
+
+@pytest.mark.parametrize(
+    "lambdas",
+    [[4.0, 4.0], [0.0, 4.0, 1.0, 4.0], [1.0000001, 1.0000002]],
+    ids=["repeated", "repeated-apart", "same-plot-name"],
+)
+def test_repeated_lambdas_rejected(tmp_path, capsys, lambdas):
+    # cells and plot files are keyed by lambda; a repeat wrote duplicate rows
+    # and one SVG over another
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, {**SMALL_CONFIG, "lambdas": lambdas})
+    assert run_cli(["sweep-pi", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config field 'lambdas' must not repeat" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_nearby_lambdas_with_distinct_plot_names_accepted(tmp_path):
+    cfg = _write_config(tmp_path, {**SMALL_CONFIG, "lambdas": [1.00001, 1.00002]})
+    assert _build(["sweep-pi", "--config", cfg]).sweep.lambda_values == (1.00001, 1.00002)
 
 
 def test_readme_key_table_matches_the_schema():
@@ -611,6 +675,21 @@ def test_verify_weak_instrument_needs_enough_reps(tmp_path, monkeypatch, capsys)
     for regime, reps in accepted:
         assert run_cli(["verify-asymptotics", "--regime", regime, "--reps", reps]) == 0
     assert ran == [regime for regime, _ in accepted]
+
+
+@pytest.mark.parametrize("regime", VERIFY_REGIMES[:2])
+def test_verify_needs_two_reps(monkeypatch, capsys, regime):
+    # a one-rep sample has no sample variance: the bias check printed nan
+    ran = []
+    monkeypatch.setattr(
+        cli, "verify_regime", lambda regime, *a, **k: (ran.append(regime) or True, [])
+    )
+    assert run_cli(["verify-asymptotics", "--regime", regime, "--reps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "config field 'reps' must be at least 2" in captured.err
+    assert captured.out == "" and ran == []
+    assert run_cli(["verify-asymptotics", "--regime", regime, "--reps", "2"]) == 0
+    assert ran == [regime]
 
 
 def test_verify_report_matches_reference(capsys):

@@ -16,6 +16,7 @@ from ridgeiv.estimators import (
     shifted_ratio,
 )
 import ridgeiv.montecarlo as montecarlo
+from ridgeiv.cli import write_raw_csv
 from ridgeiv.montecarlo import (
     _BLOCK_REPS,
     GridVariable,
@@ -57,6 +58,8 @@ def test_config_validation():
         _small_config(reps=0)
     with pytest.raises(ValueError, match="non-empty"):
         _small_config(lambda_values=())
+    with pytest.raises(ValueError, match="distinct"):
+        _small_config(lambda_values=(4.0, 1.0, 4.0))
     with pytest.raises(ValueError, match="stock_c"):
         _small_config(base_params=aer_calibration(beta1=1.0, stock_c=1.0))
 
@@ -159,7 +162,7 @@ def test_kernel_matches_per_dataset_path(config):
     for gi, grid_value in enumerate(config.grid):
         params = config.params_at(grid_value)
         moments = _shock_moments(config.master_seed, (gi,), config.reps, config.n)
-        estimates, degenerate = _ratios(params, config.n, moments, config.lambda_values)
+        estimates = _ratios(params, config.n, moments, config.lambda_values)
         for rep in range(config.reps):
             data = generate_dataset(
                 params, config.n, derive_seed(config.master_seed, gi, rep)
@@ -171,10 +174,8 @@ def test_kernel_matches_per_dataset_path(config):
                 try:
                     ref = shifted_ratio(numerator, cov_dz, lam)
                 except DegenerateDenominatorError:
-                    assert degenerate[li, rep]
-                    assert estimates[li, rep] == 0.0
+                    assert math.isnan(estimates[li, rep])
                     continue
-                assert not degenerate[li, rep]
                 assert abs(estimates[li, rep] - ref) <= 1e-12 * (abs(ref) + 1)
 
 
@@ -190,25 +191,20 @@ def test_kernel_matches_per_dataset_path(config):
         pytest.param(2000, 5, id="n2000-5"),
     ],
 )
-def test_raw_rows_do_not_depend_on_the_block_layout(tmp_path, n, k):
-    def rows_by_cell(reps):
-        path = tmp_path / f"raw_{reps}.csv"
-        run_sweep(_small_config(grid=(0.0, 0.6), n=n, reps=reps), raw_path=path)
-        cells: dict[tuple[str, str], list[str]] = {}
-        for line in path.read_text().splitlines()[1:]:
-            grid_value, lam, _ = line.split(",", 2)
-            cells.setdefault((grid_value, lam), []).append(line)
-        return cells
+def test_raw_rows_do_not_depend_on_the_block_layout(n, k):
+    def estimates(reps):
+        return run_sweep(_small_config(grid=(0.0, 0.6), n=n, reps=reps)).estimates
 
-    full, short = rows_by_cell(150), rows_by_cell(k)
-    assert full.keys() == short.keys()
-    for cell, lines in short.items():
-        assert lines == full[cell][:k]
+    full, short = estimates(150), estimates(k)
+    assert short.shape == (full.shape[0], k)
+    assert np.array_equal(short, full[:, :k], equal_nan=True)
 
 
 def test_sweep_is_deterministic_on_rerun():
     config = _small_config()
-    assert run_sweep(config) == run_sweep(config)
+    first, second = run_sweep(config), run_sweep(config)
+    assert first == second  # the cells; == leaves the estimates out
+    assert np.array_equal(first.estimates, second.estimates, equal_nan=True)
 
 
 def test_mse_decomposition_per_cell():
@@ -283,25 +279,51 @@ def test_degenerate_reps_are_counted_and_excluded():
 
 
 def test_raw_estimates_artifact(tmp_path):
-    config = _small_config(reps=7)
-    raw = tmp_path / "raw.csv"
-    result = run_sweep(config, raw_path=raw)
-    assert result.estimates_path == raw
-    with raw.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(config.grid) * len(config.lambda_values) * config.reps
-    # the stored estimates reproduce a cell's mse exactly
-    cell = result.cells_for_lambda(1.0)[2]
-    values = np.array(
-        [
-            float(r["beta1_hat"])
-            for r in rows
-            if float(r["lambda"]) == 1.0
-            and float(r["grid_value"]) == cell.grid_value
-            and r["degenerate"] == "0"
-        ]
+    # zero noise with pi1 = 0 makes every unpenalized rep at grid value 0 degenerate
+    zero_noise = DgpParams(
+        beta0=0.0, beta1=2.0, pi0=0.5, pi1=0.1,
+        sigma_eps=0.0, sigma_eta=0.0, err_cov=0.0,
     )
-    assert float(np.mean((values - 1.0) ** 2)) == cell.mse
+    for config in (
+        _small_config(reps=7),
+        _small_config(base_params=zero_noise, grid=(0.0, 0.5), lambda_values=(0.0, 0.5), reps=5),
+    ):
+        result = run_sweep(config)
+        assert result.estimates.shape == (len(result.cells), config.reps)
+        # every cell is rebuilt exactly from its row of per-rep estimates
+        for cell, row in zip(result.cells, result.estimates):
+            values = row[~np.isnan(row)]
+            assert cell.n_degenerate == config.reps - values.size
+            stored = [cell.mse, cell.bias, cell.variance,
+                      cell.q05, cell.q25, cell.q50, cell.q75, cell.q95]
+            if values.size == 0:
+                assert all(math.isnan(v) for v in stored)
+                continue
+            errors = values - config.params_at(cell.grid_value).beta1
+            bias = float(errors.mean())
+            assert stored == [
+                float(np.mean(errors**2)),
+                bias,
+                float(np.mean((errors - bias) ** 2)),
+                *np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95]).tolist(),
+            ]
+
+        raw = tmp_path / "raw.csv"
+        write_raw_csv(result, raw)
+        with raw.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["grid_value", "lambda", "rep", "beta1_hat", "degenerate"]
+        assert len(rows) == len(config.grid) * len(config.lambda_values) * config.reps
+        # rows follow the cells, reps in order within each
+        for i, row in enumerate(rows):
+            cell_index, rep = divmod(i, config.reps)
+            cell, value = result.cells[cell_index], result.estimates[cell_index, rep]
+            assert float(row["grid_value"]) == cell.grid_value
+            assert float(row["lambda"]) == cell.lam
+            assert int(row["rep"]) == rep
+            assert row["degenerate"] == ("1" if math.isnan(value) else "0")
+            assert row["beta1_hat"] == repr(float(value))  # nan for a degenerate rep
+    assert result.cells[0].n_degenerate == config.reps
 
 
 def test_estimator_consistency_in_n():
