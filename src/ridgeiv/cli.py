@@ -48,7 +48,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import asymptotics
 from .dgp import DgpParams, aer_calibration, generate_dataset
 from .estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
 from .montecarlo import (
@@ -57,7 +56,8 @@ from .montecarlo import (
     SweepConfig,
     SweepResult,
     run_sweep,
-    verify_regime,
+    verify_min_reps,
+    verify_regimes,
 )
 
 __all__ = [
@@ -322,6 +322,10 @@ def _parse_regimes(raw: Any) -> tuple[str, ...]:
                 f"config field 'regimes' must contain only {VERIFY_REGIMES}, "
                 f"got {regime!r}"
             )
+    if len(set(regimes)) < len(regimes):
+        raise ConfigError(
+            f"config field 'regimes' must not repeat a regime, got {list(regimes)}"
+        )
     return regimes
 
 
@@ -412,8 +416,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         **{k: v for k, v in values.items() if k not in ("grid", "lambdas")},
     )
     if command is Command.VERIFY_ASYMPTOTICS:
-        # every check needs a sample variance; the heavy-tail check needs more
-        least = asymptotics.MIN_TAIL_SAMPLES if "weak-instrument" in config.regimes else 2
+        least = verify_min_reps(config.regimes)
         if config.reps < least:
             raise ConfigError(
                 f"config field 'reps' must be at least {least} for "
@@ -609,13 +612,11 @@ def _run_sweep_command(config: ExperimentConfig) -> int:
 
 
 def _run_verify_command(config: ExperimentConfig) -> int:
-    all_ok = True
-    for regime in config.regimes:
-        ok, lines = verify_regime(regime, config.reps, config.seed)
-        all_ok &= ok
+    results = verify_regimes(config.regimes, config.reps, config.seed)
+    for _, lines in results:
         for line in lines:
             print(line)
-    if not all_ok:
+    if not all(ok for ok, _ in results):
         print("verification failed: empirical moments outside tolerance")
         return 1
     return 0

@@ -3,7 +3,7 @@
 Two kinds of experiment live here: MSE sweeps over a grid of first-stage
 slopes or effect sizes (one aggregate row per grid point and penalty
 level), and collection of the raw sampling distribution of the scaled
-estimator, with the checks (:func:`verify_regime`) that compare it against
+estimator, with the checks (:func:`verify_regimes`) that compare it against
 the closed-form limits in :mod:`.asymptotics`.
 
 Every repetition gets its own seed derived deterministically from
@@ -25,7 +25,10 @@ the intercepts drop out of every covariance:
 with pi1 the slope at the sample size n (``DgpParams.effective_pi1``).
 Reps are drawn and reduced in blocks from one re-keyed Philox per grid
 point or sampling distribution, with every rep's moments formed on its own
-row, so no result depends on the block layout.
+row, so no result depends on the block layout.  The checks of
+``verify-asymptotics`` share one such draw: every regime of a run reduces
+the same reps, rep i seeded ``derive_seed(seed, i)``, because the unit
+shocks do not depend on a design's parameters.
 The estimates match the per-dataset path (``demeaned_cov`` or
 ``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: about
 1e-11 relative at most on the default sweeps, where a near-zero
@@ -43,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +62,8 @@ __all__ = [
     "derive_seed",
     "run_sweep",
     "collect_sampling_distribution",
-    "verify_regime",
+    "verify_min_reps",
+    "verify_regimes",
 ]
 
 VERIFY_TOLERANCE = 0.10
@@ -366,6 +371,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     return SweepResult(config.grid_variable, config.n, config.reps, cells, estimates)
 
 
+def _scaled_samples(
+    params: DgpParams, n: int, moments: np.ndarray, shifts: tuple[float, ...]
+) -> list[np.ndarray]:
+    """The samples of :func:`collect_sampling_distribution`, one array per shift."""
+    center = 0.0 if params.stock_c is not None else params.beta1
+    return [
+        math.sqrt(n) * (row[~np.isnan(row)] - center)
+        for row in _ratios(params, n, moments, shifts)
+    ]
+
+
 def collect_sampling_distribution(
     params: DgpParams,
     schedule: PenaltySchedule,
@@ -385,9 +401,8 @@ def collect_sampling_distribution(
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
     moments = _shock_moments(master_seed, (), reps, n)
-    (estimates,) = _ratios(params, n, moments, (schedule.lambda_n(n) / n,))
-    center = 0.0 if params.stock_c is not None else params.beta1
-    return math.sqrt(n) * (estimates[~np.isnan(estimates)] - center)
+    (samples,) = _scaled_samples(params, n, moments, (schedule.lambda_n(n) / n,))
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +420,12 @@ def _verify_line(label: str, predicted: float, empirical: float) -> tuple[bool, 
     return ok, text
 
 
-def verify_regime(regime: str, reps: int, seed: int, n: int = 10_000) -> tuple[bool, list[str]]:
-    """Run one predicted-vs-empirical check; returns (passed, report lines)."""
-    checks: list[tuple[bool, str]] = []  # (passed, report line) per check
+def _regime_checks(regime: str, moments: np.ndarray, n: int) -> list[tuple[bool, str]]:
+    """(passed, report line) per check of one regime, from the shared moments."""
+    checks: list[tuple[bool, str]] = []
     if regime == "strong-variance":
         params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
-        samples = collect_sampling_distribution(
-            params, PenaltySchedule(PenaltyRate.CONSTANT, 0.0), n, reps, seed
-        )
+        (samples,) = _scaled_samples(params, n, moments, (0.0,))
         checks.append(
             _verify_line(
                 "variance of sqrt(n)(beta_hat - beta1)",
@@ -423,9 +436,8 @@ def verify_regime(regime: str, reps: int, seed: int, n: int = 10_000) -> tuple[b
     elif regime == "sqrtn-bias":
         params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
         lambda0 = 0.5
-        samples = collect_sampling_distribution(
-            params, PenaltySchedule(PenaltyRate.SQRT_N, lambda0), n, reps, seed
-        )
+        shift = PenaltySchedule(PenaltyRate.SQRT_N, lambda0).lambda_n(n) / n
+        (samples,) = _scaled_samples(params, n, moments, (shift,))
         predicted = asymptotics.sqrtn_bias(params, lambda0)
         empirical = float(np.mean(samples))
         std_err = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
@@ -436,14 +448,11 @@ def verify_regime(regime: str, reps: int, seed: int, n: int = 10_000) -> tuple[b
             f"{abs(empirical - predicted) / std_err:.2f} MC std errors -> "
             f"{'PASS' if good else 'FAIL'} (tolerance 3)"
         )))
-    elif regime == "weak-instrument":
+    else:  # weak-instrument
         params = dataclasses.replace(aer_calibration(beta1=1.0, stock_c=1.0), pi1=0.0)
         lambda0 = 1.0
         shifts = (0.0, PenaltySchedule(PenaltyRate.LINEAR_N, lambda0).lambda_n(n) / n)
-        # one draw serves both schedules; the drifting design centers on zero
-        moments = _shock_moments(seed, (), reps, n)
-        estimates = _ratios(params, n, moments, shifts)
-        raw, ridge = (math.sqrt(n) * row[~np.isnan(row)] for row in estimates)
+        raw, ridge = _scaled_samples(params, n, moments, shifts)
         diag = asymptotics.cauchy_diagnostics(raw)
         good = diag.tail_index_flag
         checks.append((good, (
@@ -463,7 +472,47 @@ def verify_regime(regime: str, reps: int, seed: int, n: int = 10_000) -> tuple[b
             f"  penalized heavy-tail flag: expected False, got "
             f"{not good} -> {'PASS' if good else 'FAIL'}"
         )))
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    header = f"[{regime}] n = {n}, reps = {reps}, seed = {seed}"
-    return all(good for good, _ in checks), [header] + [line for _, line in checks]
+    return checks
+
+
+def verify_min_reps(regimes: Sequence[str]) -> int:
+    """Fewest reps :func:`verify_regimes` accepts for these regimes.
+
+    Every check needs a sample variance; the heavy-tail check of
+    ``weak-instrument`` needs ``asymptotics.MIN_TAIL_SAMPLES`` samples.
+    """
+    return asymptotics.MIN_TAIL_SAMPLES if "weak-instrument" in regimes else 2
+
+
+def verify_regimes(
+    regimes: Sequence[str], reps: int, seed: int, n: int = 10_000
+) -> list[tuple[bool, list[str]]]:
+    """Run each regime's predicted-vs-empirical checks, in the order given.
+
+    Returns (passed, report lines) per regime.  The unit shocks do not
+    depend on a design's parameters, so one draw of ``reps`` reps, rep i
+    seeded ``derive_seed(seed, i)``, serves every regime, and a regime's
+    lines do not depend on which regimes run beside it.  Every name and
+    floor is checked before the draw.
+    """
+    if not regimes:
+        raise ValueError("regimes must be non-empty")
+    for regime in regimes:
+        if regime not in VERIFY_REGIMES:
+            raise ValueError(f"unknown regime {regime!r}")
+    least = verify_min_reps(regimes)
+    if reps < least:
+        raise ValueError(
+            f"reps must be at least {least} for {', '.join(regimes)}, got {reps}"
+        )
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    moments = _shock_moments(seed, (), reps, n)
+    results = []
+    for regime in regimes:
+        checks = _regime_checks(regime, moments, n)
+        header = f"[{regime}] n = {n}, reps = {reps}, seed = {seed}"
+        results.append(
+            (all(good for good, _ in checks), [header] + [line for _, line in checks])
+        )
+    return results

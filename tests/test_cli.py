@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ridgeiv.cli as cli
+import ridgeiv.montecarlo as montecarlo
 from ridgeiv.cli import (
     emit_plot,
     read_sweep_csv,
@@ -35,6 +36,16 @@ def _write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _record_regimes(ran):
+    """A stand-in for ``cli.verify_regimes`` that records the regimes it ran."""
+
+    def fake(regimes, *args, **kwargs):
+        ran.extend(regimes)
+        return [(True, [])] * len(regimes)
+
+    return fake
 
 
 def _small_result(reps=20):
@@ -323,17 +334,21 @@ def test_every_accepted_key_reaches_the_config(tmp_path, command):
         ("verify-asymptotics", {"reps": -3}, [], "'reps'"),
         ("verify-asymptotics", {"regimes": ["bogus"]}, [], "'regimes'"),
         ("verify-asymptotics", {"regimes": []}, [], "'regimes'"),
+        ("verify-asymptotics", {"regimes": ["sqrtn-bias", "sqrtn-bias"]}, [], "'regimes'"),
         ("sweep-pi", {"output_dir": 5}, ["--out", "o"], "'output_dir'"),
         ("sweep-pi", {"emit_plots": "yes"}, ["--plots"], "'emit_plots'"),
         ("sweep-beta", {"emit_raw": 1}, ["--raw"], "'emit_raw'"),
     ],
-    ids=["seed", "reps", "regimes", "regimes-empty", "output_dir", "emit_plots", "emit_raw"],
+    ids=[
+        "seed", "reps", "regimes", "regimes-empty", "regimes-repeated",
+        "output_dir", "emit_plots", "emit_raw",
+    ],
 )
 def test_config_value_checked_when_a_flag_overrides_it(
     tmp_path, monkeypatch, capsys, command, payload, flags, field
 ):
     ran = []
-    monkeypatch.setattr(cli, "verify_regime", lambda regime, *a: (ran.append(regime) or True, []))
+    monkeypatch.setattr(cli, "verify_regimes", _record_regimes(ran))
     monkeypatch.chdir(tmp_path)
     given = {
         "sweep-pi": ["--seed", "1", "--reps", "2"],
@@ -359,7 +374,7 @@ def test_config_value_checked_when_a_flag_overrides_it(
 )
 def test_given_regime_flag_overrides_config_regimes(tmp_path, monkeypatch, capsys, flags, expected):
     ran = []
-    monkeypatch.setattr(cli, "verify_regime", lambda regime, *a: (ran.append(regime) or True, []))
+    monkeypatch.setattr(cli, "verify_regimes", _record_regimes(ran))
     cfg = _write_config(tmp_path, {"regimes": ["strong-variance"], "reps": 500})
     assert run_cli(["verify-asymptotics", "--config", cfg, *flags]) == 0
     assert tuple(ran) == expected
@@ -660,9 +675,7 @@ def test_verify_strong_variance_passes(capsys):
 
 def test_verify_weak_instrument_needs_enough_reps(tmp_path, monkeypatch, capsys):
     ran = []
-    monkeypatch.setattr(
-        cli, "verify_regime", lambda regime, *a, **k: (ran.append(regime) or True, [])
-    )
+    monkeypatch.setattr(cli, "verify_regimes", _record_regimes(ran))
     for argv in (
         ["verify-asymptotics", "--regime", "weak-instrument", "--reps", "100"],
         ["verify-asymptotics", "--reps", "100"],
@@ -681,9 +694,7 @@ def test_verify_weak_instrument_needs_enough_reps(tmp_path, monkeypatch, capsys)
 def test_verify_needs_two_reps(monkeypatch, capsys, regime):
     # a one-rep sample has no sample variance: the bias check printed nan
     ran = []
-    monkeypatch.setattr(
-        cli, "verify_regime", lambda regime, *a, **k: (ran.append(regime) or True, [])
-    )
+    monkeypatch.setattr(cli, "verify_regimes", _record_regimes(ran))
     assert run_cli(["verify-asymptotics", "--regime", regime, "--reps", "1"]) == 2
     captured = capsys.readouterr()
     assert "config field 'reps' must be at least 2" in captured.err
@@ -692,11 +703,18 @@ def test_verify_needs_two_reps(monkeypatch, capsys, regime):
     assert ran == [regime]
 
 
-def test_verify_report_matches_reference(capsys):
+def test_verify_report_matches_reference(monkeypatch, capsys):
+    draws = []
+    shock_moments = montecarlo._shock_moments
+    monkeypatch.setattr(
+        montecarlo, "_shock_moments", lambda *a: draws.append(a) or shock_moments(*a)
+    )
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
     expected = (reference / "verify-asymptotics.txt").read_text()
     assert run_cli(["verify-asymptotics", "--reps", "500"]) == 0
     assert capsys.readouterr().out == expected
+    # every regime reduces the one draw
+    assert draws == [(20260810, (), 500, 10_000)]
 
 
 def test_verify_unknown_regime_exits_2(capsys):
@@ -705,7 +723,9 @@ def test_verify_unknown_regime_exits_2(capsys):
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "verify_regime", lambda *a, **k: (False, ["  forced FAIL"]))
+    monkeypatch.setattr(
+        cli, "verify_regimes", lambda regimes, *a, **k: [(False, ["  forced FAIL"])] * len(regimes)
+    )
     assert run_cli(["verify-asymptotics", "--regime", "strong-variance"]) == 1
     out = capsys.readouterr()
     assert "verification failed" in out.out

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ridgeiv.asymptotics import cauchy_diagnostics
+from ridgeiv.asymptotics import MIN_TAIL_SAMPLES, cauchy_diagnostics
 from ridgeiv.dgp import DgpParams, aer_calibration, generate_dataset
 from ridgeiv.estimators import (
     DegenerateDenominatorError,
@@ -29,7 +29,7 @@ from ridgeiv.montecarlo import (
     collect_sampling_distribution,
     derive_seed,
     run_sweep,
-    verify_regime,
+    verify_regimes,
 )
 
 
@@ -398,7 +398,8 @@ def test_collect_validates_reps_and_n():
         collect_sampling_distribution(params, schedule, 2, 5, 1)
 
 
-def test_weak_instrument_check_draws_once(monkeypatch):
+def _count_draws(monkeypatch):
+    """Patch ``_shock_moments`` to record its arguments; returns the record."""
     calls = []
     shock_moments = montecarlo._shock_moments
 
@@ -407,7 +408,12 @@ def test_weak_instrument_check_draws_once(monkeypatch):
         return shock_moments(*args)
 
     monkeypatch.setattr(montecarlo, "_shock_moments", counted)
-    ok, lines = verify_regime("weak-instrument", 500, 9, n=1000)
+    return calls
+
+
+def test_weak_instrument_check_draws_once(monkeypatch):
+    calls = _count_draws(monkeypatch)
+    [(ok, lines)] = verify_regimes(("weak-instrument",), 500, 9, n=1000)
     assert calls == [(9, (), 500, 1000)]
     assert len(lines) == 5
     # the same values as one collection per schedule
@@ -418,9 +424,46 @@ def test_weak_instrument_check_draws_once(monkeypatch):
     assert f"median {cauchy_diagnostics(raw).median:.3g}," in lines[1]
 
 
-def test_unknown_regime_rejected():
-    with pytest.raises(ValueError, match="unknown regime"):
-        verify_regime("bogus", 10, 1)
+@pytest.mark.parametrize(
+    "regimes",
+    [
+        montecarlo.VERIFY_REGIMES,
+        montecarlo.VERIFY_REGIMES[::-1],
+        ("weak-instrument", "strong-variance"),
+    ],
+    ids=["all", "reversed", "subset"],
+)
+def test_verify_regimes_share_one_draw(monkeypatch, regimes):
+    calls = _count_draws(monkeypatch)
+    results = verify_regimes(regimes, 500, 31, n=1000)
+    assert calls == [(31, (), 500, 1000)]
+    assert len(results) == len(regimes)
+    for regime, result in zip(regimes, results):
+        assert result[1][0].startswith(f"[{regime}] ")
+        assert verify_regimes((regime,), 500, 31, n=1000) == [result]
+
+
+def test_unknown_regime_rejected(monkeypatch):
+    calls = _count_draws(monkeypatch)
+    for regimes in (("bogus",), ("strong-variance", "sqrtn-bias", "bogus")):
+        with pytest.raises(ValueError, match="unknown regime 'bogus'"):
+            verify_regimes(regimes, 10, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("regime", montecarlo.VERIFY_REGIMES)
+def test_verify_floors_checked_before_the_draw(monkeypatch, regime):
+    # one rep has no sample variance: the bias check printed |dev| = nan
+    calls = _count_draws(monkeypatch)
+    least = MIN_TAIL_SAMPLES if regime == "weak-instrument" else 2
+    for reps in (1, least - 1):
+        with pytest.raises(ValueError, match=f"reps must be at least {least}"):
+            verify_regimes((regime,), reps, 1, n=100)
+    with pytest.raises(ValueError, match="n must be at least 3"):
+        verify_regimes((regime,), least, 1, n=2)
+    with pytest.raises(ValueError, match="regimes must be non-empty"):
+        verify_regimes((), least, 1, n=100)
+    assert calls == []
 
 
 def test_heavy_tails_appear_only_without_penalty():
