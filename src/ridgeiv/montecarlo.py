@@ -46,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +71,23 @@ VERIFY_TOLERANCE = 0.10
 VERIFY_REGIMES = ("strong-variance", "sqrtn-bias", "weak-instrument")
 
 
+def _int_at_least(name: str, value: object, least: int) -> int:
+    """``value`` as an int, checked against ``least``; numpy integers pass.
+
+    A bool or a non-integer raises a TypeError, and a smaller value a
+    ValueError, each naming ``name``.
+    """
+    try:
+        if isinstance(value, bool):  # operator.index accepts bools
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 class GridVariable(enum.Enum):
     """Which structural parameter the sweep varies."""
 
@@ -90,6 +108,9 @@ class SweepConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
+        for name, least in (("n", 3), ("reps", 1), ("master_seed", 0)):
+            value = _int_at_least(name, getattr(self, name), least)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(
             self, "lambda_values", tuple(float(v) for v in self.lambda_values)
@@ -111,10 +132,6 @@ class SweepConfig:
         # cells are looked up by lambda (cells_for_lambda, mse_curve)
         if len(set(self.lambda_values)) < len(self.lambda_values):
             raise ValueError(f"lambda values must be distinct, got {self.lambda_values}")
-        if self.n < 3:
-            raise ValueError(f"n must be at least 3, got {self.n}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be at least 1, got {self.reps}")
         if (
             self.grid_variable is GridVariable.PI1
             and self.base_params.stock_c is not None
@@ -188,26 +205,26 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-# The hash of numpy's SeedSequence (pool of four uint32 words), restated
-# over arrays so that all rep seeds of a grid point come from one pass.
+# The seeds of one call differ only in their last entropy word, the rep
+# index.  numpy computes the pool that the shared words leave behind
+# (SeedSequence(master_seed, spawn_key=prefix).pool); the rest of its hash,
+# mixing the rep word into that pool and generate_state(1, uint64), is
+# restated here over arrays, so all rep seeds come from one pass.  Hash
+# constants are Python ints masked to 32 bits: products of numpy uint32
+# scalars would warn on overflow.
 _MASK32 = 0xFFFF_FFFF
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _XSHIFT = np.uint32(16)
 
 
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative integer (0 -> [0])."""
-    if value < 0:
-        raise ValueError(f"seed entropy must be nonnegative, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of ``value``, and the hash constant after it."""
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> _XSHIFT), hash_const
 
 
 def _derive_seeds(master_seed: int, prefix: tuple[int, ...], count: int) -> np.ndarray:
@@ -216,43 +233,29 @@ def _derive_seeds(master_seed: int, prefix: tuple[int, ...], count: int) -> np.n
     Bit-for-bit the same as the scalar path, at a fraction of a
     microsecond per seed instead of a SeedSequence object per call.
     """
+    master_seed = operator.index(master_seed)
+    prefix = tuple(operator.index(index) for index in prefix)
+    # With prefix == () numpy does not pad the run entropy to the pool size
+    # as it does when spawning, but a missing word hashes as 0, so the pool
+    # is the same.
+    pool = np.random.SeedSequence(master_seed, spawn_key=prefix).pool
+    # Before the rep word, numpy has made 4 hashmix calls per shared word:
+    # 4 to fill the pool, 12 to cross-mix it and 4 per word beyond it.
+    shared = max(4, (master_seed.bit_length() + 31) // 32) + sum(
+        max(1, (index.bit_length() + 31) // 32) for index in prefix
+    )
+    hash_const = _INIT_A * pow(_MULT_A, 4 * shared, 2**32) & _MASK32
+    out_const = _INIT_B
     reps = np.arange(count, dtype=np.uint32)
-    run = _uint32_words(master_seed)
-    run += [0] * (_POOL_SIZE - len(run))  # run entropy is padded when spawning
-    entropy = [np.full(count, w, dtype=np.uint32) for w in run]
-    for index in prefix:
-        entropy += [np.full(count, w, dtype=np.uint32) for w in _uint32_words(index)]
-    entropy.append(reps)
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL_SIZE, len(entropy)):
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
-    # generate_state(1, uint64): two output words, low word first
-    hash_const = _INIT_B
-    words = []
-    for value in pool[:2]:
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    return words[0] | (words[1] << np.uint64(32))
+    halves = []
+    # generate_state(1, uint64) reads pool words 0 and 1, low word first;
+    # mixing the rep word into words 2 and 3 would change no output.
+    for word in pool[:2].tolist():
+        value, hash_const = _hashmix(reps, hash_const, _MULT_A)
+        mixed = np.uint32(word * _MIX_MULT_L & _MASK32) - value * np.uint32(_MIX_MULT_R)
+        value, out_const = _hashmix(mixed ^ (mixed >> _XSHIFT), out_const, _MULT_B)
+        halves.append(value.astype(np.uint64))
+    return halves[0] | (halves[1] << np.uint64(32))
 
 
 # Reps drawn and reduced together: at most _BLOCK_REPS, and at most
@@ -358,12 +361,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     grid, lambdas = config.grid, config.lambda_values
     # every lambda shares the rep's draws
     estimates = np.empty((len(lambdas), len(grid), config.reps))
-    for gi, grid_value in enumerate(grid):
+    params = [config.params_at(grid_value) for grid_value in grid]
+    for gi, point in enumerate(params):
         moments = _shock_moments(config.master_seed, (gi,), config.reps, config.n)
-        params = config.params_at(grid_value)
-        estimates[:, gi] = _ratios(params, config.n, moments, lambdas)
+        estimates[:, gi] = _ratios(point, config.n, moments, lambdas)
     cells = tuple(
-        _aggregate(estimates[li, gi], config.params_at(grid_value).beta1, grid_value, lam)
+        _aggregate(estimates[li, gi], params[gi].beta1, grid_value, lam)
         for li, lam in enumerate(lambdas)
         for gi, grid_value in enumerate(grid)
     )
@@ -396,10 +399,8 @@ def collect_sampling_distribution(
     drifting regime, where the estimator is centered near zero, not near
     beta1).  Reps with an exactly-zero denominator are dropped.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    n, reps = _int_at_least("n", n, 3), _int_at_least("reps", reps, 1)
+    master_seed = _int_at_least("master_seed", master_seed, 0)
     moments = _shock_moments(master_seed, (), reps, n)
     (samples,) = _scaled_samples(params, n, moments, (schedule.lambda_n(n) / n,))
     return samples
@@ -500,13 +501,8 @@ def verify_regimes(
     for regime in regimes:
         if regime not in VERIFY_REGIMES:
             raise ValueError(f"unknown regime {regime!r}")
-    least = verify_min_reps(regimes)
-    if reps < least:
-        raise ValueError(
-            f"reps must be at least {least} for {', '.join(regimes)}, got {reps}"
-        )
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    reps = _int_at_least("reps", reps, verify_min_reps(regimes))
+    n, seed = _int_at_least("n", n, 3), _int_at_least("seed", seed, 0)
     moments = _shock_moments(seed, (), reps, n)
     results = []
     for regime in regimes:

@@ -94,21 +94,33 @@ def test_derive_seed_is_stable_and_distinct():
 # the block sweep kernel against the per-dataset path
 
 
-@pytest.mark.parametrize("master", [0, 20260810, 2**32 - 1, 2**32, 2**64 - 1])
-@pytest.mark.parametrize("grid_index", [0, 7])
+# The 32-bit words of the master seed and of the prefix set how far the
+# hash has run before the rep word, so seeds of 1 to 5 words are covered.
+@pytest.mark.parametrize(
+    "master",
+    [
+        0, 20260810, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1,
+        pytest.param(np.uint64(2**64 - 1), id="uint64"),
+    ],
+)
+@pytest.mark.parametrize(
+    "grid_index", [0, 7, 2**32, pytest.param(np.int64(7), id="int64")]
+)
 def test_vectorised_seeds_match_derive_seed(master, grid_index):
-    count = 2 * _BLOCK_REPS + 5
-    seeds = _derive_seeds(master, (grid_index,), count)
-    assert seeds.dtype == np.uint64
-    expected = [derive_seed(master, grid_index, rep) for rep in range(count)]
-    assert seeds.tolist() == expected
+    for prefix in ((grid_index,), (3, grid_index)):
+        for count in (0, 1, 2 * _BLOCK_REPS + 5):
+            seeds = _derive_seeds(master, prefix, count)
+            assert seeds.dtype == np.uint64
+            expected = [derive_seed(master, *prefix, rep) for rep in range(count)]
+            assert seeds.tolist() == expected
 
 
 def test_empty_seed_path_matches_derive_seed():
     # sampling distributions seed rep i with derive_seed(master, i)
-    count = 2 * _BLOCK_REPS + 5
-    expected = [derive_seed(20260810, rep) for rep in range(count)]
-    assert _derive_seeds(20260810, (), count).tolist() == expected
+    for master in (0, 20260810, 2**64, 2**128 + 1, np.uint64(2**64 - 1)):
+        for count in (0, 1, 2 * _BLOCK_REPS + 5):
+            expected = [derive_seed(master, rep) for rep in range(count)]
+            assert _derive_seeds(master, (), count).tolist() == expected
 
 
 def test_block_length_follows_n():
@@ -409,6 +421,63 @@ def _count_draws(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_shock_moments", counted)
     return calls
+
+
+_SCHEDULE = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
+# each library entry point with its integer arguments, and its seed's name
+_ENTRY_POINTS = {
+    "sweep": (
+        lambda n, reps, seed: _small_config(n=n, reps=reps, master_seed=seed),
+        "master_seed",
+    ),
+    "collect": (
+        lambda n, reps, seed: collect_sampling_distribution(
+            aer_calibration(beta1=1.0), _SCHEDULE, n, reps, seed
+        ),
+        "master_seed",
+    ),
+    "verify": (
+        lambda n, reps, seed: verify_regimes(("sqrtn-bias",), reps, seed, n=n),
+        "seed",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("field", ["n", "reps", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 150.0, True, "50"])
+def test_integer_arguments_checked_by_name(monkeypatch, entry, field, bad):
+    # these failed deep inside the draw, with errors that named no argument
+    calls = _count_draws(monkeypatch)
+    call, seed_name = _ENTRY_POINTS[entry]
+    args = {"n": 50, "reps": 10, "seed": 1, field: bad}
+    name = seed_name if field == "seed" else field
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        call(**args)
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_negative_seed_rejected_by_name(monkeypatch, entry):
+    calls = _count_draws(monkeypatch)
+    call, seed_name = _ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{seed_name} must be at least 0, got -1"):
+        call(n=50, reps=10, seed=-1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_numpy_integer_arguments_accepted(entry):
+    call, _ = _ENTRY_POINTS[entry]
+    result = call(n=np.int64(50), reps=np.int32(10), seed=np.uint64(2**64 - 1))
+    expected = call(n=50, reps=10, seed=2**64 - 1)
+    if entry == "sweep":
+        assert type(result.master_seed) is int
+        result, expected = run_sweep(result), run_sweep(expected)
+    if entry == "collect":
+        assert np.array_equal(result, expected)
+    else:
+        assert result == expected
 
 
 def test_weak_instrument_check_draws_once(monkeypatch):
