@@ -36,7 +36,6 @@ from .estimators import (
     gmm_objective,
     lagrange_correspondence,
     reduced_form,
-    solve_shifted,
 )
 from .montecarlo import (
     GridVariable,
@@ -80,7 +79,6 @@ __all__ = [
     "gmm_objective",
     "lagrange_correspondence",
     "reduced_form",
-    "solve_shifted",
     "GridVariable",
     "SweepCell",
     "SweepConfig",

@@ -422,6 +422,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
                 f"config field 'reps' must be at least {least} for "
                 f"{', '.join(config.regimes)}, got {config.reps}"
             )
+    if command is Command.SINGLE_RUN:
+        try:  # a finite lambda0 can still overflow at the run's n
+            config.schedule.lambda_n(config.n)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"config field 'schedule.lambda0' is invalid at n = {config.n}: {exc}"
+            ) from exc
     return config
 
 

@@ -22,6 +22,7 @@ weak no matter how large the sample grows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,23 @@ __all__ = [
     "generate_dataset",
     "aer_calibration",
 ]
+
+
+def _int_at_least(name: str, value: object, least: int) -> int:
+    """``value`` as an int, checked against ``least``; numpy integers pass.
+
+    A bool or a non-integer raises a TypeError, and a smaller value a
+    ValueError, each naming ``name``.
+    """
+    try:
+        if isinstance(value, bool):  # operator.index accepts bools
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -152,10 +170,11 @@ def generate_dataset(params: DgpParams, n: int, seed: int) -> Dataset:
     n : int
         Sample size, at least 3.
     seed : int
-        64-bit unsigned seed for the counter-based stream.
+        Unsigned seed below 2**128, the Philox key.
     """
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    n, seed = _int_at_least("n", n, 3), _int_at_least("seed", seed, 0)
+    if seed >= 2**128:
+        raise ValueError(f"seed must be less than 2**128, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal(n)
     eps = params.sigma_eps * rng.standard_normal(n)

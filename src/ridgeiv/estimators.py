@@ -11,9 +11,10 @@ written above.  The matrix forms (`fit_ridge_iv_matrix`,
 (`gmm_objective`, `gmm_minimize`, `lagrange_correspondence`) work on raw
 uncentered arrays; the two conventions are never mixed silently.
 
-An exactly-zero denominator raises :class:`DegenerateDenominatorError`.
-Near-zero denominators pass through on purpose: the instability of the
-unpenalized estimator is a measured quantity here, not a failure mode.
+Every form divides through :func:`shifted_ratio`, so an exactly-zero
+shifted denominator raises :class:`DegenerateDenominatorError` in all of
+them.  Near-zero denominators pass through on purpose: the instability of
+the unpenalized estimator is a measured quantity here, not a failure mode.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "reduced_form",
     "fit_2sls",
     "fit_ridge_iv",
-    "solve_shifted",
     "fit_ridge_iv_matrix",
     "fit_ridge_iv_overidentified",
     "gmm_objective",
@@ -57,7 +57,16 @@ class DegenerateInstrumentError(ValueError):
 
 
 class SingularSystemError(ArithmeticError):
-    """A shifted cross-moment system has no unique solution."""
+    """The instrument cross-moment Z'Z of the over-identified form is singular."""
+
+
+def _penalty(name: str, value: float) -> float:
+    """``value`` if it is finite and nonnegative; else a ValueError naming ``name``."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 class PenaltyRate(enum.Enum):
@@ -74,24 +83,23 @@ class PenaltySchedule:
 
     lambda_n(n) is ``lambda0`` (CONSTANT), ``lambda0 * sqrt(n)`` (SQRT_N)
     or ``lambda0 * n`` (LINEAR_N).  ``lambda0 = 0`` reduces every form to
-    unpenalized 2SLS.
+    unpenalized 2SLS.  ``rate`` must be a :class:`PenaltyRate` member.
     """
 
     rate: PenaltyRate
     lambda0: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lambda0):
-            raise ValueError(f"lambda0 must be finite, got {self.lambda0!r}")
-        if self.lambda0 < 0:
-            raise ValueError(f"lambda0 must be nonnegative, got {self.lambda0}")
+        if not isinstance(self.rate, PenaltyRate):
+            raise TypeError(f"rate must be a PenaltyRate, got {self.rate!r}")
+        _penalty("lambda0", self.lambda0)
 
     def lambda_n(self, n: int) -> float:
+        """The penalty at sample size n; a ValueError if it overflows."""
         if self.rate is PenaltyRate.CONSTANT:
             return self.lambda0
-        if self.rate is PenaltyRate.SQRT_N:
-            return self.lambda0 * math.sqrt(n)
-        return self.lambda0 * n
+        growth = math.sqrt(n) if self.rate is PenaltyRate.SQRT_N else n
+        return _penalty(f"lambda_n({n})", self.lambda0 * growth)
 
 
 @dataclass(frozen=True)
@@ -140,16 +148,16 @@ def demeaned_cov(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.mean((x - x.mean()) * (w - w.mean())))
 
 
-def shifted_ratio(numerator: float, cov_dz: float, shift: float) -> float:
-    """The scalar penalized ratio numerator / (cov_dz + shift).
+def shifted_ratio(numerator: float, base: float, shift: float) -> float:
+    """The penalized ratio numerator / (base + shift).
 
-    Core of the scalar estimators; raises :class:`DegenerateDenominatorError`
+    Core of every estimator form; raises :class:`DegenerateDenominatorError`
     iff the shifted denominator is exactly zero.
     """
-    denominator = cov_dz + shift
+    denominator = base + shift
     if denominator == 0.0:
         raise DegenerateDenominatorError(
-            f"shifted denominator is exactly zero (cov = {cov_dz!r}, shift = {shift!r})"
+            f"shifted denominator is exactly zero (base = {base!r}, shift = {shift!r})"
         )
     return numerator / denominator
 
@@ -187,29 +195,6 @@ def reduced_form(data: Dataset) -> tuple[float, float, float]:
     return _simple_ols(_instrument_column(data), data.y)
 
 
-def _fit_scalar(data: Dataset, lambda_n: float) -> Estimate:
-    z = _instrument_column(data)
-    numerator = demeaned_cov(data.y, z)
-    cov_dz = demeaned_cov(data.d, z)
-    beta1_hat = shifted_ratio(numerator, cov_dz, lambda_n / data.n)
-    _, pi1_hat, sigma_eta_hat = first_stage(data)
-    _, _, sigma_red_hat = reduced_form(data)
-    resid = (data.y - data.y.mean()) - beta1_hat * (data.d - data.d.mean())
-    sigma_eps_hat = float(np.sqrt(np.mean(resid**2)))
-    return Estimate(
-        beta1_hat=beta1_hat,
-        numerator=numerator,
-        denominator=cov_dz + lambda_n / data.n,
-        lambda_n=lambda_n,
-        n=data.n,
-        pi1_hat=pi1_hat,
-        sigma_eta_hat=sigma_eta_hat,
-        sigma_red_hat=sigma_red_hat,
-        sigma_eps_hat=sigma_eps_hat,
-        sigma_z_hat=math.sqrt(demeaned_cov(z, z)),
-    )
-
-
 def fit_2sls(data: Dataset) -> Estimate:
     """Just-identified 2SLS: the ratio Cov[Y,Z] / Cov[D,Z].
 
@@ -221,26 +206,28 @@ def fit_2sls(data: Dataset) -> Estimate:
 
 def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
     """Penalized ratio estimator Cov[Y,Z] / (Cov[D,Z] + lambda_n(n)/n)."""
-    return _fit_scalar(data, float(schedule.lambda_n(data.n)))
-
-
-def solve_shifted(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (a + lam * I) x = b by pivoted dense factorization.
-
-    ``a`` is a small square cross-moment matrix (k is never more than ~10
-    here, so a direct LU solve is appropriate).
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if lam < 0:
-        raise ValueError(f"penalty must be nonnegative, got {lam}")
-    b = np.asarray(b, dtype=np.float64).reshape(a.shape[0])
-    shifted = a + lam * np.eye(a.shape[0])
-    try:
-        return np.linalg.solve(shifted, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"shifted system is singular: {exc}") from exc
+    lambda_n = float(schedule.lambda_n(data.n))
+    shift = lambda_n / data.n
+    z = _instrument_column(data)
+    numerator = demeaned_cov(data.y, z)
+    cov_dz = demeaned_cov(data.d, z)
+    beta1_hat = shifted_ratio(numerator, cov_dz, shift)
+    _, pi1_hat, sigma_eta_hat = first_stage(data)
+    _, _, sigma_red_hat = reduced_form(data)
+    resid = (data.y - data.y.mean()) - beta1_hat * (data.d - data.d.mean())
+    sigma_eps_hat = float(np.sqrt(np.mean(resid**2)))
+    return Estimate(
+        beta1_hat=beta1_hat,
+        numerator=numerator,
+        denominator=cov_dz + shift,
+        lambda_n=lambda_n,
+        n=data.n,
+        pi1_hat=pi1_hat,
+        sigma_eta_hat=sigma_eta_hat,
+        sigma_red_hat=sigma_red_hat,
+        sigma_eps_hat=sigma_eps_hat,
+        sigma_z_hat=math.sqrt(demeaned_cov(z, z)),
+    )
 
 
 def fit_ridge_iv_matrix(data: Dataset, lam: float) -> np.ndarray:
@@ -249,24 +236,26 @@ def fit_ridge_iv_matrix(data: Dataset, lam: float) -> np.ndarray:
     Works on the arrays exactly as stored (no demeaning), so on demeaned
     single-instrument data with ``lam = lambda_n`` it agrees with
     :func:`fit_ridge_iv`.  ``data`` must be square in the sense that the
-    instrument count matches the single endogenous regressor (k = 1); the
-    general k x k solve is exposed via :func:`solve_shifted`.
+    instrument count matches the single endogenous regressor (k = 1).
     """
     if data.k != 1:
         raise ValueError(
             f"Z'D must be square: one endogenous regressor needs k = 1, got k = {data.k}"
         )
-    zd = data.z.T @ data.d.reshape(-1, 1)
-    zy = data.z.T @ data.y
-    return solve_shifted(zd, zy, lam)
+    _penalty("lam", lam)
+    zd = (data.z.T @ data.d.reshape(-1, 1)).item()
+    zy = (data.z.T @ data.y).item()
+    return np.array([shifted_ratio(zy, zd, lam)])
 
 
 def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
     """Penalized over-identified estimator.
 
-    Solves (D'Z (Z'Z)^{-1} Z'D + lam I) x = D'Z (Z'Z)^{-1} Z'Y on raw
-    uncentered arrays; lam = 0 reproduces textbook 2SLS.
+    Returns D'P_zY / (D'P_zD + lam), with P_z = Z (Z'Z)^{-1} Z', on raw
+    uncentered arrays; lam = 0 reproduces textbook 2SLS.  A singular Z'Z
+    raises :class:`SingularSystemError`.
     """
+    _penalty("lam", lam)
     z = data.z
     d = data.d.reshape(-1, 1)
     zz = z.T @ z
@@ -278,7 +267,7 @@ def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
         raise SingularSystemError(f"Z'Z is singular: {exc}") from exc
     a = zd.T @ solved[:, :1]
     b = zd.T @ solved[:, 1]
-    return solve_shifted(a, b, lam)
+    return np.array([shifted_ratio(b.item(), a.item(), lam)])
 
 
 def _uncentered_sums(data: Dataset) -> tuple[float, float]:
@@ -291,8 +280,7 @@ def gmm_objective(data: Dataset, beta: float, gamma: float) -> float:
 
     Uses raw uncentered sums (no intercepts).
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _penalty("gamma", gamma)
     z = _instrument_column(data)
     moment = float(z @ (data.y - data.d * beta))
     return moment**2 + gamma * beta**2
@@ -302,17 +290,12 @@ def gmm_minimize(data: Dataset, gamma: float) -> float:
     """Closed-form minimizer of :func:`gmm_objective`.
 
     The objective is a convex quadratic in beta; its minimizer is
-    (sum ZD)(sum ZY) / ((sum ZD)^2 + gamma).
+    (sum ZD)(sum ZY) / ((sum ZD)^2 + gamma).  When sum(Z*D) and gamma are
+    both zero it has no unique minimizer, and the ratio raises.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _penalty("gamma", gamma)
     szd, szy = _uncentered_sums(data)
-    denominator = szd**2 + gamma
-    if denominator == 0.0:
-        raise DegenerateDenominatorError(
-            "sum(Z*D) and gamma are both zero; the objective has no unique minimizer"
-        )
-    return szd * szy / denominator
+    return shifted_ratio(szd * szy, szd**2, gamma)
 
 
 def lagrange_correspondence(data: Dataset, lambda_n: float) -> float:
@@ -322,5 +305,6 @@ def lagrange_correspondence(data: Dataset, lambda_n: float) -> float:
     ``gmm_minimize(data, gamma_n)`` equals the uncentered penalized ratio
     sum(ZY) / (sum(ZD) + lambda_n / n).
     """
+    _penalty("lambda_n", lambda_n)
     szd, _ = _uncentered_sums(data)
     return (szd / data.n) * lambda_n

@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from . import asymptotics
-from .dgp import DgpParams, aer_calibration
+from .dgp import DgpParams, _int_at_least, aer_calibration
 from .estimators import PenaltyRate, PenaltySchedule
 
 __all__ = [
@@ -69,23 +69,6 @@ __all__ = [
 
 VERIFY_TOLERANCE = 0.10
 VERIFY_REGIMES = ("strong-variance", "sqrtn-bias", "weak-instrument")
-
-
-def _int_at_least(name: str, value: object, least: int) -> int:
-    """``value`` as an int, checked against ``least``; numpy integers pass.
-
-    A bool or a non-integer raises a TypeError, and a smaller value a
-    ValueError, each naming ``name``.
-    """
-    try:
-        if isinstance(value, bool):  # operator.index accepts bools
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return value
 
 
 class GridVariable(enum.Enum):
@@ -320,9 +303,11 @@ def _ratios(
 ) -> np.ndarray:
     """Cov[Y,Z] / (Cov[D,Z] + shift) per shift and rep, shape (len(shifts), reps).
 
-    A rep whose shifted denominator is exactly zero is degenerate and gets
-    NaN.  No other rep does: its finite numerator is divided by a nonzero
-    finite denominator, so ``isnan`` is the degenerate mask.
+    This is the rule of :func:`~ridgeiv.estimators.shifted_ratio` applied
+    per rep: a rep whose shifted denominator is exactly zero is degenerate
+    and gets NaN where ``shifted_ratio`` raises.  No other rep does: its
+    finite numerator is divided by a nonzero finite denominator, so
+    ``isnan`` is the degenerate mask.
     """
     s_zz, s_ez, s_hz = moments
     cov_dz = (
@@ -401,8 +386,9 @@ def collect_sampling_distribution(
     """
     n, reps = _int_at_least("n", n, 3), _int_at_least("reps", reps, 1)
     master_seed = _int_at_least("master_seed", master_seed, 0)
+    shift = schedule.lambda_n(n) / n  # raises before the draw if it overflows
     moments = _shock_moments(master_seed, (), reps, n)
-    (samples,) = _scaled_samples(params, n, moments, (schedule.lambda_n(n) / n,))
+    (samples,) = _scaled_samples(params, n, moments, (shift,))
     return samples
 
 

@@ -646,6 +646,24 @@ def test_single_run_with_schedule_config(tmp_path, capsys):
     assert payload["lambda_n"] == 60.0
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # lambda_n(150) = 1.5e309 would print "lambda_n": Infinity, which is not JSON
+        ({"schedule": {"rate": "linear_n", "lambda0": 1e307}}, "lambda_n(150) must be finite"),
+        ({"schedule": {"rate": "linear_n", "lambda0": 1.0}, "n": 10**400}, "too large"),
+    ],
+    ids=["lambda0", "n"],
+)
+def test_single_run_overflowing_penalty_rejected(tmp_path, capsys, payload, message):
+    cfg = _write_config(tmp_path, payload)
+    assert run_cli(["single-run", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'schedule.lambda0' is invalid at n = " in captured.err
+    assert message in captured.err
+
+
 def test_single_run_bad_schedule_rate(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"schedule": {"rate": "cubic"}})
     assert run_cli(["single-run", "--config", cfg]) == 2

@@ -37,6 +37,30 @@ def test_n_below_three_rejected():
         generate_dataset(aer_calibration(), 2, 0)
 
 
+@pytest.mark.parametrize(
+    "n, seed, name",
+    [(5.0, 1, "n"), (True, 1, "n"), (5, 2.5, "seed"), (5, False, "seed"), (5, "1", "seed")],
+)
+def test_generate_dataset_rejects_non_integers_by_name(n, seed, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        generate_dataset(aer_calibration(), n, seed)
+
+
+@pytest.mark.parametrize(
+    "seed, message", [(-1, "seed must be at least 0"), (2**128, "seed must be less than 2\\*\\*128")]
+)
+def test_generate_dataset_rejects_out_of_range_seeds_by_name(seed, message):
+    with pytest.raises(ValueError, match=message):
+        generate_dataset(aer_calibration(), 5, seed)
+
+
+def test_generate_dataset_accepts_numpy_integers_and_the_largest_seed():
+    a = generate_dataset(aer_calibration(), np.int64(5), np.uint64(7))
+    b = generate_dataset(aer_calibration(), 5, 7)
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.z, b.z)
+    assert generate_dataset(aer_calibration(), 5, 2**128 - 1).n == 5
+
+
 @pytest.mark.parametrize("field", ["sigma_eps", "sigma_eta"])
 def test_negative_scale_rejected(field):
     kwargs = dict(beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.5)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,8 +20,10 @@ from ridgeiv.estimators import (
     fit_ridge_iv,
     fit_ridge_iv_matrix,
     fit_ridge_iv_overidentified,
+    gmm_minimize,
+    gmm_objective,
+    lagrange_correspondence,
     reduced_form,
-    solve_shifted,
 )
 
 Z123 = np.array([1.0, 2.0, 3.0])
@@ -166,6 +169,22 @@ def test_penalty_schedule_rates():
         PenaltySchedule(PenaltyRate.CONSTANT, -1.0)
 
 
+@pytest.mark.parametrize("rate", ["sqrt_n", "constant", None, 1.0])
+def test_penalty_schedule_rejects_a_rate_that_is_not_an_enum_member(rate):
+    # strings are not coerced: "sqrt_n" would otherwise act as the linear rate
+    with pytest.raises(TypeError, match="rate must be a PenaltyRate"):
+        PenaltySchedule(rate, 1.0)
+
+
+@pytest.mark.parametrize(
+    "rate, lambda0", [(PenaltyRate.SQRT_N, 1e308), (PenaltyRate.LINEAR_N, 1e307)]
+)
+def test_lambda_n_rejects_an_overflowing_penalty(rate, lambda0):
+    schedule = PenaltySchedule(rate, lambda0)
+    with pytest.raises(ValueError, match=r"lambda_n\(150\) must be finite, got inf"):
+        schedule.lambda_n(150)
+
+
 @pytest.mark.parametrize("rate", list(PenaltyRate))
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_penalty_schedule_rejects_non_finite_lambda0(rate, value):
@@ -292,21 +311,6 @@ def test_abs_beta_hat_non_increasing_in_lambda(seed, n, rate, lam_a, lam_b):
 # matrix forms
 
 
-def test_solve_shifted_diagonal_hand_example():
-    x = solve_shifted(np.diag([2.0, 4.0]), np.array([2.0, 4.0]), 2.0)
-    assert x[0] == pytest.approx(0.5, rel=1e-15)
-    assert x[1] == pytest.approx(2.0 / 3.0, rel=1e-15)
-
-
-def test_solve_shifted_validation():
-    with pytest.raises(SingularSystemError):
-        solve_shifted(np.zeros((2, 2)), np.ones(2), 0.0)
-    with pytest.raises(ValueError, match="square"):
-        solve_shifted(np.ones((2, 3)), np.ones(2), 0.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        solve_shifted(np.eye(2), np.ones(2), -0.5)
-
-
 def test_matrix_form_ols_reduction():
     # with z = d and no penalty this is OLS on uncentered data
     data = Dataset(y=3.0 * Z123, d=Z123, z=Z123)
@@ -378,3 +382,45 @@ def test_scalar_ops_reject_multiple_instruments():
     for op in (fit_2sls, first_stage, reduced_form):
         with pytest.raises(ValueError, match="single instrument"):
             op(data)
+
+
+# ---------------------------------------------------------------------------
+# the shared ratio and penalty check of every form
+
+_CONSTANT_D = Dataset(y=np.array([1.0, 5.0, 3.0]), d=np.full(3, 0.5), z=Z123)  # Cov[D,Z] = 0
+_ORTHOGONAL = Dataset(y=Z123, d=np.array([1.0, 1.0, -1.0]), z=Z123)  # Z'D = 0
+
+
+@pytest.mark.parametrize(
+    "fit, data",
+    [
+        (fit_2sls, _CONSTANT_D),
+        (lambda data: fit_ridge_iv(data, PenaltySchedule(PenaltyRate.SQRT_N, 0.0)), _CONSTANT_D),
+        (functools.partial(fit_ridge_iv_matrix, lam=0.0), _ORTHOGONAL),
+        (functools.partial(fit_ridge_iv_overidentified, lam=0.0), _ORTHOGONAL),
+        (functools.partial(gmm_minimize, gamma=0.0), _ORTHOGONAL),
+    ],
+    ids=["2sls", "ridge", "matrix", "overidentified", "gmm"],
+)
+def test_every_form_raises_on_an_exactly_zero_shifted_denominator(fit, data):
+    with pytest.raises(DegenerateDenominatorError, match="exactly zero"):
+        fit(data)
+
+
+_DATA = _random_dataset(0)
+_PENALTY_ARGUMENTS = {
+    "lambda0": lambda v: PenaltySchedule(PenaltyRate.CONSTANT, v),
+    "lam-matrix": lambda v: fit_ridge_iv_matrix(_DATA, v),
+    "lam-overidentified": lambda v: fit_ridge_iv_overidentified(_DATA, v),
+    "gamma-objective": lambda v: gmm_objective(_DATA, 1.0, v),
+    "gamma-minimize": lambda v: gmm_minimize(_DATA, v),
+    "lambda_n": lambda v: lagrange_correspondence(_DATA, v),
+}
+
+
+@pytest.mark.parametrize("argument", list(_PENALTY_ARGUMENTS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+def test_every_penalty_rejects_non_finite_and_negative_values(argument, value):
+    name = argument.split("-")[0]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        _PENALTY_ARGUMENTS[argument](value)

@@ -410,6 +410,15 @@ def test_collect_validates_reps_and_n():
         collect_sampling_distribution(params, schedule, 2, 5, 1)
 
 
+def test_collect_rejects_an_overflowing_penalty_before_the_draw(monkeypatch):
+    # lambda_n(150) = 1.5e309 would make every shifted ratio 0: a constant sample
+    calls = _count_draws(monkeypatch)
+    schedule = PenaltySchedule(PenaltyRate.LINEAR_N, 1e307)
+    with pytest.raises(ValueError, match=r"lambda_n\(150\) must be finite"):
+        collect_sampling_distribution(aer_calibration(beta1=1.0), schedule, 150, 10, 1)
+    assert calls == []
+
+
 def _count_draws(monkeypatch):
     """Patch ``_shock_moments`` to record its arguments; returns the record."""
     calls = []
