@@ -25,13 +25,14 @@ single-run            params, n, seed, schedule
 Every config value is checked by name; then each flag that is given
 overrides its key (``--out`` sets output_dir, ``--plots`` emit_plots,
 ``--raw`` emit_raw, ``--regime`` regimes).  A sweep's ``params`` may not
-set the parameter its grid sets (``pi1`` or ``beta1``).
+set the parameter its grid sets (``pi1`` or ``beta1``) or an intercept, and
+no ``params`` may set ``pi1`` beside a non-null ``stock_c``.
 
 Exit codes: 0 success, 2 bad arguments or config, 1 runtime failure or a
-failed verification.  Sweeps write ``mse_sweep.csv`` (full-precision
-floats, so parsing the file reproduces every value exactly), plus
-``raw_estimates.csv`` and one SVG line plot per penalty level when asked;
-this module writes every artifact.
+failed verification.  Sweeps write ``mse_sweep.csv`` (one column per
+``SweepCell`` field; full-precision floats, so parsing the file
+reproduces every value exactly), plus ``raw_estimates.csv`` and one SVG
+line plot per penalty level when asked; this module writes every artifact.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
 from .montecarlo import (
     VERIFY_REGIMES,
     GridVariable,
+    SweepCell,
     SweepConfig,
     SweepResult,
     run_sweep,
@@ -77,19 +79,9 @@ __all__ = [
 DEFAULT_SEED = 20260810
 DEFAULT_REPS = 2000
 
-CSV_COLUMNS = (
-    "grid_value",
-    "lambda",
-    "mse",
-    "bias",
-    "variance",
-    "q05",
-    "q25",
-    "q50",
-    "q75",
-    "q95",
-    "n_degenerate",
-)
+# SweepCell's fields in order; lam, a Python keyword, is written "lambda"
+_CELL_NAMES = tuple(f.name for f in dataclasses.fields(SweepCell))
+CSV_COLUMNS = tuple("lambda" if name == "lam" else name for name in _CELL_NAMES)
 
 
 class Command(enum.Enum):
@@ -270,6 +262,10 @@ def _parse_params(raw: Any) -> DgpParams:
         else _finite_number(value, f"params.{key}")
         for key, value in raw.items()
     }
+    if "pi1" in kwargs and kwargs.get("stock_c") is not None:
+        raise ConfigError(
+            "config field 'params.pi1' is not recognized beside a non-null 'params.stock_c'"
+        )
     try:
         return dataclasses.replace(aer_calibration(beta1=1.0), **kwargs)
     except ValueError as exc:
@@ -398,11 +394,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if command in (Command.SWEEP_PI, Command.SWEEP_BETA):
         preset = default_pi_sweep() if command is Command.SWEEP_PI else default_beta_sweep()
         swept = preset.grid_variable.value
-        if swept in file_cfg.get("params", {}):
-            raise ConfigError(
-                f"config field 'params.{swept}' is not recognized by {command.value}: "
-                f"the grid sets {swept}"
-            )
+        for key in file_cfg.get("params", {}):
+            if key in (swept, "beta0", "pi0"):
+                raise ConfigError(
+                    f"config field 'params.{key}' is not recognized by {command.value}: "
+                    f"the grid sets {swept}, and no covariance depends on an intercept"
+                )
         try:
             sweep = dataclasses.replace(
                 preset,
@@ -441,22 +438,8 @@ def write_sweep_csv(result: SweepResult, path: Path) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for c in result.cells:
-            writer.writerow(
-                [
-                    repr(c.grid_value),
-                    repr(c.lam),
-                    repr(c.mse),
-                    repr(c.bias),
-                    repr(c.variance),
-                    repr(c.q05),
-                    repr(c.q25),
-                    repr(c.q50),
-                    repr(c.q75),
-                    repr(c.q95),
-                    c.n_degenerate,
-                ]
-            )
+        # csv writes a float as its repr, nan included, and an int as its digits
+        writer.writerows([getattr(c, name) for name in _CELL_NAMES] for c in result.cells)
 
 
 def write_raw_csv(result: SweepResult, path: Path) -> None:
@@ -478,16 +461,13 @@ def write_raw_csv(result: SweepResult, path: Path) -> None:
 
 
 def read_sweep_csv(path: Path) -> list[dict[str, float | int]]:
-    """Parse a sweep CSV back into one dict per row (exact float round trip)."""
-    rows = []
+    """Parse a sweep CSV into one dict per row, typed by SweepCell (exact round trip)."""
+    types = get_type_hints(SweepCell)
     with Path(path).open(newline="") as fh:
-        for record in csv.DictReader(fh):
-            row: dict[str, float | int] = {
-                name: float(record[name]) for name in CSV_COLUMNS[:-1]
-            }
-            row["n_degenerate"] = int(record["n_degenerate"])
-            rows.append(row)
-    return rows
+        return [
+            {col: types[name](record[col]) for col, name in zip(CSV_COLUMNS, _CELL_NAMES)}
+            for record in csv.DictReader(fh)
+        ]
 
 
 _AXIS_LABEL = {

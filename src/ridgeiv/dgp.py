@@ -22,8 +22,9 @@ weak no matter how large the sample grows.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +53,15 @@ def _int_at_least(name: str, value: object, least: int) -> int:
     return value
 
 
+def _finite_real(name: str, value: object) -> float:
+    """``value`` if it is a finite real other than a bool; else an error naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DgpParams:
     """Structural coefficients and error moments of the IV model.
@@ -64,7 +74,7 @@ class DgpParams:
 
     ``sigma_eps = 0`` / ``sigma_eta = 0`` are allowed as exact zero-noise
     toggles for testing; ``err_cov`` must then be 0 alongside
-    ``sigma_eps = 0``.
+    ``sigma_eps = 0``.  Every field is a finite real; ``stock_c`` may be ``None``.
     """
 
     beta0: float
@@ -77,12 +87,9 @@ class DgpParams:
     stock_c: float | None = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "beta0", "beta1", "pi0", "pi1", "sigma_eps", "sigma_eta", "err_cov", "stock_c"
-        ):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for field in fields(self):
+            if field.name != "stock_c" or self.stock_c is not None:
+                _finite_real(field.name, getattr(self, field.name))
         if self.sigma_eps < 0:
             raise ValueError(f"sigma_eps must be nonnegative, got {self.sigma_eps}")
         if self.sigma_eta < 0:

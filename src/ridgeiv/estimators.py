@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import Dataset
+from .dgp import Dataset, _finite_real
 
 __all__ = [
     "DegenerateDenominatorError",
@@ -61,10 +61,8 @@ class SingularSystemError(ArithmeticError):
 
 
 def _penalty(name: str, value: float) -> float:
-    """``value`` if it is finite and nonnegative; else a ValueError naming ``name``."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if value < 0:
+    """``value`` if it is a finite nonnegative real; else an error naming ``name``."""
+    if _finite_real(name, value) < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
     return value
 

@@ -72,7 +72,7 @@ VERIFY_REGIMES = ("strong-variance", "sqrtn-bias", "weak-instrument")
 
 
 class GridVariable(enum.Enum):
-    """Which structural parameter the sweep varies."""
+    """Which structural parameter the sweep varies; the value is its field name."""
 
     PI1 = "pi1"
     BETA1 = "beta1"
@@ -91,6 +91,10 @@ class SweepConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
+        for name, cls in (("base_params", DgpParams), ("grid_variable", GridVariable)):
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
         for name, least in (("n", 3), ("reps", 1), ("master_seed", 0)):
             value = _int_at_least(name, getattr(self, name), least)
             object.__setattr__(self, name, value)
@@ -124,7 +128,7 @@ class SweepConfig:
             )
 
     def params_at(self, grid_value: float) -> DgpParams:
-        field = "pi1" if self.grid_variable is GridVariable.PI1 else "beta1"
+        field = self.grid_variable.value
         return dataclasses.replace(self.base_params, **{field: grid_value})
 
 
@@ -384,6 +388,10 @@ def collect_sampling_distribution(
     drifting regime, where the estimator is centered near zero, not near
     beta1).  Reps with an exactly-zero denominator are dropped.
     """
+    if not isinstance(params, DgpParams):
+        raise TypeError(f"params must be a DgpParams, got {params!r}")
+    if not isinstance(schedule, PenaltySchedule):
+        raise TypeError(f"schedule must be a PenaltySchedule, got {schedule!r}")
     n, reps = _int_at_least("n", n, 3), _int_at_least("reps", reps, 1)
     master_seed = _int_at_least("master_seed", master_seed, 0)
     shift = schedule.lambda_n(n) / n  # raises before the draw if it overflows
@@ -480,13 +488,17 @@ def verify_regimes(
     depend on a design's parameters, so one draw of ``reps`` reps, rep i
     seeded ``derive_seed(seed, i)``, serves every regime, and a regime's
     lines do not depend on which regimes run beside it.  Every name and
-    floor is checked before the draw.
+    floor is checked before the draw; a bare string or a repeat is rejected.
     """
+    if isinstance(regimes, str):
+        raise ValueError(f"regimes must be a sequence of regime names, got {regimes!r}")
     if not regimes:
         raise ValueError("regimes must be non-empty")
     for regime in regimes:
         if regime not in VERIFY_REGIMES:
             raise ValueError(f"unknown regime {regime!r}")
+    if len(set(regimes)) < len(regimes):
+        raise ValueError(f"regimes must not repeat a regime, got {list(regimes)}")
     reps = _int_at_least("reps", reps, verify_min_reps(regimes))
     n, seed = _int_at_least("n", n, 3), _int_at_least("seed", seed, 0)
     moments = _shock_moments(seed, (), reps, n)

@@ -21,7 +21,7 @@ from ridgeiv.cli import (
 )
 from ridgeiv.dgp import aer_calibration
 from ridgeiv.estimators import PenaltyRate, PenaltySchedule
-from ridgeiv.montecarlo import VERIFY_REGIMES, GridVariable, SweepConfig, run_sweep
+from ridgeiv.montecarlo import VERIFY_REGIMES, GridVariable, SweepCell, SweepConfig, run_sweep
 
 SMALL_CONFIG = {
     "grid": {"start": 0.1, "stop": 0.5, "points": 3},
@@ -258,7 +258,7 @@ ACCEPTED_KEYS = {
 
 # a valid value of every config key, none of them a default
 KEY_VALUES = {
-    "params": {"pi0": 0.25, "stock_c": None},
+    "params": {"sigma_eta": 0.25, "stock_c": None},
     "grid": [0.1, 0.2],
     "lambdas": [7.0],
     "n": 50,
@@ -313,7 +313,7 @@ def test_key_foreign_to_command_exits_2(tmp_path, monkeypatch, capsys, command, 
 def test_every_accepted_key_reaches_the_config(tmp_path, command):
     payload = {key: KEY_VALUES[key] for key in ACCEPTED_KEYS[command]}
     config = _build([command, "--config", _write_config(tmp_path, payload)])
-    params = dataclasses.replace(aer_calibration(beta1=1.0), pi0=0.25)
+    params = dataclasses.replace(aer_calibration(beta1=1.0), sigma_eta=0.25)
     if config.sweep is not None:
         assert config.sweep.base_params == params
         assert config.sweep.grid == (0.1, 0.2)
@@ -408,6 +408,46 @@ def test_sweep_params_may_not_set_the_swept_parameter(tmp_path, capsys, command,
     # the parameter the grid leaves alone is still read
     config = _build([command, "--config", _write_config(tmp_path, {"params": {other: 0.5}})])
     assert getattr(config.sweep.base_params, other) == 0.5
+
+
+@pytest.mark.parametrize("command", ["sweep-pi", "sweep-beta"])
+@pytest.mark.parametrize("intercept", ["beta0", "pi0"])
+def test_sweep_params_may_not_set_an_intercept(tmp_path, capsys, command, intercept):
+    # no covariance depends on an intercept: any value gave the same bytes
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, {**SMALL_CONFIG, "params": {intercept: 1000.0}})
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"config field 'params.{intercept}' is not recognized by {command}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_single_run_keeps_the_intercepts(tmp_path):
+    # they generate single-run's dataset
+    cfg = _write_config(tmp_path, {"params": {"beta0": 1.5, "pi0": -2.0}})
+    params = _build(["single-run", "--config", cfg]).params
+    assert (params.beta0, params.pi0) == (1.5, -2.0)
+
+
+@pytest.mark.parametrize("command", ["sweep-beta", "single-run"])
+def test_pi1_beside_a_non_null_stock_c_rejected(tmp_path, capsys, command):
+    # stock_c / sqrt(n) overrode pi1, so any pi1 gave the same output
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, {"params": {"pi1": 0.5, "stock_c": 1.0}})
+    argv = [command, "--config", cfg]
+    if command == "sweep-beta":
+        argv += ["--out", str(out)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert (
+        "config field 'params.pi1' is not recognized beside a non-null 'params.stock_c'"
+        in captured.err
+    )
+    assert captured.out == "" and not out.exists()
+    # beside a null stock_c, pi1 is the slope
+    cfg = _write_config(tmp_path, {"params": {"pi1": 0.5, "stock_c": None}})
+    config = _build([command, "--config", cfg])
+    assert (config.sweep.base_params if config.sweep else config.params).pi1 == 0.5
 
 
 @pytest.mark.parametrize(
@@ -517,20 +557,43 @@ def test_sweep_end_to_end(tmp_path, capsys):
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    result = _small_result()
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(result, path)
-    rows = read_sweep_csv(path)
-    assert len(rows) == len(result.cells)
-    for row, cell in zip(rows, result.cells):
-        assert row["grid_value"] == cell.grid_value
-        assert row["lambda"] == cell.lam
-        assert row["mse"] == cell.mse
-        assert row["bias"] == cell.bias
-        assert row["variance"] == cell.variance
-        for q in ("q05", "q25", "q50", "q75", "q95"):
-            assert row[q] == getattr(cell, q)
-        assert row["n_degenerate"] == cell.n_degenerate
+    # sigma_eps = sigma_eta = 0 and pi1 = 0: every lambda = 0 rep is degenerate
+    noiseless = dataclasses.replace(
+        aer_calibration(beta1=1.0), sigma_eps=0.0, sigma_eta=0.0, err_cov=0.0
+    )
+    degenerate = run_sweep(SweepConfig(noiseless, GridVariable.PI1, (0.0, 0.5), (0.0,), 30, 3, 1))
+    assert degenerate.cells[0].n_degenerate == 3 and math.isnan(degenerate.cells[0].mse)
+    for result in (_small_result(), degenerate):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(result, path)
+        rows = read_sweep_csv(path)
+        assert len(rows) == len(result.cells)
+        for row, cell in zip(rows, result.cells):
+            assert list(row) == list(cli.CSV_COLUMNS)
+            for column, field in zip(cli.CSV_COLUMNS, dataclasses.fields(SweepCell)):
+                value = getattr(cell, field.name)
+                assert type(row[column]) is type(value)
+                assert row[column] == value or (math.isnan(row[column]) and math.isnan(value))
+
+
+def test_csv_columns_are_the_sweep_cell_fields():
+    # SweepCell is the one schema of the sweep table; lam is a Python keyword
+    pairs = list(zip(dataclasses.fields(SweepCell), cli.CSV_COLUMNS, strict=True))
+    assert [(f.name, column) for f, column in pairs if f.name != column] == [("lam", "lambda")]
+
+
+def test_readme_column_lists_match_the_writers(tmp_path):
+    text = " ".join(_readme_text().split())
+    documented = {
+        name: re.search(rf"`{name}` with columns `([^`]*)`", text).group(1).split(", ")
+        for name in ("mse_sweep.csv", "raw_estimates.csv")
+    }
+    raw_path = tmp_path / "raw.csv"
+    cli.write_raw_csv(_small_result(reps=2), raw_path)
+    assert documented == {
+        "mse_sweep.csv": list(cli.CSV_COLUMNS),
+        "raw_estimates.csv": raw_path.read_text().splitlines()[0].split(","),
+    }
 
 
 def test_flag_overrides_config_seed(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,32 @@ def test_non_finite_field_rejected(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         DgpParams(**kwargs)
+
+
+_NON_REALS = {"None": None, "str": "1", "bool": True, "list": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "field, kind",
+    [
+        (f.name, kind)
+        for f in dataclasses.fields(DgpParams)
+        for kind in _NON_REALS
+        if (f.name, kind) != ("stock_c", "None")  # None means a fixed slope
+    ],
+)
+def test_non_real_field_rejected_by_name(field, kind):
+    # None constructed and failed later inside a sweep; a string raised an
+    # error that named no field; a bool was accepted
+    kwargs = dict(beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.5)
+    kwargs[field] = _NON_REALS[kind]
+    with pytest.raises(TypeError, match=f"^{field} must be a real number, got "):
+        DgpParams(**kwargs)
+
+
+def test_numpy_and_integer_fields_accepted():
+    params = DgpParams(np.float64(2.83), 1, np.int64(0), np.float32(0.5), stock_c=2)
+    assert params.effective_pi1(4) == 1.0
 
 
 def test_err_cov_requires_structural_noise():

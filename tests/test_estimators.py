@@ -424,3 +424,12 @@ def test_every_penalty_rejects_non_finite_and_negative_values(argument, value):
     name = argument.split("-")[0]
     with pytest.raises(ValueError, match=f"^{name} must be"):
         _PENALTY_ARGUMENTS[argument](value)
+
+
+@pytest.mark.parametrize("argument", list(_PENALTY_ARGUMENTS))
+@pytest.mark.parametrize("value", [None, "1", True], ids=["None", "str", "bool"])
+def test_every_penalty_rejects_non_real_values_by_name(argument, value):
+    # None and strings raised math's error, which names no argument; True passed
+    name = argument.split("-")[0]
+    with pytest.raises(TypeError, match=f"^{name} must be a real number, got "):
+        _PENALTY_ARGUMENTS[argument](value)

@@ -401,6 +401,41 @@ def test_collect_matches_per_dataset_fit(params, schedule, n):
         assert abs(value - root_n * (ref - center)) <= root_n * 1e-12 * (abs(ref) + 1)
 
 
+@pytest.mark.parametrize(
+    "field, value, cls",
+    [
+        ("grid_variable", "pi1", "GridVariable"),
+        ("grid_variable", "beta1", "GridVariable"),
+        ("grid_variable", None, "GridVariable"),
+        ("base_params", None, "DgpParams"),
+        ("base_params", {"pi1": 0.1}, "DgpParams"),
+    ],
+    ids=["pi1-string", "beta1-string", "grid_variable-None", "base_params-None", "dict"],
+)
+def test_sweep_config_rejects_wrongly_typed_fields(field, value, cls):
+    # the string "pi1" swept beta1 under a "pi1" label and skipped the stock_c guard
+    with pytest.raises(TypeError, match=f"^{field} must be a {cls}, got "):
+        _small_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "params, schedule, message",
+    [
+        (None, PenaltySchedule(PenaltyRate.CONSTANT, 0.0), "params must be a DgpParams"),
+        (aer_calibration(), None, "schedule must be a PenaltySchedule"),
+        (aer_calibration(), 0.0, "schedule must be a PenaltySchedule"),
+    ],
+    ids=["params-None", "schedule-None", "schedule-number"],
+)
+def test_collect_rejects_wrongly_typed_arguments_before_the_draw(
+    monkeypatch, params, schedule, message
+):
+    calls = _count_draws(monkeypatch)
+    with pytest.raises(TypeError, match=f"^{message}, got "):
+        collect_sampling_distribution(params, schedule, 50, 10, 1)
+    assert calls == []
+
+
 def test_collect_validates_reps_and_n():
     params = aer_calibration(beta1=1.0)
     schedule = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
@@ -526,6 +561,23 @@ def test_unknown_regime_rejected(monkeypatch):
     for regimes in (("bogus",), ("strong-variance", "sqrtn-bias", "bogus")):
         with pytest.raises(ValueError, match="unknown regime 'bogus'"):
             verify_regimes(regimes, 10, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "regimes, message",
+    [
+        ("strong-variance", "regimes must be a sequence of regime names"),
+        (("strong-variance", "strong-variance"), "regimes must not repeat a regime"),
+        (["sqrtn-bias", "strong-variance", "sqrtn-bias"], "regimes must not repeat a regime"),
+    ],
+    ids=["bare-string", "repeated", "repeated-apart"],
+)
+def test_verify_rejects_what_the_cli_rejects(monkeypatch, regimes, message):
+    # a bare string was read as the regimes 's', 't', ...; a repeat ran twice
+    calls = _count_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        verify_regimes(regimes, 10, 1, n=100)
     assert calls == []
 
 
