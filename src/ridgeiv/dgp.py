@@ -57,7 +57,12 @@ def _finite_real(name: str, value: object) -> float:
     """``value`` if it is a finite real other than a bool; else an error naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int (or Fraction) beyond the float range
+        message = f"{name} must be finite, got a value too large for a float"
+        raise ValueError(message) from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 

@@ -278,6 +278,7 @@ def gmm_objective(data: Dataset, beta: float, gamma: float) -> float:
 
     Uses raw uncentered sums (no intercepts).
     """
+    _finite_real("beta", beta)
     _penalty("gamma", gamma)
     z = _instrument_column(data)
     moment = float(z @ (data.y - data.d * beta))

@@ -9,8 +9,9 @@ the closed-form limits in :mod:`.asymptotics`.
 Every repetition gets its own seed derived deterministically from
 ``(master_seed, grid index, rep index)``, or ``(master_seed, rep index)``
 in a sampling distribution, and the reduction over reps is performed in
-rep order, so results are bit-identical for a given config on every run.
-Nothing here writes a file: a sweep returns its per-rep estimates.
+rep order, so results are bit-identical for a given config on every run
+and at every worker count.  Nothing here writes a file: a sweep returns
+its per-rep estimates.
 
 Neither a sweep nor a sampling distribution builds a dataset.  Each rep
 draws the unit shocks (z, e, h) that ``generate_dataset`` draws for its
@@ -29,6 +30,13 @@ row, so no result depends on the block layout.  The checks of
 ``verify-asymptotics`` share one such draw: every regime of a run reduces
 the same reps, rep i seeded ``derive_seed(seed, i)``, because the unit
 shocks do not depend on a design's parameters.
+
+The draws are the whole cost, and each rep's seed fixes its draws, so they
+may run on several processes (:func:`_map_moments`): a sweep hands out one
+grid point per task, a sampling distribution or a verify run one contiguous
+range of reps per worker, and the moments come back in task order to the
+calling process, which forms every ratio, aggregate and check.
+
 The estimates match the per-dataset path (``demeaned_cov`` or
 ``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: about
 1e-11 relative at most on the default sweeps, where a near-zero
@@ -47,12 +55,14 @@ import dataclasses
 import enum
 import math
 import operator
+import os
+import threading
 from typing import Sequence
 
 import numpy as np
 
 from . import asymptotics
-from .dgp import DgpParams, _int_at_least, aer_calibration
+from .dgp import DgpParams, _finite_real, _int_at_least, aer_calibration
 from .estimators import PenaltyRate, PenaltySchedule
 
 __all__ = [
@@ -98,22 +108,16 @@ class SweepConfig:
         for name, least in (("n", 3), ("reps", 1), ("master_seed", 0)):
             value = _int_at_least(name, getattr(self, name), least)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
-        object.__setattr__(
-            self, "lambda_values", tuple(float(v) for v in self.lambda_values)
-        )
-        if not self.grid:
-            raise ValueError("grid must be non-empty")
-        if not all(math.isfinite(g) for g in self.grid):
-            raise ValueError(f"grid values must be finite, got {self.grid}")
+        for name in ("grid", "lambda_values"):
+            values = tuple(
+                float(_finite_real(f"{name}[{i}]", value))
+                for i, value in enumerate(getattr(self, name))
+            )
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            object.__setattr__(self, name, values)
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if not self.lambda_values:
-            raise ValueError("lambda_values must be non-empty")
-        if not all(math.isfinite(lam) for lam in self.lambda_values):
-            raise ValueError(
-                f"lambda values must be finite, got {self.lambda_values}"
-            )
         if any(lam < 0 for lam in self.lambda_values):
             raise ValueError("lambda values must be nonnegative")
         # cells are looked up by lambda (cells_for_lambda, mse_curve)
@@ -214,8 +218,10 @@ def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray,
     return value ^ (value >> _XSHIFT), hash_const
 
 
-def _derive_seeds(master_seed: int, prefix: tuple[int, ...], count: int) -> np.ndarray:
-    """``derive_seed(master_seed, *prefix, i)`` for i in range(count), as uint64.
+def _derive_seeds(
+    master_seed: int, prefix: tuple[int, ...], start: int, stop: int
+) -> np.ndarray:
+    """``derive_seed(master_seed, *prefix, i)`` for i in range(start, stop), as uint64.
 
     Bit-for-bit the same as the scalar path, at a fraction of a
     microsecond per seed instead of a SeedSequence object per call.
@@ -233,7 +239,7 @@ def _derive_seeds(master_seed: int, prefix: tuple[int, ...], count: int) -> np.n
     )
     hash_const = _INIT_A * pow(_MULT_A, 4 * shared, 2**32) & _MASK32
     out_const = _INIT_B
-    reps = np.arange(count, dtype=np.uint32)
+    reps = np.arange(start, stop, dtype=np.uint32)
     halves = []
     # generate_state(1, uint64) reads pool words 0 and 1, low word first;
     # mixing the rep word into words 2 and 3 would change no output.
@@ -280,13 +286,15 @@ class _UnitShocks:
 
 
 def _shock_moments(
-    master_seed: int, path: tuple[int, ...], reps: int, n: int
+    master_seed: int, path: tuple[int, ...], start: int, stop: int, n: int
 ) -> np.ndarray:
-    """Var z, Cov[e, z] and Cov[h, z] per rep, shape (3, reps).
+    """Var z, Cov[e, z] and Cov[h, z] per rep of [start, stop), shape (3, stop - start).
 
-    Rep i draws the shocks of seed ``derive_seed(master_seed, *path, i)``.
+    Rep i draws the shocks of seed ``derive_seed(master_seed, *path, i)``,
+    so any split of a rep range into sub-ranges gives the same columns.
     """
-    seeds = _derive_seeds(master_seed, path, reps).tolist()
+    seeds = _derive_seeds(master_seed, path, start, stop).tolist()
+    reps = stop - start
     draw = _UnitShocks().draw
     size = _block_reps(n)
     moments = np.empty((3, reps))
@@ -300,6 +308,86 @@ def _shock_moments(
         shocks *= shocks[:, :1, :]  # rows become z*z, e*z, h*z
         moments[:, start:stop] = shocks.mean(axis=2).T
     return moments
+
+
+# A pool pays only above this many samples (reps x n, summed over a call's
+# tasks).  On a 2-core x86-64 Linux host, a fork Pool(2) running sweeps of
+# n = 150 won 0 of 10 alternated pairs against the serial path at 1.5e5
+# samples, 1 at 3.1e5, 9 at 6.2e5 (by 6%) and 10 at 1.5e6 (by 26%).  Forking
+# and joining cost about 10 ms, and more as the caller's memory grows.
+_POOL_MIN_SAMPLES = 1_000_000
+
+_Task = tuple[int, tuple[int, ...], int, int, int]  # _shock_moments' arguments
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, so ``taskset`` limits it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform: run serially
+        return 1
+
+
+def _pool_workers(tasks: int, samples: int) -> int:
+    """Processes to draw ``tasks`` tasks of ``samples`` samples in all; 1 is serial.
+
+    No pool is made for too little work, for a single task or CPU, where
+    ``fork`` is missing, in a daemonic process (a pool worker may not start
+    processes), or while another Python thread runs: forking a threaded
+    process can leave the child a lock that no thread will release.
+    """
+    if samples < _POOL_MIN_SAMPLES or threading.active_count() > 1:
+        return 1
+    workers = min(_usable_cpus(), tasks)
+    if workers > 1:
+        import multiprocessing  # lazily: serial runs do not pay for the import
+
+        if (
+            "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+        ):
+            return 1
+    return workers
+
+
+def _moments_task(task: _Task) -> np.ndarray:
+    """One pool task: a few ints in, one (3, stop - start) array out."""
+    return _shock_moments(*task)
+
+
+def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
+    """``_shock_moments`` of each task, in task order, on ``workers`` processes.
+
+    The pool is forked for this call and gone when it returns, an error in a
+    task included.  Its workers inherit the module, so only the tasks and
+    their moments cross a process.
+    """
+    if workers == 1:
+        return [_shock_moments(*task) for task in tasks]
+    import multiprocessing
+    import warnings
+
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on any fork beside a native thread, such as the
+        # BLAS pool numpy starts; no ridgeiv task calls BLAS, and
+        # _pool_workers has checked that no Python thread runs.
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded", DeprecationWarning
+        )
+        pool = multiprocessing.get_context("fork").Pool(workers)
+    with pool:
+        moments = pool.map(_moments_task, tasks, chunksize=1)
+        pool.close()
+        pool.join()
+    return moments
+
+
+def _rep_moments(master_seed: int, reps: int, n: int) -> np.ndarray:
+    """``_shock_moments(master_seed, (), 0, reps, n)``, one rep range per worker."""
+    workers = _pool_workers(reps, reps * n)
+    bounds = [reps * w // workers for w in range(workers + 1)]
+    tasks = [(master_seed, (), start, stop, n) for start, stop in zip(bounds, bounds[1:])]
+    return np.concatenate(_map_moments(tasks, workers), axis=1)
 
 
 def _ratios(
@@ -343,24 +431,28 @@ def _aggregate(
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep and aggregate MSE/bias/variance per cell.
 
-    Grid points run in order on the calling thread.  Cells are
-    lambda-major, and ``SweepResult.estimates`` holds each cell's per-rep
-    estimates; nothing is written to disk.
+    Each grid point's draws are one task, run on a fork pool of up to one
+    process per usable CPU when the sweep is large enough
+    (:func:`_pool_workers`), else in order on the calling thread; the
+    result is the same bytes either way.  Cells are lambda-major, and
+    ``SweepResult.estimates`` holds each cell's per-rep estimates; nothing
+    is written to disk.
     """
-    grid, lambdas = config.grid, config.lambda_values
+    grid, lambdas, reps, n = config.grid, config.lambda_values, config.reps, config.n
     # every lambda shares the rep's draws
-    estimates = np.empty((len(lambdas), len(grid), config.reps))
+    estimates = np.empty((len(lambdas), len(grid), reps))
     params = [config.params_at(grid_value) for grid_value in grid]
-    for gi, point in enumerate(params):
-        moments = _shock_moments(config.master_seed, (gi,), config.reps, config.n)
-        estimates[:, gi] = _ratios(point, config.n, moments, lambdas)
+    tasks = [(config.master_seed, (gi,), 0, reps, n) for gi in range(len(grid))]
+    workers = _pool_workers(len(tasks), len(tasks) * reps * n)
+    for gi, moments in enumerate(_map_moments(tasks, workers)):
+        estimates[:, gi] = _ratios(params[gi], n, moments, lambdas)
     cells = tuple(
         _aggregate(estimates[li, gi], params[gi].beta1, grid_value, lam)
         for li, lam in enumerate(lambdas)
         for gi, grid_value in enumerate(grid)
     )
-    estimates = estimates.reshape(len(cells), config.reps)
-    return SweepResult(config.grid_variable, config.n, config.reps, cells, estimates)
+    estimates = estimates.reshape(len(cells), reps)
+    return SweepResult(config.grid_variable, n, reps, cells, estimates)
 
 
 def _scaled_samples(
@@ -395,7 +487,7 @@ def collect_sampling_distribution(
     n, reps = _int_at_least("n", n, 3), _int_at_least("reps", reps, 1)
     master_seed = _int_at_least("master_seed", master_seed, 0)
     shift = schedule.lambda_n(n) / n  # raises before the draw if it overflows
-    moments = _shock_moments(master_seed, (), reps, n)
+    moments = _rep_moments(master_seed, reps, n)
     (samples,) = _scaled_samples(params, n, moments, (shift,))
     return samples
 
@@ -501,7 +593,7 @@ def verify_regimes(
         raise ValueError(f"regimes must not repeat a regime, got {list(regimes)}")
     reps = _int_at_least("reps", reps, verify_min_reps(regimes))
     n, seed = _int_at_least("n", n, 3), _int_at_least("seed", seed, 0)
-    moments = _shock_moments(seed, (), reps, n)
+    moments = _rep_moments(seed, reps, n)
     results = []
     for regime in regimes:
         checks = _regime_checks(regime, moments, n)

@@ -785,6 +785,8 @@ def test_verify_needs_two_reps(monkeypatch, capsys, regime):
 
 
 def test_verify_report_matches_reference(monkeypatch, capsys):
+    # one worker, so the draw runs in this process, where it is recorded
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
     draws = []
     shock_moments = montecarlo._shock_moments
     monkeypatch.setattr(
@@ -795,7 +797,7 @@ def test_verify_report_matches_reference(monkeypatch, capsys):
     assert run_cli(["verify-asymptotics", "--reps", "500"]) == 0
     assert capsys.readouterr().out == expected
     # every regime reduces the one draw
-    assert draws == [(20260810, (), 500, 10_000)]
+    assert draws == [(20260810, (), 0, 500, 10_000)]
 
 
 def test_verify_unknown_regime_exits_2(capsys):

@@ -82,6 +82,15 @@ def test_non_finite_field_rejected(field, value):
         DgpParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["beta1", "err_cov", "stock_c"])
+def test_int_beyond_float_range_rejected_by_name(field):
+    # math.isfinite raised an unnamed OverflowError
+    kwargs = dict(beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.5)
+    kwargs[field] = -(10**400)
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got a value too large"):
+        DgpParams(**kwargs)
+
+
 _NON_REALS = {"None": None, "str": "1", "bool": True, "list": [1.0]}
 
 

@@ -433,3 +433,11 @@ def test_every_penalty_rejects_non_real_values_by_name(argument, value):
     name = argument.split("-")[0]
     with pytest.raises(TypeError, match=f"^{name} must be a real number, got "):
         _PENALTY_ARGUMENTS[argument](value)
+
+
+@pytest.mark.parametrize("argument", list(_PENALTY_ARGUMENTS))
+def test_every_penalty_names_an_int_beyond_float_range(argument):
+    # math.isfinite raised an OverflowError that named no argument
+    name = argument.split("-")[0]
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got a value too large"):
+        _PENALTY_ARGUMENTS[argument](10**400)

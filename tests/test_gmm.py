@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,16 @@ def test_objective_zero_at_exact_fit():
 def test_objective_rejects_negative_gamma():
     with pytest.raises(ValueError, match="nonnegative"):
         gmm_objective(HAND_DATA, beta=1.0, gamma=-1.0)
+
+
+@pytest.mark.parametrize(
+    "beta, error",
+    [(math.nan, ValueError), (math.inf, ValueError), (None, TypeError), ("1", TypeError)],
+)
+def test_objective_checks_beta_by_name(beta, error):
+    # nan returned nan, and None failed inside the arithmetic
+    with pytest.raises(error, match="^beta must be"):
+        gmm_objective(HAND_DATA, beta=beta, gamma=1.0)
 
 
 def test_minimize_hand_example():

@@ -67,10 +67,27 @@ def test_config_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_grid_and_lambdas_rejected(bad):
     # NaN fails every comparison, so the ordering checks alone let it through
-    with pytest.raises(ValueError, match="grid values must be finite"):
+    with pytest.raises(ValueError, match=r"^grid\[1\] must be finite"):
         _small_config(grid=(0.1, bad, 0.3))
-    with pytest.raises(ValueError, match="lambda values must be finite"):
+    with pytest.raises(ValueError, match=r"^lambda_values\[1\] must be finite"):
         _small_config(lambda_values=(0.0, bad))
+
+
+@pytest.mark.parametrize("field", ["grid", "lambda_values"])
+@pytest.mark.parametrize("bad", ["0.1", True, None])
+def test_non_real_grid_and_lambda_entries_rejected_by_name(field, bad):
+    # float() accepted "0.1" and True, and None failed with an unnamed error
+    values = {"grid": (bad, 0.5), "lambda_values": (bad, 1.0)}[field]
+    with pytest.raises(TypeError, match=rf"^{field}\[0\] must be a real number"):
+        _small_config(**{field: values})
+
+
+def test_numpy_grid_entries_accepted_as_floats():
+    config = _small_config(
+        grid=tuple(np.linspace(0.0, 1.0, 3)), lambda_values=(np.int64(2),)
+    )
+    assert config.grid == (0.0, 0.5, 1.0) and config.lambda_values == (2.0,)
+    assert all(type(value) is float for value in config.grid + config.lambda_values)
 
 
 def test_params_at_replaces_the_right_field():
@@ -94,6 +111,10 @@ def test_derive_seed_is_stable_and_distinct():
 # the block sweep kernel against the per-dataset path
 
 
+# whole blocks and partial ones; a pool worker's range starts past 0
+_REP_RANGES = ((0, 0), (0, 1), (0, 2 * _BLOCK_REPS + 5), (7, 7), (64, 131), (499, 500))
+
+
 # The 32-bit words of the master seed and of the prefix set how far the
 # hash has run before the rep word, so seeds of 1 to 5 words are covered.
 @pytest.mark.parametrize(
@@ -108,19 +129,19 @@ def test_derive_seed_is_stable_and_distinct():
 )
 def test_vectorised_seeds_match_derive_seed(master, grid_index):
     for prefix in ((grid_index,), (3, grid_index)):
-        for count in (0, 1, 2 * _BLOCK_REPS + 5):
-            seeds = _derive_seeds(master, prefix, count)
+        for start, stop in _REP_RANGES:
+            seeds = _derive_seeds(master, prefix, start, stop)
             assert seeds.dtype == np.uint64
-            expected = [derive_seed(master, *prefix, rep) for rep in range(count)]
+            expected = [derive_seed(master, *prefix, rep) for rep in range(start, stop)]
             assert seeds.tolist() == expected
 
 
 def test_empty_seed_path_matches_derive_seed():
     # sampling distributions seed rep i with derive_seed(master, i)
     for master in (0, 20260810, 2**64, 2**128 + 1, np.uint64(2**64 - 1)):
-        for count in (0, 1, 2 * _BLOCK_REPS + 5):
-            expected = [derive_seed(master, rep) for rep in range(count)]
-            assert _derive_seeds(master, (), count).tolist() == expected
+        for start, stop in _REP_RANGES:
+            expected = [derive_seed(master, rep) for rep in range(start, stop)]
+            assert _derive_seeds(master, (), start, stop).tolist() == expected
 
 
 def test_block_length_follows_n():
@@ -173,7 +194,7 @@ def test_rekeyed_draw_matches_generate_dataset():
 def test_kernel_matches_per_dataset_path(config):
     for gi, grid_value in enumerate(config.grid):
         params = config.params_at(grid_value)
-        moments = _shock_moments(config.master_seed, (gi,), config.reps, config.n)
+        moments = _shock_moments(config.master_seed, (gi,), 0, config.reps, config.n)
         estimates = _ratios(params, config.n, moments, config.lambda_values)
         for rep in range(config.reps):
             data = generate_dataset(
@@ -527,7 +548,7 @@ def test_numpy_integer_arguments_accepted(entry):
 def test_weak_instrument_check_draws_once(monkeypatch):
     calls = _count_draws(monkeypatch)
     [(ok, lines)] = verify_regimes(("weak-instrument",), 500, 9, n=1000)
-    assert calls == [(9, (), 500, 1000)]
+    assert calls == [(9, (), 0, 500, 1000)]
     assert len(lines) == 5
     # the same values as one collection per schedule
     params = dataclasses.replace(aer_calibration(beta1=1.0, stock_c=1.0), pi1=0.0)
@@ -549,7 +570,7 @@ def test_weak_instrument_check_draws_once(monkeypatch):
 def test_verify_regimes_share_one_draw(monkeypatch, regimes):
     calls = _count_draws(monkeypatch)
     results = verify_regimes(regimes, 500, 31, n=1000)
-    assert calls == [(31, (), 500, 1000)]
+    assert calls == [(31, (), 0, 500, 1000)]
     assert len(results) == len(regimes)
     for regime, result in zip(regimes, results):
         assert result[1][0].startswith(f"[{regime}] ")
