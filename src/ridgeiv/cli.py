@@ -445,19 +445,20 @@ def write_sweep_csv(result: SweepResult, path: Path) -> None:
 def write_raw_csv(result: SweepResult, path: Path) -> None:
     """Write one row per rep of every cell, in cell order.
 
-    A degenerate rep has beta1_hat ``nan`` and degenerate ``1``.
+    Floats are written as their ``repr``, the shortest text that parses
+    back to the same float.  A degenerate rep has beta1_hat ``nan`` and
+    degenerate ``1``.
     """
+    rep_texts = [f"{rep}," for rep in range(result.reps)]
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["grid_value", "lambda", "rep", "beta1_hat", "degenerate"])
+        fh.write("grid_value,lambda,rep,beta1_hat,degenerate\n")
+        # one write per cell: the text in memory is one cell's rows
         for cell, estimates in zip(result.cells, result.estimates):
-            grid_text, lam_text = repr(cell.grid_value), repr(cell.lam)
-            # csv writes a float as its repr, nan included
-            flags = np.isnan(estimates).astype(np.int8).tolist()
-            writer.writerows(
-                [grid_text, lam_text, rep, value, flag]
-                for rep, (value, flag) in enumerate(zip(estimates.tolist(), flags))
-            )
+            prefix = f"{cell.grid_value!r},{cell.lam!r},"
+            fh.write("".join([
+                f"{prefix}{rep_text}{text},{'1' if text == 'nan' else '0'}\n"
+                for rep_text, text in zip(rep_texts, map(repr, estimates.tolist()))
+            ]))
 
 
 def read_sweep_csv(path: Path) -> list[dict[str, float | int]]:

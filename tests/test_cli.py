@@ -1,5 +1,7 @@
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,7 +11,10 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridgeiv.cli as cli
 import ridgeiv.montecarlo as montecarlo
@@ -21,7 +26,14 @@ from ridgeiv.cli import (
 )
 from ridgeiv.dgp import aer_calibration
 from ridgeiv.estimators import PenaltyRate, PenaltySchedule
-from ridgeiv.montecarlo import VERIFY_REGIMES, GridVariable, SweepCell, SweepConfig, run_sweep
+from ridgeiv.montecarlo import (
+    VERIFY_REGIMES,
+    GridVariable,
+    SweepCell,
+    SweepConfig,
+    SweepResult,
+    run_sweep,
+)
 
 SMALL_CONFIG = {
     "grid": {"start": 0.1, "stop": 0.5, "points": 3},
@@ -594,6 +606,65 @@ def test_readme_column_lists_match_the_writers(tmp_path):
         "mse_sweep.csv": list(cli.CSV_COLUMNS),
         "raw_estimates.csv": raw_path.read_text().splitlines()[0].split(","),
     }
+
+
+def _hand_result(grid, lambdas, estimates):
+    """A SweepResult with these estimates; the raw writer reads no aggregate."""
+    cells = tuple(
+        SweepCell(grid_value, lam, *[math.nan] * 8, 0) for lam in lambdas for grid_value in grid
+    )
+    return SweepResult(GridVariable.PI1, 30, estimates.shape[1], cells, estimates)
+
+
+def _csv_module_rendering(result):
+    """The raw table as csv.writer renders it: floats as repr, 1 where NaN."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["grid_value", "lambda", "rep", "beta1_hat", "degenerate"])
+    for cell, row in zip(result.cells, result.estimates):
+        writer.writerows(
+            [repr(cell.grid_value), repr(cell.lam), rep, value, int(math.isnan(value))]
+            for rep, value in enumerate(row.tolist())
+        )
+    return buffer.getvalue().encode()
+
+
+def test_raw_csv_matches_the_csv_module_on_edge_floats(tmp_path):
+    edges = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 2.0])
+    estimates = np.stack([np.roll(edges, k) for k in range(4)])
+    result = _hand_result((-0.0, 1e-300), (0.0, 2.5e10), estimates)
+    path = tmp_path / "raw.csv"
+    cli.write_raw_csv(result, path)
+    assert path.read_bytes() == _csv_module_rendering(result)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 4 * 8
+    assert lines[1:3] == ["-0.0,0.0,0,nan,1", "-0.0,0.0,1,inf,0"]
+    assert lines[-1] == "1e-300,25000000000.0,7,5e-324,0"
+
+
+@given(
+    st.lists(st.floats(), min_size=1, max_size=8),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_raw_csv_parses_back_bit_for_bit(tmp_path_factory, values, grid_value, lam):
+    estimates = np.array([values, values[::-1]])
+    result = _hand_result((grid_value,), (lam, lam + 1.0), estimates)
+    path = tmp_path_factory.getbasetemp() / "raw_property.csv"
+    cli.write_raw_csv(result, path)
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == estimates.size
+    for i, row in enumerate(rows):
+        cell_index, rep = divmod(i, len(values))
+        cell, value = result.cells[cell_index], float(estimates[cell_index, rep])
+        assert float(row["grid_value"]).hex() == cell.grid_value.hex()
+        assert float(row["lambda"]).hex() == cell.lam.hex()
+        assert int(row["rep"]) == rep
+        # hex() tells -0.0 from 0.0 and reads "nan" for every NaN
+        assert float(row["beta1_hat"]).hex() == value.hex()
+        assert row["degenerate"] == ("1" if math.isnan(value) else "0")
 
 
 def test_flag_overrides_config_seed(tmp_path, capsys):

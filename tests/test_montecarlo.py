@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -151,6 +152,32 @@ def test_block_length_follows_n():
     assert _block_reps(10_000) == _block_reps(10**7) == 1
 
 
+# sha256 of the kernel's moments as little-endian float64 bytes.  They pin
+# the seeds, the Philox stream, the draw order and the summation order of
+# the reduction: a rewrite of any of them that moves one bit fails here.
+_MOMENT_DIGESTS = [
+    # 130 reps at n = 150 cross two block boundaries, at reps 64 and 128
+    ((20260810, (0,), 0, 130, 150),
+     "a18bd02c8e80d48883c15cf4ae015477ceb2d8e4f68183a6d86d022bcf94f69c"),
+    # a range that starts past 0, inside a grid point's reps
+    ((20260810, (3,), 64, 131, 150),
+     "4b9c2910aeb1ae6b6bde5d4a41470003138f5d02a4833162c4071bc771a4f61d"),
+    # one rep per block at verify's n, on a sampling distribution's path
+    ((20260810, (), 0, 3, 10_000),
+     "4389c3abfc143baaad7efb5db2841ce755ae866694f5da3d8859c3ff62db414f"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", _MOMENT_DIGESTS, ids=["two-boundaries", "offset-range", "n10000"]
+)
+def test_kernel_moments_are_pinned_bit_for_bit(args, digest):
+    _, _, start, stop, _ = args
+    moments = _shock_moments(*args)
+    assert moments.shape == (3, stop - start)
+    assert hashlib.sha256(moments.astype("<f8").tobytes()).hexdigest() == digest
+
+
 def test_rekeyed_draw_matches_generate_dataset():
     # with zero intercepts, slopes and err_cov, y = eps and d = eta exactly;
     # power-of-two scales make the division back to unit shocks exact
@@ -231,6 +258,31 @@ def test_raw_rows_do_not_depend_on_the_block_layout(n, k):
     full, short = estimates(150), estimates(k)
     assert short.shape == (full.shape[0], k)
     assert np.array_equal(short, full[:, :k], equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "bad, got",
+    [
+        pytest.param(lambda e: e[:5], r"a float64 array of shape \(5, 3\)", id="few-cells"),
+        pytest.param(lambda e: e[:, :2], r"a float64 array of shape \(8, 2\)", id="few-reps"),
+        pytest.param(lambda e: e.ravel(), r"a float64 array of shape \(24,\)", id="flat"),
+        pytest.param(
+            lambda e: e.astype(np.float32), r"a float32 array of shape \(8, 3\)", id="float32"
+        ),
+        pytest.param(lambda e: e.tolist(), r"a list", id="list"),
+    ],
+)
+def test_sweep_result_rejects_estimates_of_the_wrong_shape(bad, got):
+    # write_raw_csv writes one row per entry: a short array would truncate the file
+    result = run_sweep(_small_config(reps=3))
+    assert result.estimates.shape == (8, 3)
+    with pytest.raises(
+        ValueError,
+        match=r"^estimates must be a float64 array of shape \(len\(cells\), reps\) = "
+        rf"\(8, 3\), got {got}$",
+    ):
+        dataclasses.replace(result, estimates=bad(result.estimates))
+    assert dataclasses.replace(result, estimates=result.estimates.copy()) == result
 
 
 def test_sweep_is_deterministic_on_rerun():
