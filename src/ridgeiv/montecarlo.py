@@ -36,8 +36,9 @@ the kernel, re-keying Philox about 14%, deriving the seeds 6%, centering 7%
 and the products and means 6%.  Each rep's seed fixes its draws, so they
 may run on several processes (:func:`_map_moments`): a sweep hands out one
 grid point per task, a sampling distribution or a verify run one contiguous
-range of reps per worker, and the moments come back in task order to the
-calling process, which forms every ratio, aggregate and check.
+range of reps per worker.  The calling process forks the workers for the
+call with ``os.fork``, gets the moments back in task order through shared
+memory, and forms every ratio, aggregate and check.
 
 The estimates match the per-dataset path (``demeaned_cov`` or
 ``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: about
@@ -55,11 +56,18 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import math
+import mmap
 import operator
 import os
+import pickle
+import signal
+import sys
 import threading
-from typing import Sequence
+import traceback
+import warnings
+from typing import BinaryIO, NoReturn, Sequence
 
 import numpy as np
 
@@ -331,18 +339,30 @@ def _shock_moments(
     return moments
 
 
-# A pool pays only above this many samples (reps x n, summed over a call's
-# tasks).  On a 2-core x86-64 Linux host, a fork Pool(2) running sweeps of
-# n = 150 won 0 of 10 alternated pairs against the serial path at 1.5e5
-# samples, 1 at 3.1e5, 9 at 6.2e5 (by 6%) and 10 at 1.5e6 (by 26%).  Forking
-# and joining cost about 10 ms, and more as the caller's memory grows.
-_POOL_MIN_SAMPLES = 1_000_000
+# Forking pays only from this many samples (reps x n, summed over a call's
+# tasks).  On a 2-core x86-64 Linux host, 2 forked workers against the
+# serial path, 10 alternated pairs per size, won:
+#
+#   samples               3.1e4  6.2e4  9.2e4  1.5e5  2.2e5  3.1e5  4.0e5  6.2e5
+#   sweep, n = 150        0      0      2      5      7      10     9      10
+#
+#   samples               1.0e5  1.5e5  2.0e5  3.0e5  4.0e5  5.0e5
+#   rep range, n = 1e4    0      0      4      10     10     10
+#
+# Two forks, their page faults and their exits cost about 5 ms.  On the
+# moments of the default sweep-pi grid (41 x 100 reps, 6.2e5 samples) the
+# serial path took 57-68 ms, a fork multiprocessing Pool(2) 90-105 ms and
+# the two forked workers 44-48 ms.
+_POOL_MIN_SAMPLES = 300_000
 
 _Task = tuple[int, tuple[int, ...], int, int, int]  # _shock_moments' arguments
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, so ``taskset`` limits it."""
+    """CPUs this process may run on: its affinity mask, so ``taskset`` limits it.
+
+    Every platform with affinity masks has ``os.fork``.
+    """
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform: run serially
@@ -352,55 +372,121 @@ def _usable_cpus() -> int:
 def _pool_workers(tasks: int, samples: int) -> int:
     """Processes to draw ``tasks`` tasks of ``samples`` samples in all; 1 is serial.
 
-    No pool is made for too little work, for a single task or CPU, where
-    ``fork`` is missing, in a daemonic process (a pool worker may not start
-    processes), or while another Python thread runs: forking a threaded
-    process can leave the child a lock that no thread will release.
+    Nothing is forked for too little work, for a single task or CPU, in a
+    daemonic ``multiprocessing`` process (such as a pool worker, which may
+    not start processes), or while another Python thread runs: forking a
+    threaded process can leave the child a lock that no thread will release.
     """
     if samples < _POOL_MIN_SAMPLES or threading.active_count() > 1:
         return 1
-    workers = min(_usable_cpus(), tasks)
-    if workers > 1:
-        import multiprocessing  # lazily: serial runs do not pay for the import
-
-        if (
-            "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-        ):
-            return 1
-    return workers
+    # a process that never imported multiprocessing is none of its daemons
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return min(_usable_cpus(), tasks)
 
 
-def _moments_task(task: _Task) -> np.ndarray:
-    """One pool task: a few ints in, one (3, stop - start) array out."""
-    return _shock_moments(*task)
+class _WorkerTraceback(Exception):
+    """The traceback of an error raised in a draw worker, as text."""
+
+
+def _draw_share(
+    cpu: int,
+    tasks: list[_Task],
+    columns: list[tuple[int, int]],
+    shared: np.ndarray,
+    report: BinaryIO,
+) -> NoReturn:
+    """The life of a forked draw worker: fill its columns of ``shared``, then exit.
+
+    An error, with its traceback, is pickled to ``report`` for the caller to
+    raise; an error that does not pickle and unpickle goes as a RuntimeError
+    naming it.  The worker never returns into the caller's stack.
+    """
+    code = 1
+    try:
+        # Linux may start forked children on one CPU and leave them there
+        # for the few milliseconds they live: on a 2-core host both workers
+        # of a sweep often shared a CPU, each taking twice its time.  So the
+        # worker moves to a CPU of its own, then gets the whole mask back,
+        # free to move off a CPU that turns busy.
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
+        for task, (first, last) in zip(tasks, columns):
+            shared[:, first:last] = _shock_moments(*task)
+        code = 0
+    except BaseException as exc:
+        text = traceback.format_exc()
+        try:
+            error = pickle.dumps((exc, text))
+            pickle.loads(error)
+        except Exception:
+            error = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
+        report.write(error)
+        report.flush()
+    finally:
+        os._exit(code)
 
 
 def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
     """``_shock_moments`` of each task, in task order, on ``workers`` processes.
 
-    The pool is forked for this call and gone when it returns, an error in a
-    task included.  Its workers inherit the module, so only the tasks and
-    their moments cross a process.
+    With more than one worker, the call forks one child per worker.  Each
+    child draws a contiguous share of the tasks into one anonymous shared
+    ``mmap`` while the caller waits.  The children inherit the tasks, so
+    nothing is pickled but an error, which comes back over a pipe and is
+    raised here with the child's traceback as its cause.  No child outlives
+    the call: on any error, the children still running are killed, and
+    every child is reaped.
+
+    numpy imports ``numpy.random`` on first use.  A caller that has not
+    drawn leaves that to the children, about 16 ms each and in parallel:
+    importing it here would add 5.5 MiB to the caller's resident memory.
     """
     if workers == 1:
         return [_shock_moments(*task) for task in tasks]
-    import multiprocessing
-    import warnings
-
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns on any fork beside a native thread, such as the
-        # BLAS pool numpy starts; no ridgeiv task calls BLAS, and
-        # _pool_workers has checked that no Python thread runs.
-        warnings.filterwarnings(
-            "ignore", r"This process .* is multi-threaded", DeprecationWarning
-        )
-        pool = multiprocessing.get_context("fork").Pool(workers)
-    with pool:
-        moments = pool.map(_moments_task, tasks, chunksize=1)
-        pool.close()
-        pool.join()
-    return moments
+    ends = [0, *itertools.accumulate(stop - start for _, _, start, stop, _ in tasks)]
+    columns = list(zip(ends, ends[1:]))
+    shared = np.frombuffer(mmap.mmap(-1, 3 * 8 * ends[-1]), np.float64).reshape(3, -1)
+    shares = [len(tasks) * w // workers for w in range(workers + 1)]
+    cpus = sorted(os.sched_getaffinity(0))
+    pids: list[int] = []  # forked and not yet reaped
+    pipes: list[BinaryIO] = []  # read ends: a child's pickled error, if any
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on any fork beside a native thread, such as
+            # the BLAS pool numpy starts; no draw calls BLAS, and
+            # _pool_workers has checked that no Python thread runs.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
+            )
+            for w, (first, last) in enumerate(zip(shares, shares[1:])):
+                read_fd, write_fd = os.pipe()
+                pipes.append(open(read_fd, "rb"))
+                with open(write_fd, "wb") as report:
+                    pid = os.fork()
+                    if pid == 0:
+                        cpu, share = cpus[w % len(cpus)], slice(first, last)
+                        _draw_share(cpu, tasks[share], columns[share], shared, report)
+                pids.append(pid)
+        for pid, pipe in zip(pids.copy(), pipes):
+            error = pipe.read()  # the end of file comes when the child exits
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            if error:
+                exc, text = pickle.loads(error)
+                raise exc from _WorkerTraceback(text)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"draw worker {pid} exited with code {code}")
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+    return [shared[:, first:last].copy() for first, last in columns]
 
 
 def _rep_moments(master_seed: int, reps: int, n: int) -> np.ndarray:
@@ -452,10 +538,10 @@ def _aggregate(
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep and aggregate MSE/bias/variance per cell.
 
-    Each grid point's draws are one task, run on a fork pool of up to one
-    process per usable CPU when the sweep is large enough
-    (:func:`_pool_workers`), else in order on the calling thread; the
-    result is the same bytes either way.  Cells are lambda-major, and
+    Each grid point's draws are one task, run on up to one forked process
+    per usable CPU when the sweep is large enough (:func:`_pool_workers`),
+    else in order on the calling thread; the result is the same bytes
+    either way.  Cells are lambda-major, and
     ``SweepResult.estimates`` holds each cell's per-rep estimates; nothing
     is written to disk.
     """

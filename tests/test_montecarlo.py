@@ -528,7 +528,12 @@ def test_collect_rejects_an_overflowing_penalty_before_the_draw(monkeypatch):
 
 
 def _count_draws(monkeypatch):
-    """Patch ``_shock_moments`` to record its arguments; returns the record."""
+    """Patch ``_shock_moments`` to record its arguments; returns the record.
+
+    The draws run on one worker: a forked worker's calls would not reach
+    this process's record.
+    """
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
     calls = []
     shock_moments = montecarlo._shock_moments
 

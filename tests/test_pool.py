@@ -81,6 +81,8 @@ def test_every_worker_count_gives_the_serial_bytes(draw_pids, tmp_path, entry):
         # the draws ran in the pool's processes, not in this one
         assert pids and os.getpid() not in pids
         assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child of any kind is left
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_no_pool_beside_a_live_thread(draw_pids, tmp_path):
@@ -115,6 +117,8 @@ def test_an_error_in_a_task_reaches_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match=r"draw of reps \d+-\d+ failed"):
         collect_sampling_distribution(aer_calibration(beta1=1.0), _SCHEDULE, 40, 8, 3)
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child of any kind is left
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _collect_bytes(_=None):
@@ -131,3 +135,5 @@ def test_a_pool_worker_draws_serially(monkeypatch):
         pool.join()
     assert inner == _collect_bytes()
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child of any kind is left
+        os.waitpid(-1, os.WNOHANG)
