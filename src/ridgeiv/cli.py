@@ -24,9 +24,14 @@ single-run            params, n, seed, schedule
 
 Every config value is checked by name; then each flag that is given
 overrides its key (``--out`` sets output_dir, ``--plots`` emit_plots,
-``--raw`` emit_raw, ``--regime`` regimes).  A sweep's ``params`` may not
-set the parameter its grid sets (``pi1`` or ``beta1``) or an intercept, and
-no ``params`` may set ``pi1`` beside a non-null ``stock_c``.
+``--raw`` emit_raw, ``--regime`` regimes).  The library owns every value
+rule (``DgpParams``, ``PenaltySchedule``, ``SweepConfig``,
+``verify_min_reps``); a rule it rejects exits 2 naming the config key.
+This module states only what JSON adds: JSON type names, finite numbers
+(``NaN`` and ``Infinity`` as JSON writes them), unknown keys, lambdas
+distinct as plot names, and a ``seed`` below 2**64.  A sweep's ``params``
+may not set the parameter its grid sets (``pi1`` or ``beta1``) or an
+intercept, and no ``params`` may set ``pi1`` beside a non-null ``stock_c``.
 
 Exit codes: 0 success, 2 bad arguments or config, 1 runtime failure or a
 failed verification.  Sweeps write ``mse_sweep.csv`` (one column per
@@ -49,7 +54,7 @@ from typing import Any, Callable, Sequence, get_type_hints
 
 import numpy as np
 
-from .dgp import DgpParams, aer_calibration, generate_dataset
+from .dgp import DgpParams, _int_at_least, aer_calibration, generate_dataset
 from .estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
 from .montecarlo import (
     VERIFY_REGIMES,
@@ -187,6 +192,15 @@ _SWEEP_FIELDS = {
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(DgpParams))
 
+# library argument -> the config key that sets it.  build_config names the key of
+# the argument a library ValueError starts with (base_params.stock_c -> 'params.stock_c').
+_ARG_KEYS = {
+    **{field: key for key, field in _SWEEP_FIELDS.items()},
+    **{name: f"params.{name}" for name in _PARAM_KEYS},
+    **{f.name: f"schedule.{f.name}" for f in dataclasses.fields(PenaltySchedule)},
+    "regimes": "regimes",
+}
+
 
 # JSON names of the values json.loads returns, and of the types asked for
 _JSON_TYPE = {
@@ -223,13 +237,6 @@ def _finite_number(value: Any, field: str) -> float:
     return number
 
 
-def _int_at_least(value: Any, least: int, field: str) -> int:
-    number = _check_type(value, int, field)
-    if number < least:
-        raise ConfigError(f"config field '{field}' must be at least {least}, got {number}")
-    return number
-
-
 def _get_number(
     mapping: dict, key: str, default: float | None = None, prefix: str = ""
 ) -> float:
@@ -240,10 +247,10 @@ def _get_number(
     return _finite_number(mapping[key], prefix + key)
 
 
-def _reject_unknown(mapping: dict, known: Sequence[str], prefix: str) -> None:
+def _reject_unknown(mapping: dict, known: Sequence[str], prefix: str, by: str = "") -> None:
     for key in mapping:
         if key not in known:
-            raise ConfigError(f"config field '{prefix}{key}' is not recognized")
+            raise ConfigError(f"config field '{prefix}{key}' is not recognized{by}")
 
 
 def _parse_seed(value: Any) -> int:
@@ -266,10 +273,7 @@ def _parse_params(raw: Any) -> DgpParams:
         raise ConfigError(
             "config field 'params.pi1' is not recognized beside a non-null 'params.stock_c'"
         )
-    try:
-        return dataclasses.replace(aer_calibration(beta1=1.0), **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config field 'params' is invalid: {exc}") from exc
+    return dataclasses.replace(aer_calibration(beta1=1.0), **kwargs)
 
 
 def _finite_list(raw: list, field: str) -> tuple[float, ...]:
@@ -278,8 +282,6 @@ def _finite_list(raw: list, field: str) -> tuple[float, ...]:
 
 def _parse_grid(raw: Any) -> tuple[float, ...]:
     if isinstance(raw, list):
-        if not raw:
-            raise ConfigError("config field 'grid' must be non-empty")
         return _finite_list(raw, "grid")
     if isinstance(raw, dict):
         _reject_unknown(raw, ("start", "stop", "points"), "grid.")
@@ -287,8 +289,8 @@ def _parse_grid(raw: Any) -> tuple[float, ...]:
         stop = _get_number(raw, "stop", prefix="grid.")
         if "points" not in raw:
             raise ConfigError("config field 'grid.points' is required")
-        points = _int_at_least(raw["points"], 1, "grid.points")
-        return tuple(np.linspace(start, stop, points))
+        points = _check_type(raw["points"], int, "grid.points")
+        return tuple(np.linspace(start, stop, _int_at_least("grid.points", points, 1)))
     raise ConfigError(
         "config field 'grid' must be a list of numbers or {start, stop, points}"
     )
@@ -310,18 +312,7 @@ def _parse_regimes(raw: Any) -> tuple[str, ...]:
         _check_type(r, str, f"regimes[{i}]")
         for i, r in enumerate(_check_type(raw, list, "regimes"))
     )
-    if not regimes:
-        raise ConfigError("config field 'regimes' must be non-empty")
-    for regime in regimes:
-        if regime not in VERIFY_REGIMES:
-            raise ConfigError(
-                f"config field 'regimes' must contain only {VERIFY_REGIMES}, "
-                f"got {regime!r}"
-            )
-    if len(set(regimes)) < len(regimes):
-        raise ConfigError(
-            f"config field 'regimes' must not repeat a regime, got {list(regimes)}"
-        )
+    verify_min_reps(regimes)  # names, repeats and emptiness
     return regimes
 
 
@@ -336,20 +327,16 @@ def _parse_schedule(raw: Any) -> PenaltySchedule:
             f"config field 'schedule.rate' must be one of "
             f"{[r.value for r in PenaltyRate]}, got {rate_name!r}"
         ) from None
-    lambda0 = _get_number(raw, "lambda0", 0.0, prefix="schedule.")
-    try:
-        return PenaltySchedule(rate, lambda0)
-    except ValueError as exc:
-        raise ConfigError(f"config field 'schedule.lambda0' is invalid: {exc}") from exc
+    return PenaltySchedule(rate, _get_number(raw, "lambda0", 0.0, prefix="schedule."))
 
 
-# config key -> its parser; each raises ConfigError naming the field
+# config key -> its parser; each raises a ConfigError or a library ValueError
 _PARSERS: dict[str, Callable[[Any], Any]] = {
     "params": _parse_params,
     "grid": _parse_grid,
     "lambdas": _parse_lambdas,
-    "n": lambda raw: _int_at_least(raw, 3, "n"),
-    "reps": lambda raw: _int_at_least(raw, 1, "reps"),
+    "n": lambda raw: _int_at_least("n", _check_type(raw, int, "n"), 3),
+    "reps": lambda raw: _int_at_least("reps", _check_type(raw, int, "reps"), 1),
     "seed": _parse_seed,
     "output_dir": lambda raw: Path(_check_type(raw, str, "output_dir")),
     "emit_plots": lambda raw: _check_type(raw, bool, "emit_plots"),
@@ -373,15 +360,27 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Validate the config file (if any), then apply the flags that were given.
 
     Each top-level key must be one the subcommand reads, and each config
-    value is checked by name even when a flag overrides it.
+    value is checked by name even when a flag overrides it.  A library
+    ValueError leaves as a ConfigError naming the config key of the
+    argument its message starts with (``_ARG_KEYS``).
     """
+    try:
+        return _resolve_config(args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(" ")
+        arg = name.split(".")[0].split("[")[0]
+        if arg not in _ARG_KEYS:  # not a value rule: a bug, left unrenamed
+            raise
+        key = _ARG_KEYS[arg] + name[len(arg):]
+        raise ConfigError(f"config field '{key}' {reason}") from exc
+
+
+def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     command = Command(args.command)
     file_cfg = _load_json(Path(args.config)) if args.config else {}
-    for key in file_cfg:
-        if key not in _CONFIG_KEYS[command]:
-            raise ConfigError(
-                f"config field '{key}' is not recognized by {command.value}"
-            )
+    _reject_unknown(file_cfg, _CONFIG_KEYS[command], "", f" by {command.value}")
     values = {key: _PARSERS[key](raw) for key, raw in file_cfg.items()}
     for flag, (key, _) in _FLAGS.items():
         given = getattr(args, flag[2:], None)
@@ -400,25 +399,16 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
                     f"config field 'params.{key}' is not recognized by {command.value}: "
                     f"the grid sets {swept}, and no covariance depends on an intercept"
                 )
-        try:
-            sweep = dataclasses.replace(
-                preset,
-                **{_SWEEP_FIELDS[k]: v for k, v in values.items() if k in _SWEEP_FIELDS},
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid sweep configuration: {exc}") from exc
+        sweep = dataclasses.replace(
+            preset, **{_SWEEP_FIELDS[k]: v for k, v in values.items() if k in _SWEEP_FIELDS}
+        )
     config = ExperimentConfig(
         command=command,
         sweep=sweep,
         **{k: v for k, v in values.items() if k not in ("grid", "lambdas")},
     )
     if command is Command.VERIFY_ASYMPTOTICS:
-        least = verify_min_reps(config.regimes)
-        if config.reps < least:
-            raise ConfigError(
-                f"config field 'reps' must be at least {least} for "
-                f"{', '.join(config.regimes)}, got {config.reps}"
-            )
+        _int_at_least("reps", config.reps, verify_min_reps(config.regimes))
     if command is Command.SINGLE_RUN:
         try:  # a finite lambda0 can still overflow at the run's n
             config.schedule.lambda_n(config.n)

@@ -128,17 +128,19 @@ class SweepConfig:
             object.__setattr__(self, name, values)
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if any(lam < 0 for lam in self.lambda_values):
-            raise ValueError("lambda values must be nonnegative")
+        for i, lam in enumerate(self.lambda_values):
+            if lam < 0:
+                raise ValueError(f"lambda_values[{i}] must be nonnegative, got {lam}")
         # cells are looked up by lambda (cells_for_lambda, mse_curve)
         if len(set(self.lambda_values)) < len(self.lambda_values):
-            raise ValueError(f"lambda values must be distinct, got {self.lambda_values}")
+            raise ValueError(f"lambda_values must be distinct, got {self.lambda_values}")
         if (
             self.grid_variable is GridVariable.PI1
             and self.base_params.stock_c is not None
         ):
             raise ValueError(
-                "cannot sweep pi1 while stock_c overrides the first-stage slope"
+                "base_params.stock_c cannot be set while sweeping pi1: "
+                "stock_c / sqrt(n) overrides the first-stage slope"
             )
 
     def params_at(self, grid_value: float) -> DgpParams:
@@ -672,9 +674,22 @@ def _regime_checks(regime: str, moments: np.ndarray, n: int) -> list[tuple[bool,
 def verify_min_reps(regimes: Sequence[str]) -> int:
     """Fewest reps :func:`verify_regimes` accepts for these regimes.
 
-    Every check needs a sample variance; the heavy-tail check of
-    ``weak-instrument`` needs ``asymptotics.MIN_TAIL_SAMPLES`` samples.
+    ``regimes`` must be a non-empty sequence of distinct names from
+    ``VERIFY_REGIMES``; a bare string, an unknown name or a repeat raises a
+    ValueError.  Every check needs a sample variance; the heavy-tail check
+    of ``weak-instrument`` needs ``asymptotics.MIN_TAIL_SAMPLES`` samples.
     """
+    if isinstance(regimes, str):
+        raise ValueError(f"regimes must be a sequence of regime names, got {regimes!r}")
+    if not regimes:
+        raise ValueError("regimes must be non-empty")
+    for regime in regimes:
+        if regime not in VERIFY_REGIMES:
+            raise ValueError(
+                f"regimes must contain only {VERIFY_REGIMES}, got unknown regime {regime!r}"
+            )
+    if len(set(regimes)) < len(regimes):
+        raise ValueError(f"regimes must not repeat a regime, got {list(regimes)}")
     return asymptotics.MIN_TAIL_SAMPLES if "weak-instrument" in regimes else 2
 
 
@@ -686,18 +701,9 @@ def verify_regimes(
     Returns (passed, report lines) per regime.  The unit shocks do not
     depend on a design's parameters, so one draw of ``reps`` reps, rep i
     seeded ``derive_seed(seed, i)``, serves every regime, and a regime's
-    lines do not depend on which regimes run beside it.  Every name and
-    floor is checked before the draw; a bare string or a repeat is rejected.
+    lines do not depend on which regimes run beside it.  The regimes
+    (:func:`verify_min_reps`) and every floor are checked before the draw.
     """
-    if isinstance(regimes, str):
-        raise ValueError(f"regimes must be a sequence of regime names, got {regimes!r}")
-    if not regimes:
-        raise ValueError("regimes must be non-empty")
-    for regime in regimes:
-        if regime not in VERIFY_REGIMES:
-            raise ValueError(f"unknown regime {regime!r}")
-    if len(set(regimes)) < len(regimes):
-        raise ValueError(f"regimes must not repeat a regime, got {list(regimes)}")
     reps = _int_at_least("reps", reps, verify_min_reps(regimes))
     n, seed = _int_at_least("n", n, 3), _int_at_least("seed", seed, 0)
     moments = _rep_moments(seed, reps, n)

@@ -24,7 +24,7 @@ from ridgeiv.cli import (
     run_cli,
     write_sweep_csv,
 )
-from ridgeiv.dgp import aer_calibration
+from ridgeiv.dgp import DgpParams, aer_calibration
 from ridgeiv.estimators import PenaltyRate, PenaltySchedule
 from ridgeiv.montecarlo import (
     VERIFY_REGIMES,
@@ -522,6 +522,47 @@ def test_bad_params_field_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, {**SMALL_CONFIG, "params": {"sigma_eps": -1.0}})
     assert run_cli(["sweep-pi", "--config", cfg]) == 2
     assert "params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("sweep-pi", {"lambdas": [-1.0]}, "'lambdas[0]' must be nonnegative, got -1.0"),
+        ("sweep-pi", {"params": {"stock_c": 1.0}},
+         "'params.stock_c' cannot be set while sweeping pi1"),
+        ("sweep-beta", {"params": {"sigma_eps": -1}},
+         "'params.sigma_eps' must be nonnegative, got -1.0"),
+        ("single-run", {"params": {"sigma_eps": 0, "err_cov": 0.5}},
+         "'params.err_cov' must be 0 when sigma_eps is 0"),
+        ("sweep-pi", {"grid": [0.5, 0.1]}, "'grid' must be strictly increasing"),
+        ("single-run", {"schedule": {"lambda0": -1}},
+         "'schedule.lambda0' must be nonnegative, got -1.0"),
+    ],
+    ids=["lambdas", "stock_c", "sigma_eps", "err_cov", "grid", "lambda0"],
+)
+def test_library_rule_named_with_its_config_key(tmp_path, capsys, command, payload, message):
+    # the library states the rule under its argument's name (lambda_values[0],
+    # base_params.stock_c, sigma_eps); the message names the config key
+    out = tmp_path / "out"
+    argv = [command, "--config", _write_config(tmp_path, payload)]
+    if command != "single-run":
+        argv += ["--out", str(out)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: config field {message}")
+    assert captured.out == "" and not out.exists()
+
+
+def test_every_library_argument_the_cli_sets_has_a_config_key():
+    # a library field added later must not surface under its internal name
+    arguments = [
+        *(f.name for f in dataclasses.fields(SweepConfig) if f.name != "grid_variable"),
+        *(f.name for f in dataclasses.fields(DgpParams)),
+        *(f.name for f in dataclasses.fields(PenaltySchedule)),
+    ]
+    assert set(arguments) <= set(cli._ARG_KEYS)
+    for argument in arguments:
+        assert cli._ARG_KEYS[argument].split(".")[0] in cli._PARSERS
 
 
 def test_unwritable_output_dir_exits_2(tmp_path, capsys):

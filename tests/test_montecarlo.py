@@ -30,6 +30,7 @@ from ridgeiv.montecarlo import (
     collect_sampling_distribution,
     derive_seed,
     run_sweep,
+    verify_min_reps,
     verify_regimes,
 )
 
@@ -642,20 +643,34 @@ def test_unknown_regime_rejected(monkeypatch):
     assert calls == []
 
 
+REGIME_REJECTIONS = {
+    "bare-string": ("strong-variance", "regimes must be a sequence of regime names"),
+    "repeated": (("strong-variance", "strong-variance"), "regimes must not repeat a regime"),
+    "repeated-apart": (
+        ["sqrtn-bias", "strong-variance", "sqrtn-bias"],
+        "regimes must not repeat a regime",
+    ),
+    "unknown": (("sqrtn-bias", "bogus"), "regimes must contain only"),
+    "empty": ((), "regimes must be non-empty"),
+}
+
+
+def _verify_small(regimes):
+    return verify_regimes(regimes, 10, 1, n=100)
+
+
 @pytest.mark.parametrize(
-    "regimes, message",
-    [
-        ("strong-variance", "regimes must be a sequence of regime names"),
-        (("strong-variance", "strong-variance"), "regimes must not repeat a regime"),
-        (["sqrtn-bias", "strong-variance", "sqrtn-bias"], "regimes must not repeat a regime"),
-    ],
-    ids=["bare-string", "repeated", "repeated-apart"],
+    "check, regimes, message",
+    [(_verify_small, *case) for case in REGIME_REJECTIONS.values()]
+    + [(verify_min_reps, *case) for case in REGIME_REJECTIONS.values()],
+    ids=[*REGIME_REJECTIONS, *(f"{name}-min-reps" for name in REGIME_REJECTIONS)],
 )
-def test_verify_rejects_what_the_cli_rejects(monkeypatch, regimes, message):
-    # a bare string was read as the regimes 's', 't', ...; a repeat ran twice
+def test_verify_rejects_what_the_cli_rejects(monkeypatch, check, regimes, message):
+    # a bare string was read as the regimes 's', 't', ...; a repeat ran twice.
+    # verify_min_reps is the check the CLI makes, so both reject the same inputs.
     calls = _count_draws(monkeypatch)
     with pytest.raises(ValueError, match=f"^{message}"):
-        verify_regimes(regimes, 10, 1, n=100)
+        check(regimes)
     assert calls == []
 
 
