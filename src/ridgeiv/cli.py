@@ -29,7 +29,9 @@ rule (``DgpParams``, ``PenaltySchedule``, ``SweepConfig``,
 ``verify_min_reps``); a rule it rejects exits 2 naming the config key.
 This module states only what JSON adds: JSON type names, finite numbers
 (``NaN`` and ``Infinity`` as JSON writes them), unknown keys, lambdas
-distinct as plot names, and a ``seed`` below 2**64.  A sweep's ``params``
+distinct as plot names, a ``seed`` below 2**64, at most 10**6
+``grid.points`` (checked before the grid is built) and no NUL character in
+``output_dir`` (no file system takes one).  A sweep's ``params``
 may not set the parameter its grid sets (``pi1`` or ``beta1``) or an
 intercept, and no ``params`` may set ``pi1`` beside a non-null ``stock_c``.
 
@@ -280,6 +282,11 @@ def _finite_list(raw: list, field: str) -> tuple[float, ...]:
     return tuple(_finite_number(v, f"{field}[{i}]") for i, v in enumerate(raw))
 
 
+# A range grid is built whole before any check of its points, so its size is
+# capped first: np.linspace would allocate 8 GB for 10^9 points.
+_MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(raw: Any) -> tuple[float, ...]:
     if isinstance(raw, list):
         return _finite_list(raw, "grid")
@@ -289,8 +296,14 @@ def _parse_grid(raw: Any) -> tuple[float, ...]:
         stop = _get_number(raw, "stop", prefix="grid.")
         if "points" not in raw:
             raise ConfigError("config field 'grid.points' is required")
-        points = _check_type(raw["points"], int, "grid.points")
-        return tuple(np.linspace(start, stop, _int_at_least("grid.points", points, 1)))
+        points = _int_at_least(
+            "grid.points", _check_type(raw["points"], int, "grid.points"), 1
+        )
+        if points > _MAX_GRID_POINTS:
+            raise ConfigError(
+                f"config field 'grid.points' must be at most {_MAX_GRID_POINTS}, got {points}"
+            )
+        return tuple(np.linspace(start, stop, points))
     raise ConfigError(
         "config field 'grid' must be a list of numbers or {start, stop, points}"
     )
@@ -330,6 +343,13 @@ def _parse_schedule(raw: Any) -> PenaltySchedule:
     return PenaltySchedule(rate, _get_number(raw, "lambda0", 0.0, prefix="schedule."))
 
 
+def _parse_output_dir(raw: Any) -> Path:
+    path = _check_type(raw, str, "output_dir")
+    if "\0" in path:  # no file system takes it; os calls raise an unnamed ValueError
+        raise ConfigError("config field 'output_dir' must not contain a NUL character")
+    return Path(path)
+
+
 # config key -> its parser; each raises a ConfigError or a library ValueError
 _PARSERS: dict[str, Callable[[Any], Any]] = {
     "params": _parse_params,
@@ -338,7 +358,7 @@ _PARSERS: dict[str, Callable[[Any], Any]] = {
     "n": lambda raw: _int_at_least("n", _check_type(raw, int, "n"), 3),
     "reps": lambda raw: _int_at_least("reps", _check_type(raw, int, "reps"), 1),
     "seed": _parse_seed,
-    "output_dir": lambda raw: Path(_check_type(raw, str, "output_dir")),
+    "output_dir": _parse_output_dir,
     "emit_plots": lambda raw: _check_type(raw, bool, "emit_plots"),
     "emit_raw": lambda raw: _check_type(raw, bool, "emit_raw"),
     "regimes": _parse_regimes,

@@ -34,11 +34,14 @@ shocks do not depend on a design's parameters.
 At n = 150 on one x86-64 core, drawing the normals is about two thirds of
 the kernel, re-keying Philox about 14%, deriving the seeds 6%, centering 7%
 and the products and means 6%.  Each rep's seed fixes its draws, so they
-may run on several processes (:func:`_map_moments`): a sweep hands out one
-grid point per task, a sampling distribution or a verify run one contiguous
-range of reps per worker.  The calling process forks the workers for the
-call with ``os.fork``, gets the moments back in task order through shared
-memory, and forms every ratio, aggregate and check.
+may run on several processes (:func:`_map_moments`): a sweep makes one task
+per grid point, a sampling distribution or a verify run several equal rep
+ranges per worker.  The calling process forks the workers for the call
+with ``os.fork`` and queues every task in a pipe; each worker claims the
+next task as soon as it is free, so no worker waits on a slow one's share.
+The caller gets the moments back in task order through shared memory, and
+forms every ratio, aggregate and check; a sweep aggregates all its cells
+in one pass.
 
 The estimates match the per-dataset path (``demeaned_cov`` or
 ``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: about
@@ -62,7 +65,9 @@ import mmap
 import operator
 import os
 import pickle
+import select
 import signal
+import struct
 import sys
 import threading
 import traceback
@@ -358,6 +363,7 @@ def _shock_moments(
 _POOL_MIN_SAMPLES = 300_000
 
 _Task = tuple[int, tuple[int, ...], int, int, int]  # _shock_moments' arguments
+_TASK_RECORD = struct.Struct("=I")  # a task's index in the task queue
 
 
 def _usable_cpus() -> int:
@@ -392,21 +398,28 @@ class _WorkerTraceback(Exception):
     """The traceback of an error raised in a draw worker, as text."""
 
 
-def _draw_share(
+def _draw_tasks(
     cpu: int,
+    queue: tuple[BinaryIO, BinaryIO],
     tasks: list[_Task],
     columns: list[tuple[int, int]],
     shared: np.ndarray,
     report: BinaryIO,
 ) -> NoReturn:
-    """The life of a forked draw worker: fill its columns of ``shared``, then exit.
+    """The life of a forked draw worker: claim tasks from ``queue`` until it ends, then exit.
 
-    An error, with its traceback, is pickled to ``report`` for the caller to
-    raise; an error that does not pickle and unpickle goes as a RuntimeError
-    naming it.  The worker never returns into the caller's stack.
+    ``queue`` holds the unbuffered read and write ends of the task queue.
+    The worker closes the write end, then reads one task index at a time and
+    draws that task into its columns of ``shared``; the end of file ends the
+    work.  An error, with its traceback, is pickled to ``report`` for the
+    caller to raise; an error that does not pickle and unpickle goes as a
+    RuntimeError naming it.  The worker never returns into the caller's
+    stack.
     """
     code = 1
     try:
+        reader, writer = queue
+        writer.close()
         # Linux may start forked children on one CPU and leave them there
         # for the few milliseconds they live: on a 2-core host both workers
         # of a sweep often shared a CPU, each taking twice its time.  So the
@@ -415,10 +428,18 @@ def _draw_share(
         cpus = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {cpu})
         os.sched_setaffinity(0, cpus)
-        for task, (first, last) in zip(tasks, columns):
-            shared[:, first:last] = _shock_moments(*task)
+        # a record is never torn: the caller writes whole records, at most
+        # select.PIPE_BUF bytes at a time, and a pipe read takes its bytes
+        # whole
+        while record := reader.read(_TASK_RECORD.size):
+            (index,) = _TASK_RECORD.unpack(record)
+            first, last = columns[index]
+            shared[:, first:last] = _shock_moments(*tasks[index])
         code = 0
     except BaseException as exc:
+        # a caller blocked on a full queue goes on to read the reports once
+        # every worker has left it; a report larger than a pipe waits for that
+        queue[0].close()
         text = traceback.format_exc()
         try:
             error = pickle.dumps((exc, text))
@@ -434,9 +455,13 @@ def _draw_share(
 def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
     """``_shock_moments`` of each task, in task order, on ``workers`` processes.
 
-    With more than one worker, the call forks one child per worker.  Each
-    child draws a contiguous share of the tasks into one anonymous shared
-    ``mmap`` while the caller waits.  The children inherit the tasks, so
+    With more than one worker, the call forks one child per worker and then
+    writes every task's index into one pipe, the task queue.  Each child
+    claims the next index as soon as it is free, so a child on a slow CPU
+    draws fewer tasks instead of holding the others back.  It draws each task
+    into that task's columns of one anonymous shared ``mmap`` while the
+    caller waits; the columns are fixed by the index, so the result does not
+    depend on which child drew what.  The children inherit the tasks, so
     nothing is pickled but an error, which comes back over a pipe and is
     raised here with the child's traceback as its cause.  No child outlives
     the call: on any error, the children still running are killed, and
@@ -451,10 +476,11 @@ def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
     ends = [0, *itertools.accumulate(stop - start for _, _, start, stop, _ in tasks)]
     columns = list(zip(ends, ends[1:]))
     shared = np.frombuffer(mmap.mmap(-1, 3 * 8 * ends[-1]), np.float64).reshape(3, -1)
-    shares = [len(tasks) * w // workers for w in range(workers + 1)]
     cpus = sorted(os.sched_getaffinity(0))
     pids: list[int] = []  # forked and not yet reaped
     pipes: list[BinaryIO] = []  # read ends: a child's pickled error, if any
+    read_fd, write_fd = os.pipe()
+    queue = (open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0))
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on any fork beside a native thread, such as
@@ -463,15 +489,27 @@ def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )
-            for w, (first, last) in enumerate(zip(shares, shares[1:])):
+            for w in range(workers):
                 read_fd, write_fd = os.pipe()
                 pipes.append(open(read_fd, "rb"))
                 with open(write_fd, "wb") as report:
                     pid = os.fork()
                     if pid == 0:
-                        cpu, share = cpus[w % len(cpus)], slice(first, last)
-                        _draw_share(cpu, tasks[share], columns[share], shared, report)
+                        cpu = cpus[w % len(cpus)]
+                        _draw_tasks(cpu, queue, tasks, columns, shared, report)
                 pids.append(pid)
+        # Only the children read the queue, so a write fails with
+        # BrokenPipeError once every one of them is gone; each one's report
+        # or exit status then says why.
+        queue[0].close()
+        records = struct.pack(f"={len(tasks)}I", *range(len(tasks)))
+        chunk = select.PIPE_BUF // _TASK_RECORD.size * _TASK_RECORD.size
+        try:
+            for first in range(0, len(records), chunk):
+                queue[1].write(records[first : first + chunk])
+        except BrokenPipeError:
+            pass
+        queue[1].close()  # the children read to the end of file
         for pid, pipe in zip(pids.copy(), pipes):
             error = pipe.read()  # the end of file comes when the child exits
             status = os.waitpid(pid, 0)[1]
@@ -483,6 +521,8 @@ def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
                 code = os.waitstatus_to_exitcode(status)
                 raise RuntimeError(f"draw worker {pid} exited with code {code}")
     finally:
+        for end in queue:
+            end.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -491,10 +531,33 @@ def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
     return [shared[:, first:last].copy() for first, last in columns]
 
 
+# Rep ranges per worker in a sampling distribution or verify run.  More
+# ranges than workers let a worker on a fast CPU claim the ranges that a
+# slow one would have held; each range costs one more seed pass and Philox.
+# On a 2-core x86-64 host, verify_regimes over all regimes at 500 reps and
+# n = 10^4 on 2 workers, 64 calls per setting in alternated fresh
+# processes, in ms:
+#
+#   ranges per worker   median   quartiles   p90
+#   1                   263      253-287     345
+#   4                   257      250-268     311
+#   8                   260      249-283     314
+#   16                  264      253-274     297
+#
+# Two earlier sets of 32 and 40 calls ranked 4, 8 and 16 differently, each
+# within its own quartiles, so 8 is no better than its neighbours; every
+# split shortened the tail that one range per worker leaves.
+_RANGES_PER_WORKER = 8
+
+
 def _rep_moments(master_seed: int, reps: int, n: int) -> np.ndarray:
-    """``_shock_moments(master_seed, (), 0, reps, n)``, one rep range per worker."""
+    """``_shock_moments(master_seed, (), 0, reps, n)``, in equal rep ranges.
+
+    Each worker gets about ``_RANGES_PER_WORKER`` ranges from the task queue.
+    """
     workers = _pool_workers(reps, reps * n)
-    bounds = [reps * w // workers for w in range(workers + 1)]
+    ranges = 1 if workers == 1 else min(reps, _RANGES_PER_WORKER * workers)
+    bounds = [reps * r // ranges for r in range(ranges + 1)]
     tasks = [(master_seed, (), start, stop, n) for start, stop in zip(bounds, bounds[1:])]
     return np.concatenate(_map_moments(tasks, workers), axis=1)
 
@@ -522,6 +585,9 @@ def _ratios(
     return np.divide(cov_yz, denominators, out=nan, where=denominators != 0.0)
 
 
+_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
 def _aggregate(
     estimates: np.ndarray, true_beta1: float, grid_value: float, lam: float
 ) -> SweepCell:
@@ -533,17 +599,51 @@ def _aggregate(
     bias = float(errors.mean())
     variance = float(np.mean((errors - bias) ** 2))
     mse = float(np.mean(errors**2))
-    quantiles = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95]).tolist()
+    quantiles = np.quantile(values, _QUANTILES).tolist()
     return SweepCell(grid_value, lam, mse, bias, variance, *quantiles, n_degenerate)
+
+
+def _aggregate_rows(
+    estimates: np.ndarray,
+    true_beta1: Sequence[float],
+    grid_values: Sequence[float],
+    lams: Sequence[float],
+) -> tuple[SweepCell, ...]:
+    """``_aggregate`` of each row of ``estimates``, with one argument of each sequence per row.
+
+    The rows without a NaN are aggregated together, in one pass along
+    ``axis=1``: each row is reduced as its own 1-D array would be, so every
+    cell has the bits of ``_aggregate``.  A row with a degenerate rep goes
+    through ``_aggregate``.
+    """
+    clean = ~np.isnan(estimates).any(axis=1)
+    values = estimates[clean]  # a copy, which the quantiles may reorder
+    errors = values - np.asarray(true_beta1)[clean, None]
+    bias = errors.mean(axis=1)
+    mse = np.mean(errors**2, axis=1)
+    # in place from here: the caller's resident memory grows with every
+    # array of the size of its estimates that is alive at once
+    errors -= bias[:, None]
+    variance = np.mean(np.square(errors, out=errors), axis=1)
+    quantiles = np.quantile(values, _QUANTILES, axis=1, overwrite_input=True)
+    stats = zip(mse.tolist(), bias.tolist(), variance.tolist(), *quantiles.tolist())
+    return tuple(
+        SweepCell(grid_value, lam, *next(stats), 0)
+        if ok
+        else _aggregate(row, beta1, grid_value, lam)
+        for row, ok, beta1, grid_value, lam in zip(
+            estimates, clean.tolist(), true_beta1, grid_values, lams
+        )
+    )
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep and aggregate MSE/bias/variance per cell.
 
-    Each grid point's draws are one task, run on up to one forked process
-    per usable CPU when the sweep is large enough (:func:`_pool_workers`),
-    else in order on the calling thread; the result is the same bytes
-    either way.  Cells are lambda-major, and
+    Each grid point's draws are one task, claimed from a queue by up to one
+    forked process per usable CPU when the sweep is large enough
+    (:func:`_pool_workers`), else run in order on the calling thread; the
+    result is the same bytes either way.  Cells are lambda-major, and
     ``SweepResult.estimates`` holds each cell's per-rep estimates; nothing
     is written to disk.
     """
@@ -555,12 +655,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     workers = _pool_workers(len(tasks), len(tasks) * reps * n)
     for gi, moments in enumerate(_map_moments(tasks, workers)):
         estimates[:, gi] = _ratios(params[gi], n, moments, lambdas)
-    cells = tuple(
-        _aggregate(estimates[li, gi], params[gi].beta1, grid_value, lam)
-        for li, lam in enumerate(lambdas)
-        for gi, grid_value in enumerate(grid)
+    estimates = estimates.reshape(len(lambdas) * len(grid), reps)
+    cells = _aggregate_rows(
+        estimates,
+        [p.beta1 for p in params] * len(lambdas),
+        grid * len(lambdas),
+        [lam for lam in lambdas for _ in grid],
     )
-    estimates = estimates.reshape(len(cells), reps)
     return SweepResult(config.grid_variable, n, reps, cells, estimates)
 
 

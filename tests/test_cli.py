@@ -576,6 +576,41 @@ def test_unwritable_output_dir_exits_2(tmp_path, capsys):
     assert "not writable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given_by", ["config", "flag"])
+def test_nul_in_output_dir_exits_2(tmp_path, capsys, given_by):
+    if given_by == "config":
+        argv = ["--config", _write_config(tmp_path, {"output_dir": "a\u0000b", "reps": 2})]
+    else:
+        argv = ["--config", _write_config(tmp_path, SMALL_CONFIG), "--out", "a\0b"]
+    assert run_cli(["sweep-pi", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'output_dir' must not contain a NUL character" in err
+
+
+@pytest.mark.parametrize("points", [10**9, 10**20])
+def test_grid_points_above_the_cap_exit_2_before_the_grid_is_built(
+    tmp_path, monkeypatch, capsys, points
+):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    cfg = _write_config(tmp_path, {"grid": {"start": 0, "stop": 1, "points": points}})
+    assert run_cli(["sweep-pi", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert (
+        f"config field 'grid.points' must be at most 1000000, got {points}"
+        in capsys.readouterr().err
+    )
+
+
+def test_grid_points_at_the_cap_accepted():
+    assert cli._MAX_GRID_POINTS == 10**6
+    grid = cli._parse_grid({"start": 0, "stop": 1, "points": cli._MAX_GRID_POINTS})
+    assert len(grid) == cli._MAX_GRID_POINTS and grid[-1] == 1.0
+    with pytest.raises(cli.ConfigError, match="'grid.points' must be at most"):
+        cli._parse_grid({"start": 0, "stop": 1, "points": cli._MAX_GRID_POINTS + 1})
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("injected failure")

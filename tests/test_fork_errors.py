@@ -27,8 +27,8 @@ _SWEEP = SweepConfig(
     reps=20,
     master_seed=11,
 )
-# on 2 workers, the second one draws reps 4-8 of the collection and grid
-# points 1 and 2 of the sweep
+# on 2 workers, some worker claims reps 4-8 of the collection and grid
+# point 1 of the sweep from the task queue
 _ENTRY_POINTS = {
     "collect": (
         lambda: collect_sampling_distribution(_PARAMS, _SCHEDULE, 40, 8, 3),

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridgeiv.asymptotics import MIN_TAIL_SAMPLES, cauchy_diagnostics
 from ridgeiv.dgp import DgpParams, aer_calibration, generate_dataset
@@ -22,6 +24,8 @@ from ridgeiv.montecarlo import (
     _BLOCK_REPS,
     GridVariable,
     SweepConfig,
+    _aggregate,
+    _aggregate_rows,
     _block_reps,
     _derive_seeds,
     _ratios,
@@ -362,6 +366,41 @@ def test_degenerate_reps_are_counted_and_excluded():
     clean = by_key[(0.0, 0.5)]
     assert clean.n_degenerate == 0
     assert clean.mse == 0.0
+
+
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
+
+
+def _estimate_rows(reps):
+    value = st.one_of(_EDGE_FLOATS, st.floats(width=64))
+    row = st.one_of(
+        st.just([math.nan] * reps),  # every rep degenerate
+        st.lists(value, min_size=reps, max_size=reps),
+    )
+    return st.lists(row, min_size=1, max_size=6)
+
+
+def _cell_bits(cell):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(cell)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 12).flatmap(_estimate_rows),
+    beta1=st.one_of(st.just(-0.0), st.floats(-1e6, 1e6)),
+)
+def test_one_pass_aggregate_matches_each_row_bit_for_bit(rows, beta1):
+    estimates = np.array(rows, dtype=np.float64)
+    true_beta1 = [beta1 * (i + 1) for i in range(len(rows))]
+    grid_values = [0.25 * i for i in range(len(rows))]
+    lams = [float(i % 2) for i in range(len(rows))]
+    with np.errstate(all="ignore"):  # an inf row's mean may be inf - inf
+        cells = _aggregate_rows(estimates, true_beta1, grid_values, lams)
+        expected = [
+            _aggregate(row.copy(), *args)
+            for row, *args in zip(estimates, true_beta1, grid_values, lams)
+        ]
+    assert [_cell_bits(c) for c in cells] == [_cell_bits(c) for c in expected]
 
 
 def test_raw_estimates_artifact(tmp_path):
