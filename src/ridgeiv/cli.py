@@ -432,7 +432,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if command is Command.SINGLE_RUN:
         try:  # a finite lambda0 can still overflow at the run's n
             config.schedule.lambda_n(config.n)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(
                 f"config field 'schedule.lambda0' is invalid at n = {config.n}: {exc}"
             ) from exc

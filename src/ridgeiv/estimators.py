@@ -96,8 +96,10 @@ class PenaltySchedule:
         """The penalty at sample size n; a ValueError if it overflows."""
         if self.rate is PenaltyRate.CONSTANT:
             return self.lambda0
+        name = f"lambda_n({n})"
+        _finite_real(name, n)  # else an int beyond the float range raises OverflowError
         growth = math.sqrt(n) if self.rate is PenaltyRate.SQRT_N else n
-        return _penalty(f"lambda_n({n})", self.lambda0 * growth)
+        return _penalty(name, self.lambda0 * growth)
 
 
 @dataclass(frozen=True)

@@ -381,9 +381,11 @@ def _pool_workers(tasks: int, samples: int) -> int:
     """Processes to draw ``tasks`` tasks of ``samples`` samples in all; 1 is serial.
 
     Nothing is forked for too little work, for a single task or CPU, in a
-    daemonic ``multiprocessing`` process (such as a pool worker, which may
-    not start processes), or while another Python thread runs: forking a
-    threaded process can leave the child a lock that no thread will release.
+    daemonic ``multiprocessing`` process such as a pool worker (a pool on W
+    CPUs would fork W**2 draw workers, and the SIGTERM of its
+    ``terminate()`` skips the ``finally`` that reaps them), or while another
+    Python thread runs: forking a threaded process can leave the child a
+    lock that no thread will release.
     """
     if samples < _POOL_MIN_SAMPLES or threading.active_count() > 1:
         return 1
@@ -696,6 +698,7 @@ def collect_sampling_distribution(
         raise TypeError(f"schedule must be a PenaltySchedule, got {schedule!r}")
     n, reps = _int_at_least("n", n, 3), _int_at_least("reps", reps, 1)
     master_seed = _int_at_least("master_seed", master_seed, 0)
+    _finite_real("n", n)  # sqrt(n) and the shift are floats
     shift = schedule.lambda_n(n) / n  # raises before the draw if it overflows
     moments = _rep_moments(master_seed, reps, n)
     (samples,) = _scaled_samples(params, n, moments, (shift,))
@@ -706,70 +709,65 @@ def collect_sampling_distribution(
 # verification of the limit theory
 
 
-def _verify_line(label: str, predicted: float, empirical: float) -> tuple[bool, str]:
+# The limit designs: a strong first stage, and the drifting first stage
+# pi1 = stock_c / sqrt(n) of Staiger and Stock (1997).
+_STRONG = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
+_DRIFTING = dataclasses.replace(aer_calibration(beta1=1.0, stock_c=1.0), pi1=0.0)
+
+
+def _relative_check(label: str, predicted: float, empirical: float) -> tuple[bool, str]:
     deviation = abs(empirical - predicted) / abs(predicted)
     ok = deviation <= VERIFY_TOLERANCE
-    text = (
+    return ok, (
         f"  {label}: predicted {predicted:.6g}, empirical {empirical:.6g}, "
         f"rel dev {100 * deviation:.2f}% -> {'PASS' if ok else 'FAIL'} "
         f"(tolerance {100 * VERIFY_TOLERANCE:.0f}%)"
     )
-    return ok, text
+
+
+def _std_err_check(label: str, predicted: float, samples: np.ndarray) -> tuple[bool, str]:
+    empirical = float(np.mean(samples))
+    std_err = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
+    ok = abs(empirical - predicted) <= 3.0 * std_err
+    return ok, (
+        f"  {label}: predicted {predicted:.6g}, empirical {empirical:.6g}, |dev| = "
+        f"{abs(empirical - predicted) / std_err:.2f} MC std errors -> "
+        f"{'PASS' if ok else 'FAIL'} (tolerance 3)"
+    )
+
+
+def _tail_check(label: str, samples: np.ndarray, expected: bool, spread: bool) -> tuple[bool, str]:
+    """The heavy-tail flag against ``expected``; ``spread`` adds the median and IQR."""
+    diag = asymptotics.cauchy_diagnostics(samples)
+    ok = diag.tail_index_flag == expected
+    shown = f" (median {diag.median:.3g}, iqr {diag.iqr:.3g})" if spread else ""
+    return ok, (
+        f"  {label} heavy-tail flag: expected {expected}, got "
+        f"{diag.tail_index_flag}{shown} -> {'PASS' if ok else 'FAIL'}"
+    )
 
 
 def _regime_checks(regime: str, moments: np.ndarray, n: int) -> list[tuple[bool, str]]:
     """(passed, report line) per check of one regime, from the shared moments."""
-    checks: list[tuple[bool, str]] = []
     if regime == "strong-variance":
-        params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
-        (samples,) = _scaled_samples(params, n, moments, (0.0,))
-        checks.append(
-            _verify_line(
-                "variance of sqrt(n)(beta_hat - beta1)",
-                asymptotics.v_ridge(params),
-                float(np.var(samples)),
-            )
-        )
-    elif regime == "sqrtn-bias":
-        params = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
-        lambda0 = 0.5
-        shift = PenaltySchedule(PenaltyRate.SQRT_N, lambda0).lambda_n(n) / n
-        (samples,) = _scaled_samples(params, n, moments, (shift,))
-        predicted = asymptotics.sqrtn_bias(params, lambda0)
-        empirical = float(np.mean(samples))
-        std_err = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-        good = abs(empirical - predicted) <= 3.0 * std_err
-        checks.append((good, (
-            f"  mean of sqrt(n)(beta_hat - beta1): predicted {predicted:.6g}, "
-            f"empirical {empirical:.6g}, |dev| = "
-            f"{abs(empirical - predicted) / std_err:.2f} MC std errors -> "
-            f"{'PASS' if good else 'FAIL'} (tolerance 3)"
-        )))
-    else:  # weak-instrument
-        params = dataclasses.replace(aer_calibration(beta1=1.0, stock_c=1.0), pi1=0.0)
-        lambda0 = 1.0
-        shifts = (0.0, PenaltySchedule(PenaltyRate.LINEAR_N, lambda0).lambda_n(n) / n)
-        raw, ridge = _scaled_samples(params, n, moments, shifts)
-        diag = asymptotics.cauchy_diagnostics(raw)
-        good = diag.tail_index_flag
-        checks.append((good, (
-            f"  unpenalized ratio heavy-tail flag: expected True, got "
-            f"{diag.tail_index_flag} (median {diag.median:.3g}, "
-            f"iqr {diag.iqr:.3g}) -> {'PASS' if good else 'FAIL'}"
-        )))
-        mean_pred, var_pred = asymptotics.staiger_stock_moments(params, lambda0)
-        checks.append(
-            _verify_line("mean of sqrt(n) beta_hat", mean_pred, float(np.mean(ridge)))
-        )
-        checks.append(
-            _verify_line("variance of sqrt(n) beta_hat", var_pred, float(np.var(ridge)))
-        )
-        good = not asymptotics.cauchy_diagnostics(ridge).tail_index_flag
-        checks.append((good, (
-            f"  penalized heavy-tail flag: expected False, got "
-            f"{not good} -> {'PASS' if good else 'FAIL'}"
-        )))
-    return checks
+        (samples,) = _scaled_samples(_STRONG, n, moments, (0.0,))
+        label, predicted = "variance of sqrt(n)(beta_hat - beta1)", asymptotics.v_ridge(_STRONG)
+        return [_relative_check(label, predicted, float(np.var(samples)))]
+    if regime == "sqrtn-bias":
+        schedule = PenaltySchedule(PenaltyRate.SQRT_N, 0.5)
+        (samples,) = _scaled_samples(_STRONG, n, moments, (schedule.lambda_n(n) / n,))
+        predicted = asymptotics.sqrtn_bias(_STRONG, schedule.lambda0)
+        return [_std_err_check("mean of sqrt(n)(beta_hat - beta1)", predicted, samples)]
+    # weak-instrument
+    schedule = PenaltySchedule(PenaltyRate.LINEAR_N, 1.0)
+    raw, ridge = _scaled_samples(_DRIFTING, n, moments, (0.0, schedule.lambda_n(n) / n))
+    mean, variance = asymptotics.staiger_stock_moments(_DRIFTING, schedule.lambda0)
+    return [
+        _tail_check("unpenalized ratio", raw, True, spread=True),
+        _relative_check("mean of sqrt(n) beta_hat", mean, float(np.mean(ridge))),
+        _relative_check("variance of sqrt(n) beta_hat", variance, float(np.var(ridge))),
+        _tail_check("penalized", ridge, False, spread=False),
+    ]
 
 
 def verify_min_reps(regimes: Sequence[str]) -> int:

@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 import dataclasses
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -32,6 +33,7 @@ from ridgeiv.estimators import (
     gmm_minimize,
     lagrange_correspondence,
 )
+import ridgeiv.montecarlo as montecarlo
 from ridgeiv.montecarlo import collect_sampling_distribution, run_sweep
 
 SEED = 20260810
@@ -281,9 +283,21 @@ def test_criterion_8_determinism_across_workers(tmp_path, monkeypatch):
         }
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
-        outputs = {}
-        for workers in ("1", "8"):
-            monkeypatch.setenv("RIDGEIV_THREADS", workers)
+        # the sweep is below the fork floor: lower it, and log who draws
+        log = tmp_path / "pids"
+        shock_moments = montecarlo._shock_moments
+
+        def logged(*task):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return shock_moments(*task)
+
+        monkeypatch.setattr(montecarlo, "_shock_moments", logged)
+        monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
+        outputs, pids = {}, {}
+        for workers in (1, 8):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=workers: cpus)
+            log.write_text("")
             out = tmp_path / f"w{workers}"
             code = run_cli(
                 ["sweep-pi", "--config", str(config_path), "--out", str(out)]
@@ -293,7 +307,11 @@ def test_criterion_8_determinism_across_workers(tmp_path, monkeypatch):
                 (out / "mse_sweep.csv").read_bytes(),
                 (out / "raw_estimates.csv").read_bytes(),
             )
-        identical = outputs["1"] == outputs["8"]
+            pids[workers] = set(map(int, log.read_text().split()))
+        assert pids[1] == {os.getpid()}
+        # the second run drew in forked processes, not in this one
+        assert pids[8] and os.getpid() not in pids[8]
+        identical = outputs[1] == outputs[8]
         budget.report(
             identical, "mse_sweep.csv and raw_estimates.csv byte-identical"
         )

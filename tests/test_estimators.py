@@ -185,6 +185,14 @@ def test_lambda_n_rejects_an_overflowing_penalty(rate, lambda0):
         schedule.lambda_n(150)
 
 
+@pytest.mark.parametrize("rate", [PenaltyRate.SQRT_N, PenaltyRate.LINEAR_N])
+def test_lambda_n_names_an_n_beyond_float_range(rate):
+    # math.sqrt(n) and lambda0 * n raised an unnamed OverflowError
+    message = r"^lambda_n\(10+\) must be finite, got a value too large"
+    with pytest.raises(ValueError, match=message):
+        PenaltySchedule(rate, 1.0).lambda_n(10**400)
+
+
 @pytest.mark.parametrize("rate", list(PenaltyRate))
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_penalty_schedule_rejects_non_finite_lambda0(rate, value):

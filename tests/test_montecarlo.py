@@ -18,6 +18,7 @@ from ridgeiv.estimators import (
     fit_ridge_iv,
     shifted_ratio,
 )
+import ridgeiv.asymptotics as asymptotics
 import ridgeiv.montecarlo as montecarlo
 from ridgeiv.cli import write_raw_csv
 from ridgeiv.montecarlo import (
@@ -567,6 +568,16 @@ def test_collect_rejects_an_overflowing_penalty_before_the_draw(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("rate", list(PenaltyRate))
+def test_collect_names_an_n_beyond_float_range_before_the_draw(monkeypatch, rate):
+    # sqrt(n), lambda_n(n) or lambda_n(n) / n raised an unnamed OverflowError
+    calls = _count_draws(monkeypatch)
+    schedule = PenaltySchedule(rate, 1.0)
+    with pytest.raises(ValueError, match="^n must be finite, got a value too large"):
+        collect_sampling_distribution(aer_calibration(beta1=1.0), schedule, 10**400, 10, 1)
+    assert calls == []
+
+
 def _count_draws(monkeypatch):
     """Patch ``_shock_moments`` to record its arguments; returns the record.
 
@@ -653,6 +664,41 @@ def test_weak_instrument_check_draws_once(monkeypatch):
         params, PenaltySchedule(PenaltyRate.CONSTANT, 0.0), 1000, 500, 9
     )
     assert f"median {cauchy_diagnostics(raw).median:.3g}," in lines[1]
+
+
+# The FAIL line of each check rule, as the report prints it.
+def test_relative_tolerance_fail_line():
+    [(ok, lines)] = verify_regimes(("strong-variance",), 50, 20260810)
+    assert not ok
+    assert lines[1] == (
+        "  variance of sqrt(n)(beta_hat - beta1): predicted 1, empirical 1.12406, "
+        "rel dev 12.41% -> FAIL (tolerance 10%)"
+    )
+
+
+def test_std_err_fail_line(monkeypatch):
+    monkeypatch.setattr(asymptotics, "sqrtn_bias", lambda params, lambda0: 100.0)
+    [(ok, lines)] = verify_regimes(("sqrtn-bias",), 50, 7, n=100)
+    assert not ok
+    assert lines[1] == (
+        "  mean of sqrt(n)(beta_hat - beta1): predicted 100, empirical -0.558301, "
+        "|dev| = 798.66 MC std errors -> FAIL (tolerance 3)"
+    )
+
+
+def test_heavy_tail_fail_lines(monkeypatch):
+    def flipped(samples):
+        diag = cauchy_diagnostics(samples)
+        return diag._replace(tail_index_flag=not diag.tail_index_flag)
+
+    monkeypatch.setattr(asymptotics, "cauchy_diagnostics", flipped)
+    [(ok, lines)] = verify_regimes(("weak-instrument",), 500, 7, n=100)
+    assert not ok
+    assert lines[1] == (
+        "  unpenalized ratio heavy-tail flag: expected True, got False "
+        "(median 7.87, iqr 11.6) -> FAIL"
+    )
+    assert lines[4] == "  penalized heavy-tail flag: expected False, got True -> FAIL"
 
 
 @pytest.mark.parametrize(

@@ -126,7 +126,7 @@ def _collect_bytes(_=None):
 
 
 def test_a_pool_worker_draws_serially(monkeypatch):
-    # a daemonic process, such as a pool worker, may not start processes
+    # a pool on W CPUs would fork W**2 draw workers, and terminate() would orphan them
     monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
