@@ -56,7 +56,7 @@ from typing import Any, Callable, Sequence, get_type_hints
 
 import numpy as np
 
-from .dgp import DgpParams, _int_at_least, aer_calibration, generate_dataset
+from .dgp import DgpParams, _int_at_least, _sample_size, aer_calibration, generate_dataset
 from .estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
 from .montecarlo import (
     VERIFY_REGIMES,
@@ -159,9 +159,12 @@ def default_beta_sweep(
 # ---------------------------------------------------------------------------
 # config parsing
 
-_SWEEP_KEYS = (
-    "params", "grid", "lambdas", "n", "reps", "seed", "output_dir", "emit_plots", "emit_raw"
-)
+# config key -> SweepConfig field
+_SWEEP_FIELDS = {
+    "params": "base_params", "grid": "grid", "lambdas": "lambda_values",
+    "n": "n", "reps": "reps", "seed": "master_seed",
+}
+_SWEEP_KEYS = (*_SWEEP_FIELDS, "output_dir", "emit_plots", "emit_raw")
 
 # The top-level config keys each subcommand reads; any other key exits 2.
 _CONFIG_KEYS: dict[Command, tuple[str, ...]] = {
@@ -184,12 +187,6 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
         "regimes",
         dict(choices=(*VERIFY_REGIMES, "all"), help="which limit regime to verify"),
     ),
-}
-
-# config key -> SweepConfig field
-_SWEEP_FIELDS = {
-    "params": "base_params", "grid": "grid", "lambdas": "lambda_values",
-    "n": "n", "reps": "reps", "seed": "master_seed",
 }
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(DgpParams))
@@ -436,6 +433,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(
                 f"config field 'schedule.lambda0' is invalid at n = {config.n}: {exc}"
             ) from exc
+        _sample_size(config.n)  # a constant rate never looks at n
     return config
 
 

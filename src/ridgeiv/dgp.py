@@ -67,6 +67,23 @@ def _finite_real(name: str, value: object) -> float:
     return value
 
 
+# The largest n whose (3, n) float64 block numpy can address; beyond it
+# numpy's allocation raises an unnamed ValueError.
+_MAX_N = np.iinfo(np.intp).max // 24
+
+
+def _sample_size(n: object) -> int:
+    """``n`` as a sample size: an int of at least 3, finite as a float, at most ``_MAX_N``."""
+    n = _int_at_least("n", n, 3)
+    _finite_real("n", n)
+    if n > _MAX_N:
+        raise ValueError(
+            f"n must be at most {_MAX_N}, the largest (3, n) float64 block numpy "
+            f"can address, got {n}"
+        )
+    return n
+
+
 @dataclass(frozen=True)
 class DgpParams:
     """Structural coefficients and error moments of the IV model.
@@ -180,11 +197,11 @@ def generate_dataset(params: DgpParams, n: int, seed: int) -> Dataset:
     params : DgpParams
         Structural coefficients and error moments.
     n : int
-        Sample size, at least 3.
+        Sample size, at least 3 and at most ``_MAX_N``.
     seed : int
         Unsigned seed below 2**128, the Philox key.
     """
-    n, seed = _int_at_least("n", n, 3), _int_at_least("seed", seed, 0)
+    n, seed = _sample_size(n), _int_at_least("seed", seed, 0)
     if seed >= 2**128:
         raise ValueError(f"seed must be less than 2**128, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -34,14 +34,13 @@ shocks do not depend on a design's parameters.
 At n = 150 on one x86-64 core, drawing the normals is about two thirds of
 the kernel, re-keying Philox about 14%, deriving the seeds 6%, centering 7%
 and the products and means 6%.  Each rep's seed fixes its draws, so they
-may run on several processes (:func:`_map_moments`): a sweep makes one task
-per grid point, a sampling distribution or a verify run several equal rep
-ranges per worker.  The calling process forks the workers for the call
-with ``os.fork`` and queues every task in a pipe; each worker claims the
-next task as soon as it is free, so no worker waits on a slow one's share.
-The caller gets the moments back in task order through shared memory, and
-forms every ratio, aggregate and check; a sweep aggregates all its cells
-in one pass.
+may run on several processes (:func:`_draw_moments`) in equal rep ranges of
+each grid point or sampling distribution: 8 or more per worker, reps allowing.
+The calling process forks the workers for the call with ``os.fork`` and
+queues every task in a pipe; each worker claims the next task as soon as it
+is free, so no worker waits on a slow one's share.  The caller gets the
+moments back in task order in one shared array, and forms every ratio,
+aggregate and check; a sweep aggregates all its cells in one pass.
 
 The estimates match the per-dataset path (``demeaned_cov`` or
 ``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: about
@@ -77,7 +76,7 @@ from typing import BinaryIO, NoReturn, Sequence
 import numpy as np
 
 from . import asymptotics
-from .dgp import DgpParams, _finite_real, _int_at_least, aer_calibration
+from .dgp import DgpParams, _finite_real, _int_at_least, _sample_size, aer_calibration
 from .estimators import PenaltyRate, PenaltySchedule
 
 __all__ = [
@@ -120,7 +119,8 @@ class SweepConfig:
             value = getattr(self, name)
             if not isinstance(value, cls):
                 raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
-        for name, least in (("n", 3), ("reps", 1), ("master_seed", 0)):
+        object.__setattr__(self, "n", _sample_size(self.n))
+        for name, least in (("reps", 1), ("master_seed", 0)):
             value = _int_at_least(name, getattr(self, name), least)
             object.__setattr__(self, name, value)
         for name in ("grid", "lambda_values"):
@@ -454,15 +454,15 @@ def _draw_tasks(
         os._exit(code)
 
 
-def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
-    """``_shock_moments`` of each task, in task order, on ``workers`` processes.
+def _map_moments(tasks: list[_Task], workers: int) -> np.ndarray:
+    """``_shock_moments`` of each task side by side, in task order, on ``workers`` processes.
 
     With more than one worker, the call forks one child per worker and then
     writes every task's index into one pipe, the task queue.  Each child
     claims the next index as soon as it is free, so a child on a slow CPU
     draws fewer tasks instead of holding the others back.  It draws each task
-    into that task's columns of one anonymous shared ``mmap`` while the
-    caller waits; the columns are fixed by the index, so the result does not
+    into that task's columns of the anonymous shared ``mmap`` that the call
+    returns; the columns are fixed by the index, so the result does not
     depend on which child drew what.  The children inherit the tasks, so
     nothing is pickled but an error, which comes back over a pipe and is
     raised here with the child's traceback as its cause.  No child outlives
@@ -474,7 +474,7 @@ def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
     importing it here would add 5.5 MiB to the caller's resident memory.
     """
     if workers == 1:
-        return [_shock_moments(*task) for task in tasks]
+        return np.concatenate([_shock_moments(*task) for task in tasks], axis=1)
     ends = [0, *itertools.accumulate(stop - start for _, _, start, stop, _ in tasks)]
     columns = list(zip(ends, ends[1:]))
     shared = np.frombuffer(mmap.mmap(-1, 3 * 8 * ends[-1]), np.float64).reshape(3, -1)
@@ -530,12 +530,13 @@ def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
-    return [shared[:, first:last].copy() for first, last in columns]
+    return shared
 
 
-# Rep ranges per worker in a sampling distribution or verify run.  More
-# ranges than workers let a worker on a fast CPU claim the ranges that a
-# slow one would have held; each range costs one more seed pass and Philox.
+# Tasks per worker: each seed path's reps are cut into equal ranges, about
+# this many tasks per worker in all, and no path is cut at this many paths
+# per worker.  More tasks than workers let a fast CPU's worker claim the tasks
+# a slow one would have held; each range costs one more seed pass and Philox.
 # On a 2-core x86-64 host, verify_regimes over all regimes at 500 reps and
 # n = 10^4 on 2 workers, 64 calls per setting in alternated fresh
 # processes, in ms:
@@ -552,16 +553,16 @@ def _map_moments(tasks: list[_Task], workers: int) -> list[np.ndarray]:
 _RANGES_PER_WORKER = 8
 
 
-def _rep_moments(master_seed: int, reps: int, n: int) -> np.ndarray:
-    """``_shock_moments(master_seed, (), 0, reps, n)``, in equal rep ranges.
-
-    Each worker gets about ``_RANGES_PER_WORKER`` ranges from the task queue.
-    """
-    workers = _pool_workers(reps, reps * n)
-    ranges = 1 if workers == 1 else min(reps, _RANGES_PER_WORKER * workers)
+def _draw_moments(
+    master_seed: int, paths: Sequence[tuple[int, ...]], reps: int, n: int
+) -> np.ndarray:
+    """``_shock_moments`` of reps [0, reps) of each seed path, shape (3, len(paths), reps)."""
+    workers = _pool_workers(len(paths) * reps, len(paths) * reps * n)
+    ranges = 1 if workers == 1 else min(reps, math.ceil(_RANGES_PER_WORKER * workers / len(paths)))
     bounds = [reps * r // ranges for r in range(ranges + 1)]
-    tasks = [(master_seed, (), start, stop, n) for start, stop in zip(bounds, bounds[1:])]
-    return np.concatenate(_map_moments(tasks, workers), axis=1)
+    spans = list(zip(bounds, bounds[1:]))
+    tasks = [(master_seed, path, start, stop, n) for path in paths for start, stop in spans]
+    return _map_moments(tasks, workers).reshape(3, len(paths), reps)
 
 
 def _ratios(
@@ -642,9 +643,9 @@ def _aggregate_rows(
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep and aggregate MSE/bias/variance per cell.
 
-    Each grid point's draws are one task, claimed from a queue by up to one
-    forked process per usable CPU when the sweep is large enough
-    (:func:`_pool_workers`), else run in order on the calling thread; the
+    The draws of each grid point are one or more tasks, claimed from a queue
+    by up to one forked process per usable CPU when the sweep is large enough
+    (:func:`_draw_moments`), else run in order on the calling thread; the
     result is the same bytes either way.  Cells are lambda-major, and
     ``SweepResult.estimates`` holds each cell's per-rep estimates; nothing
     is written to disk.
@@ -653,10 +654,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     # every lambda shares the rep's draws
     estimates = np.empty((len(lambdas), len(grid), reps))
     params = [config.params_at(grid_value) for grid_value in grid]
-    tasks = [(config.master_seed, (gi,), 0, reps, n) for gi in range(len(grid))]
-    workers = _pool_workers(len(tasks), len(tasks) * reps * n)
-    for gi, moments in enumerate(_map_moments(tasks, workers)):
-        estimates[:, gi] = _ratios(params[gi], n, moments, lambdas)
+    moments = _draw_moments(config.master_seed, [(gi,) for gi in range(len(grid))], reps, n)
+    for gi in range(len(grid)):
+        estimates[:, gi] = _ratios(params[gi], n, moments[:, gi], lambdas)
+    del moments  # kept through the aggregate, it would raise the caller's peak memory
     estimates = estimates.reshape(len(lambdas) * len(grid), reps)
     cells = _aggregate_rows(
         estimates,
@@ -696,11 +697,10 @@ def collect_sampling_distribution(
         raise TypeError(f"params must be a DgpParams, got {params!r}")
     if not isinstance(schedule, PenaltySchedule):
         raise TypeError(f"schedule must be a PenaltySchedule, got {schedule!r}")
-    n, reps = _int_at_least("n", n, 3), _int_at_least("reps", reps, 1)
+    n, reps = _sample_size(n), _int_at_least("reps", reps, 1)
     master_seed = _int_at_least("master_seed", master_seed, 0)
-    _finite_real("n", n)  # sqrt(n) and the shift are floats
     shift = schedule.lambda_n(n) / n  # raises before the draw if it overflows
-    moments = _rep_moments(master_seed, reps, n)
+    moments = _draw_moments(master_seed, [()], reps, n)[:, 0]
     (samples,) = _scaled_samples(params, n, moments, (shift,))
     return samples
 
@@ -804,8 +804,8 @@ def verify_regimes(
     (:func:`verify_min_reps`) and every floor are checked before the draw.
     """
     reps = _int_at_least("reps", reps, verify_min_reps(regimes))
-    n, seed = _int_at_least("n", n, 3), _int_at_least("seed", seed, 0)
-    moments = _rep_moments(seed, reps, n)
+    n, seed = _sample_size(n), _int_at_least("seed", seed, 0)
+    moments = _draw_moments(seed, [()], reps, n)[:, 0]
     results = []
     for regime in regimes:
         checks = _regime_checks(regime, moments, n)

@@ -874,6 +874,19 @@ def test_single_run_overflowing_penalty_rejected(tmp_path, capsys, payload, mess
     assert message in captured.err
 
 
+@pytest.mark.parametrize("n", [10**400, 2**62], ids=["beyond-float", "beyond-intp"])
+@pytest.mark.parametrize("command", ["sweep-pi", "single-run"])
+def test_an_n_that_cannot_be_drawn_exits_2(tmp_path, capsys, command, n):
+    # a constant rate: lambda_n(n) never looks at n
+    payload = {"n": n, "output_dir": str(tmp_path / "out")}
+    if command == "single-run":
+        payload = {"n": n, "schedule": {"rate": "constant", "lambda0": 1.0}}
+    assert run_cli([command, "--config", _write_config(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"config field 'n' must be (finite|at most \d+)", captured.err)
+
+
 def test_single_run_bad_schedule_rate(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"schedule": {"rate": "cubic"}})
     assert run_cli(["single-run", "--config", cfg]) == 2

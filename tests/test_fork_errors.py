@@ -27,8 +27,9 @@ _SWEEP = SweepConfig(
     reps=20,
     master_seed=11,
 )
-# on 2 workers, some worker claims reps 4-8 of the collection and grid
-# point 1 of the sweep from the task queue
+# on 2 workers, the collection's 8 reps are 8 tasks and each grid point of
+# the sweep is 6 rep ranges; some worker claims the tasks past rep 0 of the
+# collection and the ranges of grid point 1 of the sweep from the task queue
 _ENTRY_POINTS = {
     "collect": (
         lambda: collect_sampling_distribution(_PARAMS, _SCHEDULE, 40, 8, 3),

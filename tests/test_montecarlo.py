@@ -578,6 +578,28 @@ def test_collect_names_an_n_beyond_float_range_before_the_draw(monkeypatch, rate
     assert calls == []
 
 
+# beyond the float range, and beyond the largest (3, n) float64 block numpy
+# can address; numpy rejected both without a name, after the checks
+_UNDRAWABLE_N = {"beyond-float": 10**400, "beyond-intp": 2**62}
+_N_ENTRY_POINTS = {
+    "generate_dataset": lambda n: generate_dataset(aer_calibration(beta1=1.0), n, 1),
+    "SweepConfig": lambda n: _small_config(n=n),
+    "collect": lambda n: collect_sampling_distribution(
+        aer_calibration(beta1=1.0), PenaltySchedule(PenaltyRate.CONSTANT, 1.0), n, 10, 1
+    ),
+    "verify": lambda n: verify_regimes(("strong-variance",), 10, 1, n=n),
+}
+
+
+@pytest.mark.parametrize("n", list(_UNDRAWABLE_N.values()), ids=list(_UNDRAWABLE_N))
+@pytest.mark.parametrize("entry", list(_N_ENTRY_POINTS))
+def test_an_n_that_cannot_be_drawn_is_named_before_the_draw(monkeypatch, entry, n):
+    calls = _count_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"^n must be (finite|at most \d+)"):
+        _N_ENTRY_POINTS[entry](n)
+    assert calls == []
+
+
 def _count_draws(monkeypatch):
     """Patch ``_shock_moments`` to record its arguments; returns the record.
 

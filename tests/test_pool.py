@@ -1,5 +1,6 @@
 """The fork pool under the draws: any worker count gives the same bytes."""
 
+import dataclasses
 import multiprocessing
 import os
 import threading
@@ -7,7 +8,13 @@ import threading
 import pytest
 
 import ridgeiv.montecarlo as montecarlo
-from ridgeiv.cli import write_raw_csv, write_sweep_csv
+from ridgeiv.cli import (
+    DEFAULT_SEED,
+    default_beta_sweep,
+    default_pi_sweep,
+    write_raw_csv,
+    write_sweep_csv,
+)
 from ridgeiv.dgp import aer_calibration
 from ridgeiv.estimators import PenaltyRate, PenaltySchedule
 from ridgeiv.montecarlo import (
@@ -30,8 +37,8 @@ _SWEEP = SweepConfig(
 _SCHEDULE = PenaltySchedule(PenaltyRate.SQRT_N, 0.5)
 
 
-def _sweep_bytes(tmp_path):
-    result = run_sweep(_SWEEP)
+def _sweep_bytes(config, tmp_path):
+    result = run_sweep(config)
     write_sweep_csv(result, tmp_path / "mse_sweep.csv")
     write_raw_csv(result, tmp_path / "raw_estimates.csv")
     return [(tmp_path / name).read_bytes() for name in ("mse_sweep.csv", "raw_estimates.csv")]
@@ -39,7 +46,9 @@ def _sweep_bytes(tmp_path):
 
 # each entry point, as comparable bytes or values
 _ENTRY_POINTS = {
-    "sweep": _sweep_bytes,
+    "sweep": lambda out: _sweep_bytes(_SWEEP, out),
+    # one grid point, cut into rep ranges
+    "one-point sweep": lambda out: _sweep_bytes(dataclasses.replace(_SWEEP, grid=(0.05,)), out),
     "collect": lambda _: collect_sampling_distribution(
         aer_calibration(beta1=1.0), _SCHEDULE, 40, 7, 3
     ).tobytes(),
@@ -137,3 +146,35 @@ def test_a_pool_worker_draws_serially(monkeypatch):
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):  # no child of any kind is left
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def map_calls(monkeypatch):
+    """Two usable CPUs; returns the (tasks, workers) of each ``_map_moments`` call."""
+    calls = []
+    map_moments = montecarlo._map_moments
+
+    def recorded(tasks, workers):
+        calls.append((tasks, workers))
+        return map_moments(tasks, workers)
+
+    monkeypatch.setattr(montecarlo, "_map_moments", recorded)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    return calls
+
+
+# The benchmark's workloads keep their split: a default sweep has enough grid
+# points for two workers, so each point stays one task.
+@pytest.mark.parametrize("preset", [default_pi_sweep, default_beta_sweep])
+def test_a_default_sweep_makes_one_task_per_grid_point(map_calls, preset):
+    config = preset(reps=100)
+    run_sweep(config)
+    tasks = [(config.master_seed, (gi,), 0, 100, 150) for gi in range(len(config.grid))]
+    assert map_calls == [(tasks, 2)]
+
+
+def test_verify_makes_8_equal_rep_ranges_per_worker(map_calls):
+    verify_regimes(montecarlo.VERIFY_REGIMES, 500, DEFAULT_SEED)
+    bounds = [500 * r // 16 for r in range(17)]
+    tasks = [(DEFAULT_SEED, (), start, stop, 10_000) for start, stop in zip(bounds, bounds[1:])]
+    assert map_calls == [(tasks, 2)]
