@@ -622,8 +622,11 @@ def _run_single_command(config: ExperimentConfig) -> int:
     data = generate_dataset(config.params, config.n, config.seed)
     estimate = fit_ridge_iv(data, config.schedule)
     payload = dataclasses.asdict(estimate)
-    payload["std_error"] = estimate.std_error
-    print(json.dumps(payload, indent=2))
+    # JSON has no infinity: the std_error of an exactly zero pi1_hat * sigma_z_hat
+    # is null, and any other non-finite value raises rather than print bad JSON
+    std_error = estimate.std_error
+    payload["std_error"] = std_error if math.isfinite(std_error) else None
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0
 
 

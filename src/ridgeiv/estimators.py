@@ -97,7 +97,9 @@ class PenaltySchedule:
         if self.rate is PenaltyRate.CONSTANT:
             return self.lambda0
         name = f"lambda_n({n})"
-        _finite_real(name, n)  # else an int beyond the float range raises OverflowError
+        # else math.sqrt raises an unnamed error on a negative n, and an int
+        # beyond the float range an OverflowError
+        _penalty(name, n)
         growth = math.sqrt(n) if self.rate is PenaltyRate.SQRT_N else n
         return _penalty(name, self.lambda0 * growth)
 

@@ -222,9 +222,13 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
     Distinct paths give statistically independent streams, and the mapping
     is stable across platforms and processes, so work can be farmed out in
-    any order without changing a single draw.
+    any order without changing a single draw.  Every argument must be a
+    nonnegative integer; anything else raises before numpy sees it, naming
+    the argument.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(path))
+    master_seed = _int_at_least("master_seed", master_seed, 0)
+    path = tuple(_int_at_least(f"path[{i}]", index, 0) for i, index in enumerate(path))
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=path)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -401,7 +405,6 @@ class _WorkerTraceback(Exception):
 
 
 def _draw_tasks(
-    cpu: int,
     queue: tuple[BinaryIO, BinaryIO],
     tasks: list[_Task],
     columns: list[tuple[int, int]],
@@ -422,14 +425,6 @@ def _draw_tasks(
     try:
         reader, writer = queue
         writer.close()
-        # Linux may start forked children on one CPU and leave them there
-        # for the few milliseconds they live: on a 2-core host both workers
-        # of a sweep often shared a CPU, each taking twice its time.  So the
-        # worker moves to a CPU of its own, then gets the whole mask back,
-        # free to move off a CPU that turns busy.
-        cpus = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, cpus)
         # a record is never torn: the caller writes whole records, at most
         # select.PIPE_BUF bytes at a time, and a pipe read takes its bytes
         # whole
@@ -469,6 +464,12 @@ def _map_moments(tasks: list[_Task], workers: int) -> np.ndarray:
     the call: on any error, the children still running are killed, and
     every child is reaped.
 
+    The queue is measured to pay.  With fixed strides in its place (worker
+    w drawing tasks w, w + W, ...), 8 alternated pairs of the perfbench
+    sweeps at 100 reps on a 2-core x86-64 host ran slower: the default
+    sweep-pi in 8 of 8 pairs (median 54.9 against 49.5 ms) and sweep-beta
+    with --raw --plots in 7 of 8 (85.9 against 82.5 ms).
+
     numpy imports ``numpy.random`` on first use.  A caller that has not
     drawn leaves that to the children, about 16 ms each and in parallel:
     importing it here would add 5.5 MiB to the caller's resident memory.
@@ -478,7 +479,6 @@ def _map_moments(tasks: list[_Task], workers: int) -> np.ndarray:
     ends = [0, *itertools.accumulate(stop - start for _, _, start, stop, _ in tasks)]
     columns = list(zip(ends, ends[1:]))
     shared = np.frombuffer(mmap.mmap(-1, 3 * 8 * ends[-1]), np.float64).reshape(3, -1)
-    cpus = sorted(os.sched_getaffinity(0))
     pids: list[int] = []  # forked and not yet reaped
     pipes: list[BinaryIO] = []  # read ends: a child's pickled error, if any
     read_fd, write_fd = os.pipe()
@@ -491,14 +491,13 @@ def _map_moments(tasks: list[_Task], workers: int) -> np.ndarray:
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )
-            for w in range(workers):
+            for _ in range(workers):
                 read_fd, write_fd = os.pipe()
                 pipes.append(open(read_fd, "rb"))
                 with open(write_fd, "wb") as report:
                     pid = os.fork()
                     if pid == 0:
-                        cpu = cpus[w % len(cpus)]
-                        _draw_tasks(cpu, queue, tasks, columns, shared, report)
+                        _draw_tasks(queue, tasks, columns, shared, report)
                 pids.append(pid)
         # Only the children read the queue, so a write fails with
         # BrokenPipeError once every one of them is gone; each one's report
@@ -549,7 +548,9 @@ def _map_moments(tasks: list[_Task], workers: int) -> np.ndarray:
 #
 # Two earlier sets of 32 and 40 calls ranked 4, 8 and 16 differently, each
 # within its own quartiles, so 8 is no better than its neighbours; every
-# split shortened the tail that one range per worker leaves.
+# split shortened the tail that one range per worker leaves.  In 10
+# alternated pairs of the perfbench verify-asymptotics workload, one range
+# per worker was slower than 8 in 8 pairs (median 230 against 211 ms).
 _RANGES_PER_WORKER = 8
 
 

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import ridgeiv.montecarlo as montecarlo
 from ridgeiv.dgp import DgpParams, aer_calibration, generate_dataset
 
 
@@ -22,3 +25,16 @@ def big_endogenous_dataset(endogenous_params):
 def big_aer_dataset():
     """AER-calibrated design at n = 10^6 with unit effect."""
     return generate_dataset(aer_calibration(beta1=1.0), 1_000_000, 4242)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Fork two draw workers for any work, whatever the host's CPUs."""
+    monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+
+
+def assert_no_child_left():
+    """No child process of any kind is left, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

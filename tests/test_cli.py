@@ -856,6 +856,26 @@ def test_single_run_with_schedule_config(tmp_path, capsys):
     assert payload["lambda_n"] == 60.0
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_single_run_prints_an_infinite_std_error_as_null(tmp_path, capsys):
+    # no first stage and no noise: pi1_hat is exactly 0, so std_error is inf
+    cfg = _write_config(
+        tmp_path,
+        {
+            "params": {"pi0": 0.0, "pi1": 0.0, "sigma_eta": 0.0, "sigma_eps": 0.0, "err_cov": 0.0},
+            "schedule": {"rate": "constant", "lambda0": 1.0},
+            "n": 50,
+        },
+    )
+    assert run_cli(["single-run", "--config", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+    assert payload["pi1_hat"] == 0.0
+    assert payload["std_error"] is None
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [

@@ -193,6 +193,15 @@ def test_lambda_n_names_an_n_beyond_float_range(rate):
         PenaltySchedule(rate, 1.0).lambda_n(10**400)
 
 
+@pytest.mark.parametrize("lambda0", [0.0, 1.0])
+@pytest.mark.parametrize("rate", [PenaltyRate.SQRT_N, PenaltyRate.LINEAR_N])
+def test_lambda_n_names_a_negative_n(rate, lambda0):
+    # math.sqrt(-1) raised an unnamed "math domain error", and 0.0 * -1 passed
+    message = r"^lambda_n\(-1\) must be nonnegative, got -1$"
+    with pytest.raises(ValueError, match=message):
+        PenaltySchedule(rate, lambda0).lambda_n(-1)
+
+
 @pytest.mark.parametrize("rate", list(PenaltyRate))
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_penalty_schedule_rejects_non_finite_lambda0(rate, value):

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import ridgeiv.montecarlo as montecarlo
+from conftest import assert_no_child_left
 from ridgeiv.dgp import aer_calibration
 from ridgeiv.estimators import PenaltyRate, PenaltySchedule
 from ridgeiv.montecarlo import (
@@ -39,17 +40,6 @@ _ENTRY_POINTS = {
 }
 
 
-@pytest.fixture
-def two_workers(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
 def test_an_error_in_one_share_reaches_the_caller(monkeypatch, two_workers, entry):
     call, in_second_share = _ENTRY_POINTS[entry]
@@ -66,7 +56,7 @@ def test_an_error_in_one_share_reaches_the_caller(monkeypatch, two_workers, entr
         call()
     # the worker's traceback comes along as the cause
     assert "fail_in_second_share" in str(info.value.__cause__)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 class Unbuildable(Exception):
@@ -83,7 +73,7 @@ def test_an_error_that_does_not_unpickle_arrives_by_name(monkeypatch, two_worker
     monkeypatch.setattr(montecarlo, "_shock_moments", fail)
     with pytest.raises(RuntimeError, match=r"^Unbuildable: lost reps$"):
         _ENTRY_POINTS["collect"][0]()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_worker_killed_by_a_signal_is_reported(monkeypatch, two_workers):
@@ -97,7 +87,7 @@ def test_a_worker_killed_by_a_signal_is_reported(monkeypatch, two_workers):
     monkeypatch.setattr(montecarlo, "_shock_moments", die_in_second_share)
     with pytest.raises(RuntimeError, match=r"^draw worker \d+ exited with code -9$"):
         _ENTRY_POINTS["collect"][0]()
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 class _Interrupted(Exception):
@@ -132,4 +122,4 @@ def test_an_error_in_the_caller_kills_the_drawing_workers(
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - began < 30
     assert log.read_text().split() == ["started", "started"]
-    _assert_no_child_left()
+    assert_no_child_left()

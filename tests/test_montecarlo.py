@@ -114,6 +114,27 @@ def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(7, 3) != derive_seed(8, 3)
 
 
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((-1,), ValueError, r"^master_seed must be at least 0, got -1$"),
+        ((1.5,), TypeError, r"^master_seed must be an integer, got 1\.5$"),
+        ((True,), TypeError, r"^master_seed must be an integer, got True$"),
+        ((1, -2), ValueError, r"^path\[0\] must be at least 0, got -2$"),
+        ((1, 0, 2.5), TypeError, r"^path\[1\] must be an integer, got 2\.5$"),
+    ],
+    ids=["negative-master", "float-master", "bool-master", "negative-path", "float-path"],
+)
+def test_derive_seed_names_a_bad_argument(args, error, message):
+    # numpy raised "expected non-negative integer", or its own TypeError
+    with pytest.raises(error, match=message):
+        derive_seed(*args)
+
+
+def test_derive_seed_takes_numpy_integers():
+    assert derive_seed(np.uint64(7), np.int64(3)) == derive_seed(7, 3)
+
+
 # ---------------------------------------------------------------------------
 # the block sweep kernel against the per-dataset path
 

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import ridgeiv.montecarlo as montecarlo
+from conftest import assert_no_child_left
 from ridgeiv.dgp import aer_calibration
 from ridgeiv.estimators import PenaltyRate, PenaltySchedule
 from ridgeiv.montecarlo import GridVariable, SweepConfig, collect_sampling_distribution, run_sweep
@@ -22,17 +23,6 @@ _SWEEP = SweepConfig(
     master_seed=11,
 )
 _SCHEDULE = PenaltySchedule(PenaltyRate.SQRT_N, 0.5)
-
-
-@pytest.fixture
-def two_workers(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_slow_worker_does_not_hold_the_other_tasks(monkeypatch, tmp_path):
@@ -57,7 +47,7 @@ def test_a_slow_worker_does_not_hold_the_other_tasks(monkeypatch, tmp_path):
     assert sorted(map(int, drawn_by)) == list(range(20))
     slow_worker_draws = collections.Counter(drawn_by.values())[drawn_by["0"]]
     assert slow_worker_draws <= 2  # with a fixed half of the tasks each, 10
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _open_fds():
@@ -78,7 +68,7 @@ def test_a_pooled_call_leaves_the_open_fds_as_they_were(monkeypatch, two_workers
     with pytest.raises(LookupError, match="no draw for reps"):
         collect_sampling_distribution(aer_calibration(beta1=1.0), _SCHEDULE, 40, 8, 3)
     assert _open_fds() == before
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 # more task records than a pipe holds, so the caller is still writing the
@@ -93,7 +83,7 @@ def test_an_error_outlives_the_broken_queue(monkeypatch):
     monkeypatch.setattr(montecarlo, "_shock_moments", fail)
     with pytest.raises(LookupError, match=r"^no draw for path \(\d+,\)$"):
         montecarlo._map_moments(_MANY_TASKS, 2)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_killed_worker_outlives_the_broken_queue(monkeypatch):
@@ -103,4 +93,4 @@ def test_a_killed_worker_outlives_the_broken_queue(monkeypatch):
     monkeypatch.setattr(montecarlo, "_shock_moments", die)
     with pytest.raises(RuntimeError, match=r"^draw worker \d+ exited with code -9$"):
         montecarlo._map_moments(_MANY_TASKS, 2)
-    _assert_no_child_left()
+    assert_no_child_left()
