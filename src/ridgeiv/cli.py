@@ -26,7 +26,8 @@ Every config value is checked by name; then each flag that is given
 overrides its key (``--out`` sets output_dir, ``--plots`` emit_plots,
 ``--raw`` emit_raw, ``--regime`` regimes).  The library owns every value
 rule (``DgpParams``, ``PenaltySchedule``, ``SweepConfig``,
-``verify_min_reps``); a rule it rejects exits 2 naming the config key.
+``verify_min_reps``); a rule it rejects exits 2 naming the config key, and
+so does a value whose covariances or data overflow during the run.
 This module states only what JSON adds: JSON type names, finite numbers
 (``NaN`` and ``Infinity`` as JSON writes them), unknown keys, lambdas
 distinct as plot names, a ``seed`` below 2**64, at most 10**6
@@ -45,6 +46,7 @@ line plot per penalty level when asked; this module writes every artifact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import enum
@@ -52,7 +54,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence, get_type_hints
+from typing import Any, Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -191,9 +193,10 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(DgpParams))
 
-# library argument -> the config key that sets it.  build_config names the key of
-# the argument a library ValueError starts with (base_params.stock_c -> 'params.stock_c').
+# library argument -> the config key that sets it.  _naming_config_keys names the key
+# of the argument a library ValueError starts with (base_params.stock_c -> 'params.stock_c').
 _ARG_KEYS = {
+    "params": "params",
     **{field: key for key, field in _SWEEP_FIELDS.items()},
     **{name: f"params.{name}" for name in _PARAM_KEYS},
     **{f.name: f"schedule.{f.name}" for f in dataclasses.fields(PenaltySchedule)},
@@ -352,7 +355,7 @@ _PARSERS: dict[str, Callable[[Any], Any]] = {
     "params": _parse_params,
     "grid": _parse_grid,
     "lambdas": _parse_lambdas,
-    "n": lambda raw: _int_at_least("n", _check_type(raw, int, "n"), 3),
+    "n": lambda raw: _check_type(raw, int, "n"),
     "reps": lambda raw: _int_at_least("reps", _check_type(raw, int, "reps"), 1),
     "seed": _parse_seed,
     "output_dir": _parse_output_dir,
@@ -373,6 +376,26 @@ def _load_json(path: Path) -> dict:
     return _check_type(raw, dict, "<top level>")
 
 
+@contextlib.contextmanager
+def _naming_config_keys() -> Iterator[None]:
+    """Re-raise a library ValueError as a ConfigError naming its config key.
+
+    The key is that of the argument the message starts with (``_ARG_KEYS``);
+    a ValueError that starts with no such argument passes unchanged.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(" ")
+        arg = name.split(".")[0].split("[")[0]
+        if arg not in _ARG_KEYS:  # not a value rule
+            raise
+        key = _ARG_KEYS[arg] + name[len(arg):]
+        raise ConfigError(f"config field '{key}' {reason}") from exc
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Validate the config file (if any), then apply the flags that were given.
 
@@ -381,17 +404,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     ValueError leaves as a ConfigError naming the config key of the
     argument its message starts with (``_ARG_KEYS``).
     """
-    try:
+    with _naming_config_keys():
         return _resolve_config(args)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        name, _, reason = str(exc).partition(" ")
-        arg = name.split(".")[0].split("[")[0]
-        if arg not in _ARG_KEYS:  # not a value rule: a bug, left unrenamed
-            raise
-        key = _ARG_KEYS[arg] + name[len(arg):]
-        raise ConfigError(f"config field '{key}' {reason}") from exc
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -427,13 +441,13 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if command is Command.VERIFY_ASYMPTOTICS:
         _int_at_least("reps", config.reps, verify_min_reps(config.regimes))
     if command is Command.SINGLE_RUN:
+        _sample_size(config.n)
         try:  # a finite lambda0 can still overflow at the run's n
             config.schedule.lambda_n(config.n)
         except ValueError as exc:
             raise ConfigError(
                 f"config field 'schedule.lambda0' is invalid at n = {config.n}: {exc}"
             ) from exc
-        _sample_size(config.n)  # a constant rate never looks at n
     return config
 
 
@@ -673,11 +687,17 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         print(f"config error: output directory is not writable: {exc}", file=sys.stderr)
         return 2
     try:
-        if config.command in (Command.SWEEP_PI, Command.SWEEP_BETA):
-            return _run_sweep_command(config)
-        if config.command is Command.VERIFY_ASYMPTOTICS:
-            return _run_verify_command(config)
-        return _run_single_command(config)
+        # a config value whose covariances or data overflow is named like one
+        # that fails a rule
+        with _naming_config_keys():
+            if config.command in (Command.SWEEP_PI, Command.SWEEP_BETA):
+                return _run_sweep_command(config)
+            if config.command is Command.VERIFY_ASYMPTOTICS:
+                return _run_verify_command(config)
+            return _run_single_command(config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # surfacing any runtime failure as exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -67,6 +67,13 @@ def _finite_real(name: str, value: object) -> float:
     return value
 
 
+def _nonnegative(name: str, value: object) -> float:
+    """``value`` if it is a finite nonnegative real; else an error naming ``name``."""
+    if _finite_real(name, value) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 # The largest n whose (3, n) float64 block numpy can address; beyond it
 # numpy's allocation raises an unnamed ValueError.
 _MAX_N = np.iinfo(np.intp).max // 24
@@ -112,10 +119,8 @@ class DgpParams:
         for field in fields(self):
             if field.name != "stock_c" or self.stock_c is not None:
                 _finite_real(field.name, getattr(self, field.name))
-        if self.sigma_eps < 0:
-            raise ValueError(f"sigma_eps must be nonnegative, got {self.sigma_eps}")
-        if self.sigma_eta < 0:
-            raise ValueError(f"sigma_eta must be nonnegative, got {self.sigma_eta}")
+        _nonnegative("sigma_eps", self.sigma_eps)
+        _nonnegative("sigma_eta", self.sigma_eta)
         if self.sigma_eps == 0.0 and self.err_cov != 0.0:
             raise ValueError(
                 "err_cov must be 0 when sigma_eps is 0: a noiseless structural "
@@ -190,7 +195,8 @@ def generate_dataset(params: DgpParams, n: int, seed: int) -> Dataset:
     Uses a counter-based generator (Philox) keyed by ``seed``, so identical
     ``(params, n, seed)`` produce bit-identical samples regardless of where
     or when the call happens.  Draw order is fixed: instruments, then eps,
-    then eta.
+    then eta.  Data beyond the float range raise a ValueError naming
+    ``params``.
 
     Parameters
     ----------
@@ -206,11 +212,16 @@ def generate_dataset(params: DgpParams, n: int, seed: int) -> Dataset:
         raise ValueError(f"seed must be less than 2**128, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal(n)
-    eps = params.sigma_eps * rng.standard_normal(n)
-    eta = params.sigma_eta * rng.standard_normal(n)
-    u = params.eps_loading * eps + eta
-    d = params.pi0 + params.effective_pi1(n) * z + u
-    y = params.beta0 + params.beta1 * d + eps
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        eps = params.sigma_eps * rng.standard_normal(n)
+        eta = params.sigma_eta * rng.standard_normal(n)
+        u = params.eps_loading * eps + eta
+        d = params.pi0 + params.effective_pi1(n) * z + u
+        y = params.beta0 + params.beta1 * d + eps
+    if not np.isfinite(y).all():  # y is finite only where d and eps are
+        raise ValueError(
+            f"params must give finite data at n = {n}, got d or y beyond the float range"
+        )
     return Dataset(y=y, d=d, z=z.reshape(n, 1))
 
 

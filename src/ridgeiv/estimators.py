@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import Dataset, _finite_real
+from .dgp import Dataset, _finite_real, _nonnegative
 
 __all__ = [
     "DegenerateDenominatorError",
@@ -60,13 +60,6 @@ class SingularSystemError(ArithmeticError):
     """The instrument cross-moment Z'Z of the over-identified form is singular."""
 
 
-def _penalty(name: str, value: float) -> float:
-    """``value`` if it is a finite nonnegative real; else an error naming ``name``."""
-    if _finite_real(name, value) < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    return value
-
-
 class PenaltyRate(enum.Enum):
     """Growth rate of the penalty lambda_n in the sample size."""
 
@@ -90,7 +83,7 @@ class PenaltySchedule:
     def __post_init__(self) -> None:
         if not isinstance(self.rate, PenaltyRate):
             raise TypeError(f"rate must be a PenaltyRate, got {self.rate!r}")
-        _penalty("lambda0", self.lambda0)
+        _nonnegative("lambda0", self.lambda0)
 
     def lambda_n(self, n: int) -> float:
         """The penalty at sample size n; a ValueError if it overflows."""
@@ -99,9 +92,9 @@ class PenaltySchedule:
         name = f"lambda_n({n})"
         # else math.sqrt raises an unnamed error on a negative n, and an int
         # beyond the float range an OverflowError
-        _penalty(name, n)
+        _nonnegative(name, n)
         growth = math.sqrt(n) if self.rate is PenaltyRate.SQRT_N else n
-        return _penalty(name, self.lambda0 * growth)
+        return _nonnegative(name, self.lambda0 * growth)
 
 
 @dataclass(frozen=True)
@@ -244,7 +237,7 @@ def fit_ridge_iv_matrix(data: Dataset, lam: float) -> np.ndarray:
         raise ValueError(
             f"Z'D must be square: one endogenous regressor needs k = 1, got k = {data.k}"
         )
-    _penalty("lam", lam)
+    _nonnegative("lam", lam)
     zd = (data.z.T @ data.d.reshape(-1, 1)).item()
     zy = (data.z.T @ data.y).item()
     return np.array([shifted_ratio(zy, zd, lam)])
@@ -257,7 +250,7 @@ def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
     uncentered arrays; lam = 0 reproduces textbook 2SLS.  A singular Z'Z
     raises :class:`SingularSystemError`.
     """
-    _penalty("lam", lam)
+    _nonnegative("lam", lam)
     z = data.z
     d = data.d.reshape(-1, 1)
     zz = z.T @ z
@@ -283,7 +276,7 @@ def gmm_objective(data: Dataset, beta: float, gamma: float) -> float:
     Uses raw uncentered sums (no intercepts).
     """
     _finite_real("beta", beta)
-    _penalty("gamma", gamma)
+    _nonnegative("gamma", gamma)
     z = _instrument_column(data)
     moment = float(z @ (data.y - data.d * beta))
     return moment**2 + gamma * beta**2
@@ -296,7 +289,7 @@ def gmm_minimize(data: Dataset, gamma: float) -> float:
     (sum ZD)(sum ZY) / ((sum ZD)^2 + gamma).  When sum(Z*D) and gamma are
     both zero it has no unique minimizer, and the ratio raises.
     """
-    _penalty("gamma", gamma)
+    _nonnegative("gamma", gamma)
     szd, szy = _uncentered_sums(data)
     return shifted_ratio(szd * szy, szd**2, gamma)
 
@@ -308,6 +301,6 @@ def lagrange_correspondence(data: Dataset, lambda_n: float) -> float:
     ``gmm_minimize(data, gamma_n)`` equals the uncentered penalized ratio
     sum(ZY) / (sum(ZD) + lambda_n / n).
     """
-    _penalty("lambda_n", lambda_n)
+    _nonnegative("lambda_n", lambda_n)
     szd, _ = _uncentered_sums(data)
     return (szd / data.n) * lambda_n

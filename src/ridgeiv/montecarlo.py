@@ -31,11 +31,12 @@ row, so no result depends on the block layout.  The checks of
 the same reps, rep i seeded ``derive_seed(seed, i)``, because the unit
 shocks do not depend on a design's parameters.
 
-At n = 150 on one x86-64 core, drawing the normals is about two thirds of
-the kernel, re-keying Philox about 14%, deriving the seeds 6%, centering 7%
-and the products and means 6%.  Each rep's seed fixes its draws, so they
-may run on several processes (:func:`_draw_moments`) in equal rep ranges of
-each grid point or sampling distribution: 8 or more per worker, reps allowing.
+At n = 150 on one x86-64 core (10-15 us per rep), drawing the normals is
+about 70% of the kernel, re-keying Philox about 12%, centering and the
+products and means about 5% each, and deriving the seeds 0.3%.  Each
+rep's seed fixes its draws, so they may run on several processes
+(:func:`_draw_moments`) in equal rep ranges of each grid point or sampling
+distribution: 8 or more per worker, reps allowing.
 The calling process forks the workers for the call with ``os.fork`` and
 queues every task in a pipe; each worker claims the next task as soon as it
 is free, so no worker waits on a slow one's share.  The caller gets the
@@ -76,7 +77,7 @@ from typing import BinaryIO, NoReturn, Sequence
 import numpy as np
 
 from . import asymptotics
-from .dgp import DgpParams, _finite_real, _int_at_least, _sample_size, aer_calibration
+from .dgp import DgpParams, _finite_real, _int_at_least, _nonnegative, _sample_size, aer_calibration
 from .estimators import PenaltyRate, PenaltySchedule
 
 __all__ = [
@@ -123,9 +124,9 @@ class SweepConfig:
         for name, least in (("reps", 1), ("master_seed", 0)):
             value = _int_at_least(name, getattr(self, name), least)
             object.__setattr__(self, name, value)
-        for name in ("grid", "lambda_values"):
+        for name, check in (("grid", _finite_real), ("lambda_values", _nonnegative)):
             values = tuple(
-                float(_finite_real(f"{name}[{i}]", value))
+                float(check(f"{name}[{i}]", value))
                 for i, value in enumerate(getattr(self, name))
             )
             if not values:
@@ -133,9 +134,6 @@ class SweepConfig:
             object.__setattr__(self, name, values)
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        for i, lam in enumerate(self.lambda_values):
-            if lam < 0:
-                raise ValueError(f"lambda_values[{i}] must be nonnegative, got {lam}")
         # cells are looked up by lambda (cells_for_lambda, mse_curve)
         if len(set(self.lambda_values)) < len(self.lambda_values):
             raise ValueError(f"lambda_values must be distinct, got {self.lambda_values}")
@@ -567,23 +565,34 @@ def _draw_moments(
 
 
 def _ratios(
-    params: DgpParams, n: int, moments: np.ndarray, shifts: tuple[float, ...]
+    params: DgpParams,
+    n: int,
+    moments: np.ndarray,
+    shifts: tuple[float, ...],
+    name: str = "params",
 ) -> np.ndarray:
     """Cov[Y,Z] / (Cov[D,Z] + shift) per shift and rep, shape (len(shifts), reps).
 
     This is the rule of :func:`~ridgeiv.estimators.shifted_ratio` applied
     per rep: a rep whose shifted denominator is exactly zero is degenerate
-    and gets NaN where ``shifted_ratio`` raises.  No other rep does: its
-    finite numerator is divided by a nonzero finite denominator, so
-    ``isnan`` is the degenerate mask.
+    and gets NaN where ``shifted_ratio`` raises.  No other rep does: a
+    covariance beyond the float range raises a ValueError naming ``name``,
+    the argument that set ``params``, so every finite numerator is divided
+    by a nonzero denominator and ``isnan`` is the degenerate mask.
     """
     s_zz, s_ez, s_hz = moments
-    cov_dz = (
-        params.effective_pi1(n) * s_zz
-        + params.eps_loading * params.sigma_eps * s_ez
-        + params.sigma_eta * s_hz
-    )
-    cov_yz = params.beta1 * cov_dz + params.sigma_eps * s_ez
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        cov_dz = (
+            params.effective_pi1(n) * s_zz
+            + params.eps_loading * params.sigma_eps * s_ez
+            + params.sigma_eta * s_hz
+        )
+        cov_yz = params.beta1 * cov_dz + params.sigma_eps * s_ez
+    if not np.isfinite(cov_yz).all():  # cov_yz is finite only where cov_dz is
+        raise ValueError(
+            f"{name} must give finite covariances at n = {n}, "
+            "got Cov[D,Z] or Cov[Y,Z] beyond the float range"
+        )
     denominators = cov_dz + np.array(shifts)[:, None]
     nan = np.full_like(denominators, math.nan)
     return np.divide(cov_yz, denominators, out=nan, where=denominators != 0.0)
@@ -657,7 +666,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     params = [config.params_at(grid_value) for grid_value in grid]
     moments = _draw_moments(config.master_seed, [(gi,) for gi in range(len(grid))], reps, n)
     for gi in range(len(grid)):
-        estimates[:, gi] = _ratios(params[gi], n, moments[:, gi], lambdas)
+        estimates[:, gi] = _ratios(params[gi], n, moments[:, gi], lambdas, f"grid[{gi}]")
     del moments  # kept through the aggregate, it would raise the caller's peak memory
     estimates = estimates.reshape(len(lambdas) * len(grid), reps)
     cells = _aggregate_rows(

@@ -209,6 +209,11 @@ def test_cauchy_diagnostics_needs_samples():
         cauchy_diagnostics(np.ones(499))
 
 
+def test_cauchy_diagnostics_needs_one_dimensional_samples():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        cauchy_diagnostics(np.ones((600, 2)))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo oracles for the covariance matrices
 

@@ -94,6 +94,25 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, name):
+    assert run_cli(["sweep-pi", "--config", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot read config file" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "payload, flags", [({"seed": 2**64}, []), ({}, ["--seed", "-1"])], ids=["config", "flag"]
+)
+def test_seed_outside_u64_exits_2(tmp_path, capsys, payload, flags):
+    argv = ["single-run", "--config", _write_config(tmp_path, payload), *flags]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "config field 'seed' must be an unsigned 64-bit integer" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_field_named_in_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, {**SMALL_CONFIG, "lambduh": [1]})
     assert run_cli(["sweep-pi", "--config", cfg]) == 2
@@ -803,6 +822,28 @@ def test_emit_plot_single_point_marker(tmp_path):
     assert polylines == []
 
 
+def test_emit_plot_with_no_finite_mse_draws_no_curve(tmp_path):
+    # no noise and no first stage: every unpenalized denominator is exactly 0
+    config = SweepConfig(
+        base_params=DgpParams(
+            beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.0, sigma_eps=0.0, sigma_eta=0.0
+        ),
+        grid_variable=GridVariable.PI1,
+        grid=(0.0,),
+        lambda_values=(0.0,),
+        n=25,
+        reps=10,
+        master_seed=4,
+    )
+    result = run_sweep(config)
+    assert math.isnan(result.cells[0].mse)
+    path = tmp_path / "empty.svg"
+    emit_plot(result, 0.0, path)
+    root = ET.parse(path).getroot()
+    assert root.findall(".//{http://www.w3.org/2000/svg}polyline") == []
+    assert root.findall(".//{http://www.w3.org/2000/svg}circle") == []
+
+
 def test_emit_plot_unknown_lambda(tmp_path):
     with pytest.raises(ValueError, match="no cells"):
         emit_plot(_small_result(), 42.0, tmp_path / "x.svg")
@@ -856,6 +897,42 @@ def test_single_run_with_schedule_config(tmp_path, capsys):
     assert payload["lambda_n"] == 60.0
 
 
+def test_single_run_schedule_without_lambda0_is_unpenalized(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"schedule": {"rate": "linear_n"}, "n": 60})
+    assert run_cli(["single-run", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda_n"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (
+            "sweep-pi",
+            {"grid": [1e300, 1.7e308], "lambdas": [0.0], "n": 150, "reps": 50, "seed": 1},
+            "config field 'grid[1]' must give finite covariances at n = 150",
+        ),
+        (
+            "single-run",
+            {"params": {"beta0": 1e308, "pi0": 1e308, "pi1": 1e200}, "n": 50},
+            "config field 'params' must give finite data at n = 50",
+        ),
+    ],
+    ids=["sweep", "dataset"],
+)
+def test_an_overflow_in_the_run_names_its_config_key(tmp_path, capsys, command, payload, message):
+    # before, the sweep wrote the overflowing reps as degenerate and exited 0,
+    # and single-run exited 1 blaming y
+    out = tmp_path / "out"
+    argv = [command, "--config", _write_config(tmp_path, payload)]
+    if command != "single-run":
+        argv += ["--out", str(out)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.out == ""
+    assert list(out.glob("*")) == []
+
+
 def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
@@ -881,9 +958,8 @@ def test_single_run_prints_an_infinite_std_error_as_null(tmp_path, capsys):
     [
         # lambda_n(150) = 1.5e309 would print "lambda_n": Infinity, which is not JSON
         ({"schedule": {"rate": "linear_n", "lambda0": 1e307}}, "lambda_n(150) must be finite"),
-        ({"schedule": {"rate": "linear_n", "lambda0": 1.0}, "n": 10**400}, "too large"),
     ],
-    ids=["lambda0", "n"],
+    ids=["lambda0"],
 )
 def test_single_run_overflowing_penalty_rejected(tmp_path, capsys, payload, message):
     cfg = _write_config(tmp_path, payload)
@@ -895,12 +971,17 @@ def test_single_run_overflowing_penalty_rejected(tmp_path, capsys, payload, mess
 
 
 @pytest.mark.parametrize("n", [10**400, 2**62], ids=["beyond-float", "beyond-intp"])
-@pytest.mark.parametrize("command", ["sweep-pi", "single-run"])
-def test_an_n_that_cannot_be_drawn_exits_2(tmp_path, capsys, command, n):
-    # a constant rate: lambda_n(n) never looks at n
+@pytest.mark.parametrize(
+    "command, rate",
+    [("sweep-pi", None), ("single-run", "constant"), ("single-run", "linear_n")],
+    ids=["sweep-pi", "single-run", "single-run-linear_n"],
+)
+def test_an_n_that_cannot_be_drawn_exits_2(tmp_path, capsys, command, rate, n):
+    # n is checked before the penalty that depends on it, so a growing rate
+    # names n as a constant rate does
     payload = {"n": n, "output_dir": str(tmp_path / "out")}
     if command == "single-run":
-        payload = {"n": n, "schedule": {"rate": "constant", "lambda0": 1.0}}
+        payload = {"n": n, "schedule": {"rate": rate, "lambda0": 1.0}}
     assert run_cli([command, "--config", _write_config(tmp_path, payload)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

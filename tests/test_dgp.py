@@ -168,6 +168,29 @@ def test_dataset_validation():
     assert data.z.shape == (3, 1)
 
 
+@pytest.mark.parametrize(
+    "arrays, message",
+    [
+        (dict(y=np.zeros((3, 1)), d=np.zeros(3), z=np.zeros(3)), "y and d must be one-dimensional"),
+        (dict(y=np.zeros(3), d=np.zeros((3, 2)), z=np.zeros(3)), "y and d must be one-dimensional"),
+        (dict(y=np.zeros(3), d=np.zeros(3), z=np.zeros((3, 1, 1))), r"z must be an \(n, k\) matrix"),
+        (dict(y=np.zeros(3), d=np.zeros(3), z=np.zeros((3, 0))), "need at least one instrument"),
+    ],
+    ids=["2-D y", "2-D d", "3-D z", "no instrument"],
+)
+def test_dataset_rejects_wrong_shapes(arrays, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(**arrays)
+
+
+def test_generate_dataset_names_params_whose_data_overflow():
+    # y = beta0 + d + eps overflows; Dataset saw only a non-finite y, after
+    # numpy's overflow warning
+    params = DgpParams(beta0=1e308, beta1=1.0, pi0=1e308, pi1=1e200)
+    with pytest.raises(ValueError, match="^params must give finite data at n = 50"):
+        generate_dataset(params, 50, 0)
+
+
 @pytest.mark.parametrize("field", ["y", "d", "z"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_dataset_non_finite_entry_rejected(field, value):

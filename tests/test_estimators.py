@@ -66,6 +66,13 @@ def test_demeaned_cov_validation():
         demeaned_cov(np.array([1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("two_d", ["x", "w"])
+def test_demeaned_cov_rejects_two_dimensional_input(two_d):
+    arrays = {"x": Z123, "w": Z123, two_d: Z123.reshape(3, 1)}
+    with pytest.raises(ValueError, match="one-dimensional"):
+        demeaned_cov(**arrays)
+
+
 # ---------------------------------------------------------------------------
 # stage regressions
 

@@ -390,6 +390,26 @@ def test_degenerate_reps_are_counted_and_excluded():
     assert clean.mse == 0.0
 
 
+def test_an_overflowing_covariance_is_named_not_counted_degenerate():
+    # pi1 * Var z overflows in 15 of grid[1]'s 50 reps; inf / inf was NaN,
+    # which the aggregate counted as a zero denominator
+    config = SweepConfig(
+        base_params=aer_calibration(beta1=1.0),
+        grid_variable=GridVariable.PI1,
+        grid=(1e300, 1.7e308),
+        lambda_values=(0.0,),
+        n=150,
+        reps=50,
+        master_seed=1,
+    )
+    with pytest.raises(ValueError, match=r"^grid\[1\] must give finite covariances at n = 150"):
+        run_sweep(config)
+    params = DgpParams(beta0=0.0, beta1=1e308, pi0=0.0, pi1=10.0)
+    schedule = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
+    with pytest.raises(ValueError, match=r"^params must give finite covariances at n = 30"):
+        collect_sampling_distribution(params, schedule, 30, 20, 1)
+
+
 _EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
 
 
