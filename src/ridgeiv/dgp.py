@@ -104,6 +104,9 @@ class DgpParams:
     ``sigma_eps = 0`` / ``sigma_eta = 0`` are allowed as exact zero-noise
     toggles for testing; ``err_cov`` must then be 0 alongside
     ``sigma_eps = 0``.  Every field is a finite real; ``stock_c`` may be ``None``.
+    :attr:`eps_loading` must be finite too, so a nonzero ``err_cov`` rules
+    out a ``sigma_eps`` whose square underflows to 0, and no ``sigma_eps``
+    may square beyond the float range.
     """
 
     beta0: float
@@ -125,6 +128,15 @@ class DgpParams:
             raise ValueError(
                 "err_cov must be 0 when sigma_eps is 0: a noiseless structural "
                 "equation cannot covary with the first stage"
+            )
+        try:  # sigma_eps**2 can underflow to 0 or overflow
+            finite = math.isfinite(self.eps_loading)
+        except (ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"sigma_eps must give a finite eps_loading = err_cov / sigma_eps**2, "
+                f"got sigma_eps = {self.sigma_eps!r} beside err_cov = {self.err_cov!r}"
             )
 
     @property

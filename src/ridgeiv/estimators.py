@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -193,25 +193,31 @@ def reduced_form(data: Dataset) -> tuple[float, float, float]:
 def fit_2sls(data: Dataset) -> Estimate:
     """Just-identified 2SLS: the ratio Cov[Y,Z] / Cov[D,Z].
 
-    Large or extreme values are returned as-is; only an exactly-zero
-    denominator raises.
+    Large values are returned as-is; an exactly-zero denominator raises, and
+    so does a value beyond the float range (:func:`fit_ridge_iv`).
     """
     return fit_ridge_iv(data, PenaltySchedule(PenaltyRate.CONSTANT, 0.0))
 
 
 def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
-    """Penalized ratio estimator Cov[Y,Z] / (Cov[D,Z] + lambda_n(n)/n)."""
+    """Penalized ratio estimator Cov[Y,Z] / (Cov[D,Z] + lambda_n(n)/n).
+
+    Finite data can still have a mean, a moment or a ratio beyond the float
+    range; a ValueError naming ``data`` then says which field it reaches.
+    """
     lambda_n = float(schedule.lambda_n(data.n))
     shift = lambda_n / data.n
     z = _instrument_column(data)
-    numerator = demeaned_cov(data.y, z)
-    cov_dz = demeaned_cov(data.d, z)
-    beta1_hat = shifted_ratio(numerator, cov_dz, shift)
-    _, pi1_hat, sigma_eta_hat = first_stage(data)
-    _, _, sigma_red_hat = reduced_form(data)
-    resid = (data.y - data.y.mean()) - beta1_hat * (data.d - data.d.mean())
-    sigma_eps_hat = float(np.sqrt(np.mean(resid**2)))
-    return Estimate(
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        numerator = demeaned_cov(data.y, z)
+        cov_dz = demeaned_cov(data.d, z)
+        beta1_hat = shifted_ratio(numerator, cov_dz, shift)
+        _, pi1_hat, sigma_eta_hat = first_stage(data)
+        _, _, sigma_red_hat = reduced_form(data)
+        resid = (data.y - data.y.mean()) - beta1_hat * (data.d - data.d.mean())
+        sigma_eps_hat = float(np.sqrt(np.mean(resid**2)))
+        sigma_z_hat = math.sqrt(demeaned_cov(z, z))
+    estimate = Estimate(
         beta1_hat=beta1_hat,
         numerator=numerator,
         denominator=cov_dz + shift,
@@ -221,8 +227,15 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
         sigma_eta_hat=sigma_eta_hat,
         sigma_red_hat=sigma_red_hat,
         sigma_eps_hat=sigma_eps_hat,
-        sigma_z_hat=math.sqrt(demeaned_cov(z, z)),
+        sigma_z_hat=sigma_z_hat,
     )
+    for field, value in asdict(estimate).items():
+        if not math.isfinite(value):
+            raise ValueError(
+                f"data must give a finite {field}, got {value!r}: a mean, a moment "
+                "or the ratio of the data is beyond the float range"
+            )
+    return estimate
 
 
 def fit_ridge_iv_matrix(data: Dataset, lam: float) -> np.ndarray:

@@ -24,16 +24,17 @@ the intercepts drop out of every covariance:
     Cov[Y,Z] = beta1 * Cov[D,Z] + sigma_eps * Cov[e,z]
 
 with pi1 the slope at the sample size n (``DgpParams.effective_pi1``).
-Reps are drawn and reduced in blocks from one re-keyed Philox per grid
-point or sampling distribution, with every rep's moments formed on its own
-row, so no result depends on the block layout.  The checks of
+Reps are drawn and reduced in blocks from one Philox per thread, re-keyed
+for every rep, with every rep's moments formed on its own row, so no
+result depends on the block layout.  The checks of
 ``verify-asymptotics`` share one such draw: every regime of a run reduces
 the same reps, rep i seeded ``derive_seed(seed, i)``, because the unit
 shocks do not depend on a design's parameters.
 
-At n = 150 on one x86-64 core (10-15 us per rep), drawing the normals is
-about 70% of the kernel, re-keying Philox about 12%, centering and the
-products and means about 5% each, and deriving the seeds 0.3%.  Each
+At n = 150 on one x86-64 core (10-12 us per rep, each stage timed alone
+over 41 seed paths of 100 reps), drawing the normals is about 76% of the
+kernel, centering about 5%, re-keying Philox 4-5%, deriving the seeds 3%,
+the products and the means about 3% each, and the loop the rest.  Each
 rep's seed fixes its draws, so they may run on several processes
 (:func:`_draw_moments`) in equal rep ranges of each grid point or sampling
 distribution: 8 or more per worker, reps allowing.
@@ -303,20 +304,45 @@ class _UnitShocks:
     eps / sigma_eps and eta / sigma_eta exactly as
     ``generate_dataset(params, n, seed)`` draws them.  One Philox serves
     every call: it is re-keyed to ``key = [seed, 0]`` with counter 0 and an
-    empty buffer, the state ``Philox(key=seed)`` starts in, without the
-    constructor's cost of seeding from OS entropy.
+    empty buffer, the state ``Philox(key=seed)`` starts in, whatever an
+    earlier call left behind.  The fresh state is kept as plain ints: on
+    x86-64 the state setter takes 0.5 us for them, against 1.4-2.0 us for
+    the uint64 arrays that ``Philox.state`` returns.
+
+    Building one takes 18-20 us, most of it ``Philox`` seeding itself from
+    OS entropy, so each thread keeps one for all its draws
+    (:func:`_unit_shocks`).  An instance must not be shared between
+    threads: one thread's re-key would change another's draw.
     """
 
     def __init__(self) -> None:
         self._bitgen = np.random.Philox(key=0)
         self._rng = np.random.Generator(self._bitgen)
-        self._fresh = self._bitgen.state
-        self._key = self._fresh["state"]["key"]
+        fresh = self._bitgen.state
+        fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        self._fresh = fresh
+        self._key = fresh["state"]["key"]
 
     def draw(self, seed: int, out: np.ndarray) -> None:
         self._key[0] = seed
         self._bitgen.state = self._fresh
         self._rng.standard_normal(out=out)
+
+
+_thread_shocks = threading.local()
+
+
+def _unit_shocks() -> _UnitShocks:
+    """The calling thread's ``_UnitShocks``, built on its first call.
+
+    A forked draw worker inherits the caller's, if the caller has drawn.
+    """
+    try:
+        return _thread_shocks.instance
+    except AttributeError:
+        _thread_shocks.instance = _UnitShocks()
+        return _thread_shocks.instance
 
 
 def _shock_moments(
@@ -329,7 +355,7 @@ def _shock_moments(
     """
     seeds = _derive_seeds(master_seed, path, start, stop).tolist()
     reps = stop - start
-    draw = _UnitShocks().draw
+    draw = _unit_shocks().draw
     size = _block_reps(n)
     moments = np.empty((3, reps))
     block = np.empty((min(size, reps), 3, n))
@@ -469,8 +495,9 @@ def _map_moments(tasks: list[_Task], workers: int) -> np.ndarray:
     with --raw --plots in 7 of 8 (85.9 against 82.5 ms).
 
     numpy imports ``numpy.random`` on first use.  A caller that has not
-    drawn leaves that to the children, about 16 ms each and in parallel:
-    importing it here would add 5.5 MiB to the caller's resident memory.
+    drawn leaves that to the children, in parallel: 8.3-12.9 ms each
+    (median 9.0 ms) in 5 fresh processes on a 2-core x86-64 host.
+    Importing it here would add 5.5 MiB to the caller's resident memory.
     """
     if workers == 1:
         return np.concatenate([_shock_moments(*task) for task in tasks], axis=1)
@@ -570,6 +597,7 @@ def _ratios(
     moments: np.ndarray,
     shifts: tuple[float, ...],
     name: str = "params",
+    shift_name: str = "schedule",
 ) -> np.ndarray:
     """Cov[Y,Z] / (Cov[D,Z] + shift) per shift and rep, shape (len(shifts), reps).
 
@@ -577,8 +605,10 @@ def _ratios(
     per rep: a rep whose shifted denominator is exactly zero is degenerate
     and gets NaN where ``shifted_ratio`` raises.  No other rep does: a
     covariance beyond the float range raises a ValueError naming ``name``,
-    the argument that set ``params``, so every finite numerator is divided
-    by a nonzero denominator and ``isnan`` is the degenerate mask.
+    the argument that set ``params``, and a shifted denominator beyond it
+    one naming ``shift_name.format(j)`` for shift j, so every finite
+    numerator is divided by a finite nonzero denominator and ``isnan`` is
+    the degenerate mask.
     """
     s_zz, s_ez, s_hz = moments
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
@@ -593,7 +623,14 @@ def _ratios(
             f"{name} must give finite covariances at n = {n}, "
             "got Cov[D,Z] or Cov[Y,Z] beyond the float range"
         )
-    denominators = cov_dz + np.array(shifts)[:, None]
+    with np.errstate(over="ignore"):  # an overflow is named below
+        denominators = cov_dz + np.array(shifts)[:, None]
+    if not np.isfinite(denominators).all():
+        j = int(np.isinf(denominators).any(axis=1).argmax())
+        raise ValueError(
+            f"{shift_name.format(j)} must give a finite shifted denominator with {name} "
+            f"at n = {n}, got Cov[D,Z] + {shifts[j]!r} beyond the float range"
+        )
     nan = np.full_like(denominators, math.nan)
     return np.divide(cov_yz, denominators, out=nan, where=denominators != 0.0)
 
@@ -666,7 +703,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     params = [config.params_at(grid_value) for grid_value in grid]
     moments = _draw_moments(config.master_seed, [(gi,) for gi in range(len(grid))], reps, n)
     for gi in range(len(grid)):
-        estimates[:, gi] = _ratios(params[gi], n, moments[:, gi], lambdas, f"grid[{gi}]")
+        estimates[:, gi] = _ratios(
+            params[gi], n, moments[:, gi], lambdas, f"grid[{gi}]", "lambda_values[{}]"
+        )
     del moments  # kept through the aggregate, it would raise the caller's peak memory
     estimates = estimates.reshape(len(lambdas) * len(grid), reps)
     cells = _aggregate_rows(

@@ -553,11 +553,18 @@ def test_bad_params_field_rejected(tmp_path, capsys):
          "'params.sigma_eps' must be nonnegative, got -1.0"),
         ("single-run", {"params": {"sigma_eps": 0, "err_cov": 0.5}},
          "'params.err_cov' must be 0 when sigma_eps is 0"),
+        ("single-run", {"params": {"sigma_eps": 1e-200, "err_cov": 0.5}},
+         "'params.sigma_eps' must give a finite eps_loading"),
+        ("sweep-beta", {"params": {"sigma_eps": 1e-200, "err_cov": 0.5}},
+         "'params.sigma_eps' must give a finite eps_loading"),
         ("sweep-pi", {"grid": [0.5, 0.1]}, "'grid' must be strictly increasing"),
         ("single-run", {"schedule": {"lambda0": -1}},
          "'schedule.lambda0' must be nonnegative, got -1.0"),
     ],
-    ids=["lambdas", "stock_c", "sigma_eps", "err_cov", "grid", "lambda0"],
+    ids=[
+        "lambdas", "stock_c", "sigma_eps", "err_cov", "eps_loading-single-run",
+        "eps_loading-sweep", "grid", "lambda0",
+    ],
 )
 def test_library_rule_named_with_its_config_key(tmp_path, capsys, command, payload, message):
     # the library states the rule under its argument's name (lambda_values[0],
@@ -916,12 +923,24 @@ def test_single_run_schedule_without_lambda0_is_unpenalized(tmp_path, capsys):
             {"params": {"beta0": 1e308, "pi0": 1e308, "pi1": 1e200}, "n": 50},
             "config field 'params' must give finite data at n = 50",
         ),
+        (
+            "sweep-pi",
+            {"grid": [1e307], "lambdas": [0.0, 1.7e308], "n": 150, "reps": 20, "seed": 1},
+            "config field 'lambdas[1]' must give a finite shifted denominator with grid[0]",
+        ),
+        (
+            "single-run",
+            {"params": {"beta0": 1e308, "beta1": 0}, "n": 50},
+            "config field 'params' must give a finite beta1_hat, got nan",
+        ),
     ],
-    ids=["sweep", "dataset"],
+    ids=["sweep", "dataset", "shifted-denominator", "covariance"],
 )
 def test_an_overflow_in_the_run_names_its_config_key(tmp_path, capsys, command, payload, message):
-    # before, the sweep wrote the overflowing reps as degenerate and exited 0,
-    # and single-run exited 1 blaming y
+    # before, the sweep wrote the overflowing reps as degenerate, or an
+    # overflowing denominator's estimates as 0.0, and exited 0; single-run
+    # exited 1 blaming y, or printing a non-finite value as JSON.  A numpy
+    # warning would fail the test.
     out = tmp_path / "out"
     argv = [command, "--config", _write_config(tmp_path, payload)]
     if command != "single-run":

@@ -122,6 +122,18 @@ def test_err_cov_requires_structural_noise():
         DgpParams(beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.5, sigma_eps=0.0, err_cov=0.2)
 
 
+@pytest.mark.parametrize(
+    "sigma_eps, err_cov",
+    [(1e-200, 0.5), (1e-10, 1e300), (1e200, 0.0)],
+    ids=["square-underflows", "loading-overflows", "square-overflows"],
+)
+def test_eps_loading_must_be_finite(sigma_eps, err_cov):
+    # err_cov / sigma_eps**2 divided by zero, gave inf, or overflowed in the
+    # square, each only when a dataset or a sweep first read it
+    with pytest.raises(ValueError, match="^sigma_eps must give a finite eps_loading"):
+        DgpParams(beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.5, sigma_eps=sigma_eps, err_cov=err_cov)
+
+
 def test_zero_noise_is_exact():
     params = DgpParams(
         beta0=2.83, beta1=1.0, pi0=-0.346, pi1=0.072,

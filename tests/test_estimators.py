@@ -238,6 +238,24 @@ def test_shrinkage_toward_zero():
     assert fits[-1] < 1e-5
 
 
+@pytest.mark.parametrize(
+    "y, field",
+    [
+        # y.mean() overflows, so Cov[Y,Z] is NaN
+        (1e308 + np.arange(50.0), "beta1_hat"),
+        # the residual's square overflows beside finite covariances
+        (1e200 * np.sin(np.arange(50.0)), "sigma_red_hat"),
+    ],
+    ids=["mean", "square"],
+)
+def test_fit_names_data_whose_moments_overflow(y, field):
+    # numpy warned, and the Estimate held NaN or inf
+    z = np.cos(np.arange(50.0))
+    data = Dataset(y=y, d=z + 0.5 * np.sin(np.arange(50.0)), z=z)
+    with pytest.raises(ValueError, match=f"^data must give a finite {field}, got "):
+        fit_2sls(data)
+
+
 def test_std_error_matches_plugin_formula():
     data = _random_dataset(11, n=80)
     est = fit_2sls(data)

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -222,6 +224,57 @@ def test_rekeyed_draw_matches_generate_dataset():
         assert np.array_equal(out[2], data.d / params.sigma_eta)
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_a_dirty_generator_draws_as_a_fresh_philox(seed):
+    shocks = _UnitShocks()
+    shocks._rng.integers(2**32, dtype=np.uint32)  # keeps the other half of a word
+    shocks._rng.random()  # leaves half of a 4-word block in the buffer
+    state = shocks._bitgen.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] == 2
+    out = np.empty((3, 150))
+    shocks.draw(seed, out)
+    fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal((3, 150))
+    assert np.array_equal(out, fresh)
+
+
+def test_threads_drawing_at_once_each_get_the_serial_bits():
+    # each thread re-keys its own generator: one shared between them would
+    # let a thread draw under another's key
+    tasks = [(20260810, (t,), 0, 130, 150) for t in range(4)]
+    serial = [_shock_moments(*task) for task in tasks]
+    drawn = [[] for _ in tasks]
+    barrier = threading.Barrier(len(tasks))
+
+    def draw(t):
+        barrier.wait()
+        for _ in range(5):
+            drawn[t].append(_shock_moments(*tasks[t]))
+
+    threads = [threading.Thread(target=draw, args=(t,)) for t in range(len(tasks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for moments, runs in zip(serial, drawn):
+        assert len(runs) == 5
+        assert all(np.array_equal(run, moments) for run in runs)
+
+
+def test_a_threads_reused_generator_draws_the_same_moments_after_another_draw():
+    task = (20260810, (0,), 0, 130, 150)
+    before = _shock_moments(*task)
+    shocks = montecarlo._unit_shocks()
+    assert montecarlo._unit_shocks() is shocks
+    shocks._rng.standard_normal(7)  # leaves a partial buffer behind
+    assert np.array_equal(_shock_moments(*task), before)
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -408,6 +461,29 @@ def test_an_overflowing_covariance_is_named_not_counted_degenerate():
     schedule = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
     with pytest.raises(ValueError, match=r"^params must give finite covariances at n = 30"):
         collect_sampling_distribution(params, schedule, 30, 20, 1)
+
+
+def test_an_overflowing_shifted_denominator_is_named():
+    # Cov[D,Z] + lambda was inf, so the estimates were 0.0 where they are
+    # about Cov[Y,Z] / 1.8e308 away from it
+    config = SweepConfig(
+        base_params=aer_calibration(beta1=1.0),
+        grid_variable=GridVariable.PI1,
+        grid=(1e307,),
+        lambda_values=(0.0, 1.7e308),
+        n=150,
+        reps=20,
+        master_seed=1,
+    )
+    with pytest.raises(
+        ValueError,
+        match=r"^lambda_values\[1\] must give a finite shifted denominator with grid\[0\] at n = 150",
+    ):
+        run_sweep(config)
+    params = DgpParams(beta0=0.0, beta1=1.0, pi0=0.0, pi1=1e308, sigma_eps=0.0, sigma_eta=0.0)
+    moments = np.array([[1.0], [0.0], [0.0]])  # Var z, Cov[e,z], Cov[h,z] of one rep
+    with pytest.raises(ValueError, match=r"^schedule must give a finite shifted denominator"):
+        _ratios(params, 30, moments, (1e308,))
 
 
 _EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
