@@ -27,8 +27,9 @@ overrides its key (``--out`` sets output_dir, ``--plots`` emit_plots,
 ``--raw`` emit_raw, ``--regime`` regimes).  The library owns every value
 rule (``DgpParams``, ``PenaltySchedule``, ``SweepConfig``,
 ``verify_min_reps``); a rule it rejects exits 2 naming the config key, and
-so does a value whose covariances, shifted denominators, data or fitted
-moments overflow during the run.
+so does a value whose covariances, shifted denominators, estimates, sweep
+statistics, data or fitted moments overflow during the run, so a sweep
+reports only finite numbers and NaN for degenerate reps.
 This module states only what JSON adds: JSON type names, finite numbers
 (``NaN`` and ``Infinity`` as JSON writes them), unknown keys, lambdas
 distinct as plot names, a ``seed`` below 2**64, at most 10**6
@@ -202,6 +203,7 @@ _ARG_KEYS = {
     **{field: key for key, field in _SWEEP_FIELDS.items()},
     **{name: f"params.{name}" for name in _PARAM_KEYS},
     **{f.name: f"schedule.{f.name}" for f in dataclasses.fields(PenaltySchedule)},
+    "schedule": "schedule",
     "regimes": "regimes",
 }
 

@@ -11,10 +11,14 @@ written above.  The matrix forms (`fit_ridge_iv_matrix`,
 (`gmm_objective`, `gmm_minimize`, `lagrange_correspondence`) work on raw
 uncentered arrays; the two conventions are never mixed silently.
 
-Every form divides through :func:`shifted_ratio`, so an exactly-zero
-shifted denominator raises :class:`DegenerateDenominatorError` in all of
-them.  Near-zero denominators pass through on purpose: the instability of
-the unpenalized estimator is a measured quantity here, not a failure mode.
+Every form, and every sweep and sampling distribution in
+:mod:`.montecarlo`, divides through :func:`shifted_ratio`, which owns one
+rule: a ratio is finite, or its shifted denominator is exactly zero
+(degenerate: :class:`DegenerateDenominatorError` here, NaN in a vector of
+reps), or the call raises a ValueError naming the input.  Near-zero
+denominators pass through on purpose, as long as the ratio stays a float:
+the instability of the unpenalized estimator is a measured quantity here,
+not a failure mode.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -143,18 +148,59 @@ def demeaned_cov(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.mean((x - x.mean()) * (w - w.mean())))
 
 
-def shifted_ratio(numerator: float, base: float, shift: float) -> float:
-    """The penalized ratio numerator / (base + shift).
+def shifted_ratio(
+    numerator: float | np.ndarray,
+    base: float | np.ndarray,
+    shift: float | Sequence[float],
+    name: str = "numerator",
+    shift_name: str = "shift",
+) -> float | np.ndarray:
+    """The penalized ratio numerator / (base + shift): the one division of every form.
 
-    Core of every estimator form; raises :class:`DegenerateDenominatorError`
-    iff the shifted denominator is exactly zero.
+    A result is finite, or its shifted denominator is exactly zero
+    (degenerate), or the call raises a ValueError naming the input.  Called
+    with three floats, it returns a float and raises
+    :class:`DegenerateDenominatorError` on a degenerate denominator.
+    Called with arrays ``numerator`` and ``base`` of one shape, it returns
+    an array of that shape, with a leading axis of one row per shift when
+    ``shift`` is a sequence, and NaN exactly where the rep is degenerate.
+
+    A shifted denominator beyond the float range from a finite ``base``
+    raises naming ``shift_name`` (``str.format``-ed with the shift's index
+    when ``shift`` is a sequence); any other result that is not finite
+    names ``name``, the argument that set the numerator and the base.
     """
-    denominator = base + shift
-    if denominator == 0.0:
-        raise DegenerateDenominatorError(
-            f"shifted denominator is exactly zero (base = {base!r}, shift = {shift!r})"
+    numerator = np.asarray(numerator, dtype=np.float64)
+    base = np.asarray(base, dtype=np.float64)
+    shifts = np.asarray(shift, dtype=np.float64)
+    shift_axes = shifts.ndim  # 1 when there is a row per shift
+    shifts = shifts.reshape(shifts.shape + (1,) * base.ndim)
+    with np.errstate(all="ignore"):  # every result that is not finite is named below
+        denominators = base + shifts
+        quotients = numerator / denominators
+    degenerate = denominators == 0.0
+    bad = ~(np.isfinite(quotients) & np.isfinite(denominators) | degenerate)
+    if bad.any():
+        at = np.unravel_index(bad.argmax(), bad.shape)
+        num, b, s, den, q = (
+            float(np.broadcast_to(x, bad.shape)[at])
+            for x in (numerator, base, shifts, denominators, quotients)
         )
-    return numerator / denominator
+        if math.isfinite(b) and not math.isfinite(den):
+            raise ValueError(
+                f"{shift_name.format(*at[:shift_axes])} must give a finite "
+                f"shifted denominator with {name}, got {b!r} + {s!r} = {den!r}"
+            )
+        raise ValueError(f"{name} must give a finite beta1_hat, got {q!r} = {num!r} / {den!r}")
+    if quotients.ndim == 0:
+        if degenerate:
+            raise DegenerateDenominatorError(
+                f"shifted denominator is exactly zero (base = {float(base)!r}, "
+                f"shift = {float(shifts)!r})"
+            )
+        return float(quotients)
+    quotients[degenerate] = math.nan
+    return quotients
 
 
 def _instrument_column(data: Dataset) -> np.ndarray:
@@ -194,7 +240,7 @@ def fit_2sls(data: Dataset) -> Estimate:
     """Just-identified 2SLS: the ratio Cov[Y,Z] / Cov[D,Z].
 
     Large values are returned as-is; an exactly-zero denominator raises, and
-    so does a value beyond the float range (:func:`fit_ridge_iv`).
+    so does a value beyond the float range (:func:`shifted_ratio`).
     """
     return fit_ridge_iv(data, PenaltySchedule(PenaltyRate.CONSTANT, 0.0))
 
@@ -203,7 +249,8 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
     """Penalized ratio estimator Cov[Y,Z] / (Cov[D,Z] + lambda_n(n)/n).
 
     Finite data can still have a mean, a moment or a ratio beyond the float
-    range; a ValueError naming ``data`` then says which field it reaches.
+    range; a ValueError naming ``data`` then says which field it reaches
+    (``schedule`` when only the shifted denominator overflows).
     """
     lambda_n = float(schedule.lambda_n(data.n))
     shift = lambda_n / data.n
@@ -211,7 +258,7 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         numerator = demeaned_cov(data.y, z)
         cov_dz = demeaned_cov(data.d, z)
-        beta1_hat = shifted_ratio(numerator, cov_dz, shift)
+        beta1_hat = shifted_ratio(numerator, cov_dz, shift, "data", "schedule")
         _, pi1_hat, sigma_eta_hat = first_stage(data)
         _, _, sigma_red_hat = reduced_form(data)
         resid = (data.y - data.y.mean()) - beta1_hat * (data.d - data.d.mean())
@@ -232,8 +279,8 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
     for field, value in asdict(estimate).items():
         if not math.isfinite(value):
             raise ValueError(
-                f"data must give a finite {field}, got {value!r}: a mean, a moment "
-                "or the ratio of the data is beyond the float range"
+                f"data must give a finite {field}, got {value!r}: a mean or a "
+                "moment of the data is beyond the float range"
             )
     return estimate
 
@@ -251,9 +298,10 @@ def fit_ridge_iv_matrix(data: Dataset, lam: float) -> np.ndarray:
             f"Z'D must be square: one endogenous regressor needs k = 1, got k = {data.k}"
         )
     _nonnegative("lam", lam)
-    zd = (data.z.T @ data.d.reshape(-1, 1)).item()
-    zy = (data.z.T @ data.y).item()
-    return np.array([shifted_ratio(zy, zd, lam)])
+    with np.errstate(over="ignore", invalid="ignore"):  # shifted_ratio names an overflow
+        zd = (data.z.T @ data.d.reshape(-1, 1)).item()
+        zy = (data.z.T @ data.y).item()
+    return np.array([shifted_ratio(zy, zd, lam, "data", "lam")])
 
 
 def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
@@ -266,16 +314,17 @@ def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
     _nonnegative("lam", lam)
     z = data.z
     d = data.d.reshape(-1, 1)
-    zz = z.T @ z
-    zd = z.T @ d
-    zy = (z.T @ data.y).reshape(-1, 1)
-    try:
-        solved = np.linalg.solve(zz, np.hstack([zd, zy]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"Z'Z is singular: {exc}") from exc
-    a = zd.T @ solved[:, :1]
-    b = zd.T @ solved[:, 1]
-    return np.array([shifted_ratio(b.item(), a.item(), lam)])
+    with np.errstate(over="ignore", invalid="ignore"):  # shifted_ratio names an overflow
+        zz = z.T @ z
+        zd = z.T @ d
+        zy = (z.T @ data.y).reshape(-1, 1)
+        try:
+            solved = np.linalg.solve(zz, np.hstack([zd, zy]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"Z'Z is singular: {exc}") from exc
+        a = zd.T @ solved[:, :1]
+        b = zd.T @ solved[:, 1]
+    return np.array([shifted_ratio(b.item(), a.item(), lam, "data", "lam")])
 
 
 def _uncentered_sums(data: Dataset) -> tuple[float, float]:
@@ -303,8 +352,10 @@ def gmm_minimize(data: Dataset, gamma: float) -> float:
     both zero it has no unique minimizer, and the ratio raises.
     """
     _nonnegative("gamma", gamma)
-    szd, szy = _uncentered_sums(data)
-    return shifted_ratio(szd * szy, szd**2, gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # shifted_ratio names an overflow
+        szd, szy = _uncentered_sums(data)
+    # float products give inf where ** would raise an unnamed OverflowError
+    return shifted_ratio(szd * szy, szd * szd, gamma, "data", "gamma")
 
 
 def lagrange_correspondence(data: Dataset, lambda_n: float) -> float:

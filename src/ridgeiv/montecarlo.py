@@ -47,7 +47,11 @@ aggregate and check; a sweep aggregates all its cells in one pass.
 The estimates match the per-dataset path (``demeaned_cov`` or
 ``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: about
 1e-11 relative at most on the default sweeps, where a near-zero
-denominator amplifies it.
+denominator amplifies it.  They divide through the fit's
+:func:`~ridgeiv.estimators.shifted_ratio`, so each is finite, or NaN for a
+degenerate rep, or the call raises a ValueError naming the input.  A
+sweep's aggregates and a sampling distribution's scaled samples keep the
+same rule: nothing here returns inf.
 
 The ``lambda_values`` of a sweep are denominator shifts at covariance
 scale: each estimate is Cov[Y,Z] / (Cov[D,Z] + lambda).  At the sweep's
@@ -79,7 +83,7 @@ import numpy as np
 
 from . import asymptotics
 from .dgp import DgpParams, _finite_real, _int_at_least, _nonnegative, _sample_size, aer_calibration
-from .estimators import PenaltyRate, PenaltySchedule
+from .estimators import PenaltyRate, PenaltySchedule, shifted_ratio
 
 __all__ = [
     "GridVariable",
@@ -601,14 +605,11 @@ def _ratios(
 ) -> np.ndarray:
     """Cov[Y,Z] / (Cov[D,Z] + shift) per shift and rep, shape (len(shifts), reps).
 
-    This is the rule of :func:`~ridgeiv.estimators.shifted_ratio` applied
-    per rep: a rep whose shifted denominator is exactly zero is degenerate
-    and gets NaN where ``shifted_ratio`` raises.  No other rep does: a
-    covariance beyond the float range raises a ValueError naming ``name``,
-    the argument that set ``params``, and a shifted denominator beyond it
-    one naming ``shift_name.format(j)`` for shift j, so every finite
-    numerator is divided by a finite nonzero denominator and ``isnan`` is
-    the degenerate mask.
+    A covariance beyond the float range raises a ValueError naming
+    ``name``, the argument that set ``params``.  The ratios are those of
+    :func:`~ridgeiv.estimators.shifted_ratio`, so every one is finite or
+    NaN for a degenerate rep (``isnan`` is the degenerate mask), or the
+    call raises naming ``name`` or ``shift_name.format(j)`` for shift j.
     """
     s_zz, s_ez, s_hz = moments
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
@@ -623,19 +624,12 @@ def _ratios(
             f"{name} must give finite covariances at n = {n}, "
             "got Cov[D,Z] or Cov[Y,Z] beyond the float range"
         )
-    with np.errstate(over="ignore"):  # an overflow is named below
-        denominators = cov_dz + np.array(shifts)[:, None]
-    if not np.isfinite(denominators).all():
-        j = int(np.isinf(denominators).any(axis=1).argmax())
-        raise ValueError(
-            f"{shift_name.format(j)} must give a finite shifted denominator with {name} "
-            f"at n = {n}, got Cov[D,Z] + {shifts[j]!r} beyond the float range"
-        )
-    nan = np.full_like(denominators, math.nan)
-    return np.divide(cov_yz, denominators, out=nan, where=denominators != 0.0)
+    return shifted_ratio(cov_yz, cov_dz, shifts, f"{name} at n = {n}", shift_name)
 
 
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+# the SweepCell fields that aggregate the estimates
+_STATS = ("mse", "bias", "variance", "q05", "q25", "q50", "q75", "q95")
 
 
 def _aggregate(
@@ -690,6 +684,10 @@ def _aggregate_rows(
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the full sweep and aggregate MSE/bias/variance per cell.
 
+    Every statistic is finite, or NaN in a cell whose reps are all
+    degenerate; a cell whose statistics leave the float range raises a
+    ValueError naming its grid entry, with the cell's lambda.
+
     The draws of each grid point are one or more tasks, claimed from a queue
     by up to one forked process per usable CPU when the sweep is large enough
     (:func:`_draw_moments`), else run in order on the calling thread; the
@@ -708,12 +706,24 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         )
     del moments  # kept through the aggregate, it would raise the caller's peak memory
     estimates = estimates.reshape(len(lambdas) * len(grid), reps)
-    cells = _aggregate_rows(
-        estimates,
-        [p.beta1 for p in params] * len(lambdas),
-        grid * len(lambdas),
-        [lam for lam in lambdas for _ in grid],
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        cells = _aggregate_rows(
+            estimates,
+            [p.beta1 for p in params] * len(lambdas),
+            grid * len(lambdas),
+            [lam for lam in lambdas for _ in grid],
+        )
+    for i, cell in enumerate(cells):
+        if cell.n_degenerate == reps:  # every statistic is NaN
+            continue
+        for stat in _STATS:
+            value = getattr(cell, stat)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"grid[{i % len(grid)}] must give a finite {stat} at lambda = "
+                    f"{cell.lam!r} and n = {n}, got {value!r}: its estimates spread "
+                    "beyond the float range"
+                )
     return SweepResult(config.grid_variable, n, reps, cells, estimates)
 
 
@@ -722,10 +732,17 @@ def _scaled_samples(
 ) -> list[np.ndarray]:
     """The samples of :func:`collect_sampling_distribution`, one array per shift."""
     center = 0.0 if params.stock_c is not None else params.beta1
-    return [
-        math.sqrt(n) * (row[~np.isnan(row)] - center)
-        for row in _ratios(params, n, moments, shifts)
-    ]
+    with np.errstate(over="ignore"):  # an overflow is named below
+        samples = [
+            math.sqrt(n) * (row[~np.isnan(row)] - center)
+            for row in _ratios(params, n, moments, shifts)
+        ]
+    if not all(np.isfinite(sample).all() for sample in samples):
+        raise ValueError(
+            f"params must give finite samples sqrt(n) * (beta1_hat - {center!r}) at "
+            f"n = {n}, got one beyond the float range"
+        )
+    return samples
 
 
 def collect_sampling_distribution(
@@ -740,7 +757,8 @@ def collect_sampling_distribution(
     Returns sqrt(n) * (beta1_hat - beta1) when the first stage is a fixed
     slope, and sqrt(n) * beta1_hat when ``params.stock_c`` is set (the
     drifting regime, where the estimator is centered near zero, not near
-    beta1).  Reps with an exactly-zero denominator are dropped.
+    beta1).  Reps with an exactly-zero denominator are dropped; a sample
+    beyond the float range raises a ValueError naming ``params``.
     """
     if not isinstance(params, DgpParams):
         raise TypeError(f"params must be a DgpParams, got {params!r}")

@@ -910,6 +910,14 @@ def test_single_run_schedule_without_lambda0_is_unpenalized(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["lambda_n"] == 0.0
 
 
+# a noisy outcome beside a first stage of at most 1e-150: Cov[Y,Z] is near
+# 1e99 and Cov[D,Z] near the grid value
+_TINY_DENOMINATOR = {
+    "params": {"sigma_eps": 1e100, "sigma_eta": 0, "err_cov": 0},
+    "lambdas": [0.0], "n": 150, "reps": 5,
+}
+
+
 @pytest.mark.parametrize(
     "command, payload, message",
     [
@@ -933,14 +941,25 @@ def test_single_run_schedule_without_lambda0_is_unpenalized(tmp_path, capsys):
             {"params": {"beta0": 1e308, "beta1": 0}, "n": 50},
             "config field 'params' must give a finite beta1_hat, got nan",
         ),
+        (
+            "sweep-pi",
+            {**_TINY_DENOMINATOR, "grid": [1e-300]},
+            "config field 'grid[0]' at n = 150 must give a finite beta1_hat, got ",
+        ),
+        (
+            "sweep-pi",
+            {**_TINY_DENOMINATOR, "grid": [1e-150]},
+            "config field 'grid[0]' must give a finite mse at lambda = 0.0 and n = 150, got inf",
+        ),
     ],
-    ids=["sweep", "dataset", "shifted-denominator", "covariance"],
+    ids=["sweep", "dataset", "shifted-denominator", "covariance", "quotient", "aggregate"],
 )
 def test_an_overflow_in_the_run_names_its_config_key(tmp_path, capsys, command, payload, message):
-    # before, the sweep wrote the overflowing reps as degenerate, or an
-    # overflowing denominator's estimates as 0.0, and exited 0; single-run
-    # exited 1 blaming y, or printing a non-finite value as JSON.  A numpy
-    # warning would fail the test.
+    # before, the sweep wrote the overflowing reps as degenerate, an
+    # overflowing denominator's estimates as 0.0, an overflowing quotient as
+    # an mse of inf beside nan statistics, or finite estimates with an mse of
+    # inf, and exited 0; single-run exited 1 blaming y, or printing a
+    # non-finite value as JSON.  A numpy warning would fail the test.
     out = tmp_path / "out"
     argv = [command, "--config", _write_config(tmp_path, payload)]
     if command != "single-run":

@@ -24,6 +24,7 @@ from ridgeiv.estimators import (
     gmm_objective,
     lagrange_correspondence,
     reduced_form,
+    shifted_ratio,
 )
 
 Z123 = np.array([1.0, 2.0, 3.0])
@@ -447,6 +448,52 @@ _ORTHOGONAL = Dataset(y=Z123, d=np.array([1.0, 1.0, -1.0]), z=Z123)  # Z'D = 0
 def test_every_form_raises_on_an_exactly_zero_shifted_denominator(fit, data):
     with pytest.raises(DegenerateDenominatorError, match="exactly zero"):
         fit(data)
+
+
+_OVERFLOWING = Dataset(
+    y=1e300 * np.array([1.0, 1.0, 1.0, -1.0]),
+    d=1e160 * np.array([1.0, 2.0, -1.0, 3.0]),
+    z=np.array([1.0, -1.0, 2.0, 0.5]),
+)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # sum(ZD)**2 raised an unnamed OverflowError
+        (lambda: gmm_minimize(_OVERFLOWING, 0.0), r"^data must give a finite beta1_hat, got "),
+        # D'P_zD overflowed in a matmul: [nan], after two numpy warnings
+        (
+            lambda: fit_ridge_iv_overidentified(_OVERFLOWING, 0.0),
+            r"^data must give a finite beta1_hat, got ",
+        ),
+        # returned inf
+        (
+            lambda: shifted_ratio(1e300, 1e-300, 0.0),
+            r"^numerator must give a finite beta1_hat, got inf = 1e\+300 / 1e-300$",
+        ),
+        # returned 0.0: 1 / inf
+        (
+            lambda: shifted_ratio(1.0, 1.7e308, 1.7e308),
+            r"^shift must give a finite shifted denominator with numerator, got 1\.7e\+308 \+ ",
+        ),
+    ],
+    ids=["gmm", "overidentified", "scalar-quotient", "scalar-denominator"],
+)
+def test_a_ratio_beyond_the_float_range_is_named(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_the_vector_ratio_marks_degenerate_reps_nan_and_names_the_shift():
+    numerator, base = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])
+    ratios = shifted_ratio(numerator, base, (0.0, 1.0))
+    expected = np.array([[math.nan, 2.0, -3.0], [1.0, 1.0, math.nan]])
+    np.testing.assert_array_equal(ratios, expected)
+    np.testing.assert_array_equal(shifted_ratio(numerator, base, 1.0), expected[1])
+    message = r"^lambda\[1\] must give a finite shifted denominator with z, "
+    with pytest.raises(ValueError, match=message):
+        shifted_ratio(numerator, np.array([1.0, 1e308, 0.0]), (0.0, 1.7e308), "z", "lambda[{}]")
 
 
 _DATA = _random_dataset(0)

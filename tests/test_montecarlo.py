@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 import threading
 
@@ -14,11 +15,11 @@ from ridgeiv.asymptotics import MIN_TAIL_SAMPLES, cauchy_diagnostics
 from ridgeiv.dgp import DgpParams, aer_calibration, generate_dataset
 from ridgeiv.estimators import (
     DegenerateDenominatorError,
+    Estimate,
     PenaltyRate,
     PenaltySchedule,
     demeaned_cov,
     fit_ridge_iv,
-    shifted_ratio,
 )
 import ridgeiv.asymptotics as asymptotics
 import ridgeiv.montecarlo as montecarlo
@@ -311,11 +312,12 @@ def test_kernel_matches_per_dataset_path(config):
             numerator = demeaned_cov(data.y, z)
             cov_dz = demeaned_cov(data.d, z)
             for li, lam in enumerate(config.lambda_values):
-                try:
-                    ref = shifted_ratio(numerator, cov_dz, lam)
-                except DegenerateDenominatorError:
+                # the reference divides on its own, not through shifted_ratio,
+                # which the kernel's ratios share
+                if cov_dz + lam == 0.0:
                     assert math.isnan(estimates[li, rep])
                     continue
+                ref = numerator / (cov_dz + lam)
                 assert abs(estimates[li, rep] - ref) <= 1e-12 * (abs(ref) + 1)
 
 
@@ -486,6 +488,109 @@ def test_an_overflowing_shifted_denominator_is_named():
         _ratios(params, 30, moments, (1e308,))
 
 
+@pytest.mark.parametrize(
+    "pi1, message",
+    [
+        # finite ratios near 1e307, which sqrt(n) scales beyond the float range
+        (1e-208, r"^params must give finite samples sqrt\(n\) \* \(beta1_hat - 1\.0\) at n = 150"),
+        # ratios beyond the float range
+        (1e-209, r"^params at n = 150 must give a finite beta1_hat, got -?inf = "),
+    ],
+    ids=["scaled", "ratio"],
+)
+def test_a_sampling_distribution_beyond_the_float_range_is_named(pi1, message):
+    # 1 and 17 of the 20 samples were inf, after a numpy warning
+    params = DgpParams(
+        beta0=0.0, beta1=1.0, pi0=0.0, pi1=pi1, sigma_eps=1e100, sigma_eta=0.0, err_cov=0.0
+    )
+    schedule = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
+    with pytest.raises(ValueError, match=message):
+        collect_sampling_distribution(params, schedule, 150, 20, 1)
+
+
+# Any finite float; the powers of ten, drawn log-uniformly, reach both ends
+# of the float range far more often than uniform bits do
+_POWERS = st.integers(-323, 308).map(lambda e: 10.0**e)
+_NONNEGATIVE = st.just(0.0) | _POWERS | st.floats(min_value=0.0, allow_infinity=False)
+_ANY_FLOAT = (
+    _NONNEGATIVE | _POWERS.map(lambda x: -x) | st.floats(allow_nan=False, allow_infinity=False)
+)
+_FIELD_NAMES = {
+    *(f.name for f in dataclasses.fields(DgpParams)),
+    *(f.name for f in dataclasses.fields(SweepConfig)),
+    *(f.name for f in dataclasses.fields(Estimate)),
+    "params", "data", "schedule",
+}
+
+
+def _names_a_field(exc):
+    """Whether the message starts with a field name, indexed or dotted or called at an n."""
+    first = str(exc).split(" ")[0]
+    match = re.fullmatch(r"(\w+)(\[\d+\]|\.\w+|\(\d+\))?", first)
+    return match is not None and match.group(1) in _FIELD_NAMES
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    fields=st.fixed_dictionaries(
+        {
+            "beta0": _ANY_FLOAT, "beta1": _ANY_FLOAT, "pi0": _ANY_FLOAT, "pi1": _ANY_FLOAT,
+            "sigma_eps": _NONNEGATIVE, "sigma_eta": _NONNEGATIVE, "err_cov": _ANY_FLOAT,
+            "stock_c": st.none() | _ANY_FLOAT,
+        }
+    ),
+    grid_variable=st.sampled_from(GridVariable),
+    grid=st.lists(_ANY_FLOAT, min_size=1, max_size=3, unique=True).map(sorted),
+    lambdas=st.lists(_NONNEGATIVE, min_size=1, max_size=2, unique=True),
+    rate=st.sampled_from(PenaltyRate),
+    n=st.integers(3, 40),
+    reps=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_every_estimate_is_finite_degenerate_or_named(
+    fields, grid_variable, grid, lambdas, rate, n, reps, seed
+):
+    # One rule for the sweep, the sampling distribution and the fit: a
+    # number is finite, or NaN counted as degenerate, or the input is named.
+    # pytest turns any numpy warning into a failure.
+    try:
+        params = DgpParams(**fields)
+    except ValueError as exc:
+        assert _names_a_field(exc), exc
+        return
+    try:
+        config = SweepConfig(params, grid_variable, tuple(grid), tuple(lambdas), n, reps, seed)
+        result = run_sweep(config)
+    except ValueError as exc:
+        assert _names_a_field(exc), exc
+    else:
+        degenerate = np.isnan(result.estimates)
+        assert np.isfinite(result.estimates[~degenerate]).all()
+        for cell, row in zip(result.cells, degenerate):
+            assert cell.n_degenerate == row.sum()
+            stats = dataclasses.astuple(cell)[2:-1]  # every field after lam but n_degenerate
+            if cell.n_degenerate == reps:
+                assert all(math.isnan(value) for value in stats)
+            else:
+                assert all(math.isfinite(value) for value in stats), cell
+    schedule = PenaltySchedule(rate, lambdas[0])
+    try:
+        samples = collect_sampling_distribution(params, schedule, n, reps, seed)
+    except ValueError as exc:
+        assert _names_a_field(exc), exc
+    else:
+        assert np.isfinite(samples).all()
+    try:
+        data = generate_dataset(params, n, seed)
+        estimate = fit_ridge_iv(data, schedule)
+    except DegenerateDenominatorError:
+        pass
+    except ValueError as exc:
+        assert _names_a_field(exc), exc
+    else:
+        assert all(math.isfinite(value) for value in dataclasses.astuple(estimate))
+
+
 _EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
 
 
@@ -616,13 +721,16 @@ def test_collect_matches_per_dataset_fit(params, schedule, n):
     reps = 2 * _block_reps(n) + 3
     samples = collect_sampling_distribution(params, schedule, n, reps, 23)
     center = 0.0 if params.stock_c is not None else params.beta1
+    shift = schedule.lambda_n(n) / n
     expected = []
     for rep in range(reps):
         data = generate_dataset(params, n, derive_seed(23, rep))
-        try:
-            expected.append(fit_ridge_iv(data, schedule).beta1_hat)
-        except DegenerateDenominatorError:
-            pass
+        # the reference divides on its own, not through shifted_ratio,
+        # which the kernel's ratios share
+        z = data.z[:, 0]
+        numerator, cov_dz = demeaned_cov(data.y, z), demeaned_cov(data.d, z)
+        if cov_dz + shift != 0.0:
+            expected.append(numerator / (cov_dz + shift))
     if params is _ZERO_NOISE:
         assert len(expected) == (0 if schedule.lambda0 == 0.0 else reps)
     assert samples.shape == (len(expected),)
