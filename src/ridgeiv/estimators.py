@@ -335,13 +335,30 @@ def _uncentered_sums(data: Dataset) -> tuple[float, float]:
 def gmm_objective(data: Dataset, beta: float, gamma: float) -> float:
     """Penalized moment objective (sum_i Z_i (Y_i - D_i beta))^2 + gamma * beta^2.
 
-    Uses raw uncentered sums (no intercepts).
+    Uses raw uncentered sums (no intercepts).  An objective beyond the
+    float range raises a ValueError naming the argument that took it there:
+    ``data`` when its own sums square beyond it, else ``beta`` for the
+    moment term or a square of beta beyond it, else ``gamma``.
     """
     _finite_real("beta", beta)
     _nonnegative("gamma", gamma)
     z = _instrument_column(data)
-    moment = float(z @ (data.y - data.d * beta))
-    return moment**2 + gamma * beta**2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        moment = float(z @ (data.y - data.d * beta))
+        # float products give inf where ** would raise an unnamed OverflowError
+        fit, penalty = moment * moment, gamma * beta * beta
+        objective = fit + penalty
+        if math.isfinite(objective):
+            return objective
+        if not math.isfinite(fit):
+            szd, szy = _uncentered_sums(data)
+            name = "data" if not math.isfinite(szd * szd + szy * szy) else "beta"
+        else:
+            name = "beta" if not math.isfinite(beta * beta) else "gamma"
+    raise ValueError(
+        f"{name} must give a finite GMM objective at beta = {beta!r} and gamma = "
+        f"{gamma!r}, got {objective!r} from the moment {moment!r} and the penalty {penalty!r}"
+    )
 
 
 def gmm_minimize(data: Dataset, gamma: float) -> float:

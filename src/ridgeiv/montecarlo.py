@@ -31,13 +31,13 @@ result depends on the block layout.  The checks of
 the same reps, rep i seeded ``derive_seed(seed, i)``, because the unit
 shocks do not depend on a design's parameters.
 
-At n = 150 on one x86-64 core (10-12 us per rep, each stage timed alone
-over 41 seed paths of 100 reps), drawing the normals is about 76% of the
-kernel, centering about 5%, re-keying Philox 4-5%, deriving the seeds 3%,
-the products and the means about 3% each, and the loop the rest.  Each
-rep's seed fixes its draws, so they may run on several processes
-(:func:`_draw_moments`) in equal rep ranges of each grid point or sampling
-distribution: 8 or more per worker, reps allowing.
+At n = 150 on one x86-64 core (9-10 us per rep, each stage timed alone
+over 41 seed paths of 100 reps), drawing the normals is 77-85% of the
+kernel, re-keying Philox 4-5%, deriving the seeds 3%, the reduction about
+5% (the means 2.5%, the dot products 2%, forming the moments under 1%),
+and the loop the rest.  Each rep's seed fixes its draws, so they may run
+on several processes (:func:`_draw_moments`) in equal rep ranges of each
+grid point or sampling distribution: 8 or more per worker, reps allowing.
 The calling process forks the workers for the call with ``os.fork`` and
 queues every task in a pipe; each worker claims the next task as soon as it
 is free, so no worker waits on a slow one's share.  The caller gets the
@@ -45,9 +45,9 @@ moments back in task order in one shared array, and forms every ratio,
 aggregate and check; a sweep aggregates all its cells in one pass.
 
 The estimates match the per-dataset path (``demeaned_cov`` or
-``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: about
-1e-11 relative at most on the default sweeps, where a near-zero
-denominator amplifies it.  They divide through the fit's
+``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: at most
+1.5e-11 relative on the default sweeps, where a near-zero covariance
+amplifies it.  They divide through the fit's
 :func:`~ridgeiv.estimators.shifted_ratio`, so each is finite, or NaN for a
 degenerate rep, or the call raises a ValueError naming the input.  A
 sweep's aggregates and a sampling distribution's scaled samples keep the
@@ -368,13 +368,12 @@ def _shock_moments(
         shocks = block[: stop - start]
         for seed, out in zip(seeds[start:stop], shocks):
             draw(seed, out)
-        shocks -= shocks.mean(axis=2, keepdims=True)
-        # rows become z*z, e*z, h*z.  The z rows are copied first: a multiply
-        # that reads the array it writes makes numpy check the overlap and
-        # buffer its operands, several times the cost of the same products
-        # from a copy, which are the same bits.
-        shocks *= shocks[:, :1, :].copy()
-        moments[:, start:stop] = shocks.mean(axis=2).T
+        # Cov[x, z] = mean(x z) - mean(x) mean(z), in one pass over the block.
+        # einsum runs numpy's own loop; a stacked matmul would call BLAS,
+        # which the forks of _map_moments rely on no draw doing
+        means = shocks.mean(axis=2)
+        dots = np.einsum("rin,rn->ri", shocks, shocks[:, 0])
+        moments[:, start:stop] = (dots / n - means * means[:, :1]).T
     return moments
 
 

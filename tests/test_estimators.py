@@ -485,6 +485,32 @@ def test_a_ratio_beyond_the_float_range_is_named(call, message):
         call()
 
 
+_SMALL = Dataset(
+    y=np.array([1.0, 2.0, 3.0, 4.0]),
+    d=np.array([1.0, 0.0, 2.0, 1.0]),
+    z=np.array([1.0, -1.0, 2.0, 0.5]),
+)
+
+
+@pytest.mark.parametrize(
+    "data, beta, gamma, name",
+    [
+        # the three that raised an unnamed OverflowError from a float's ** ...
+        (_OVERFLOWING, 1.0, 0.0, "data"),
+        (_OVERFLOWING, 0.0, 1e300, "data"),
+        (_SMALL, 1e200, 1.0, "beta"),
+        # ... numpy's overflow warning from d * beta ...
+        (_OVERFLOWING, 1e200, 1.0, "data"),
+        # ... and inf, returned
+        (_SMALL, 2.0, 1.7e308, "gamma"),
+    ],
+    ids=["data-moment", "data-at-zero", "beta", "data-times-beta", "gamma"],
+)
+def test_an_objective_beyond_the_float_range_is_named(data, beta, gamma, name):
+    with pytest.raises(ValueError, match=f"^{name} must give a finite GMM objective at "):
+        gmm_objective(data, beta, gamma)
+
+
 def test_the_vector_ratio_marks_degenerate_reps_nan_and_names_the_shift():
     numerator, base = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])
     ratios = shifted_ratio(numerator, base, (0.0, 1.0))
