@@ -368,9 +368,10 @@ def _shock_moments(
         shocks = block[: stop - start]
         for seed, out in zip(seeds[start:stop], shocks):
             draw(seed, out)
-        # Cov[x, z] = mean(x z) - mean(x) mean(z), in one pass over the block.
-        # einsum runs numpy's own loop; a stacked matmul would call BLAS,
-        # which the forks of _map_moments rely on no draw doing
+        # Cov[x, z] = mean(x z) - mean(x) mean(z), without centering the block
+        # first.  einsum runs numpy's own loop; a stacked matmul would call
+        # BLAS, which the forks of _map_moments rely on no draw doing.  Its
+        # dot products sum plainly, not pairwise as mean does (see README)
         means = shocks.mean(axis=2)
         dots = np.einsum("rin,rn->ri", shocks, shocks[:, 0])
         moments[:, start:stop] = (dots / n - means * means[:, :1]).T
