@@ -62,16 +62,8 @@ import numpy as np
 
 from .dgp import DgpParams, _int_at_least, _sample_size, aer_calibration, generate_dataset
 from .estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
-from .montecarlo import (
-    VERIFY_REGIMES,
-    GridVariable,
-    SweepCell,
-    SweepConfig,
-    SweepResult,
-    run_sweep,
-    verify_min_reps,
-    verify_regimes,
-)
+from .montecarlo import GridVariable, SweepCell, SweepConfig, SweepResult, run_sweep
+from .verify import VERIFY_REGIMES, verify_min_reps, verify_regimes
 
 __all__ = [
     "Command",

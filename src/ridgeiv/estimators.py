@@ -222,9 +222,32 @@ def _simple_ols(x: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
     return intercept, slope, float(np.sqrt(np.mean(resid**2)))
 
 
+def _check_finite(fields: dict[str, float]) -> None:
+    """Raise a ValueError naming ``data`` and the first field that is not finite."""
+    for field, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(
+                f"data must give a finite {field}, got {value!r}: a mean or a "
+                "moment of the data is beyond the float range"
+            )
+
+
+def _checked_ols(
+    data: Dataset, t: np.ndarray, names: tuple[str, str, str]
+) -> tuple[float, float, float]:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        fit = _simple_ols(_instrument_column(data), t)
+    _check_finite(dict(zip(names, fit)))
+    return fit
+
+
 def first_stage(data: Dataset) -> tuple[float, float, float]:
-    """OLS of D on (1, Z): returns (pi0_hat, pi1_hat, sigma_eta_hat)."""
-    return _simple_ols(_instrument_column(data), data.d)
+    """OLS of D on (1, Z): returns (pi0_hat, pi1_hat, sigma_eta_hat).
+
+    A value beyond the float range from finite data raises a ValueError
+    naming ``data`` and the field, as :func:`fit_ridge_iv` does.
+    """
+    return _checked_ols(data, data.d, ("pi0_hat", "pi1_hat", "sigma_eta_hat"))
 
 
 def reduced_form(data: Dataset) -> tuple[float, float, float]:
@@ -232,8 +255,9 @@ def reduced_form(data: Dataset) -> tuple[float, float, float]:
 
     The slope estimates beta1 * pi1; the residual sd estimates sigma_red
     where sigma_red^2 = beta1^2 sigma_eta^2 + sigma_eps^2 + 2 beta1 err_cov.
+    A value beyond the float range raises as in :func:`first_stage`.
     """
-    return _simple_ols(_instrument_column(data), data.y)
+    return _checked_ols(data, data.y, ("rf0_hat", "rf1_hat", "sigma_red_hat"))
 
 
 def fit_2sls(data: Dataset) -> Estimate:
@@ -259,8 +283,8 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
         numerator = demeaned_cov(data.y, z)
         cov_dz = demeaned_cov(data.d, z)
         beta1_hat = shifted_ratio(numerator, cov_dz, shift, "data", "schedule")
-        _, pi1_hat, sigma_eta_hat = first_stage(data)
-        _, _, sigma_red_hat = reduced_form(data)
+        _, pi1_hat, sigma_eta_hat = _simple_ols(z, data.d)
+        _, _, sigma_red_hat = _simple_ols(z, data.y)
         resid = (data.y - data.y.mean()) - beta1_hat * (data.d - data.d.mean())
         sigma_eps_hat = float(np.sqrt(np.mean(resid**2)))
         sigma_z_hat = math.sqrt(demeaned_cov(z, z))
@@ -276,12 +300,7 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
         sigma_eps_hat=sigma_eps_hat,
         sigma_z_hat=sigma_z_hat,
     )
-    for field, value in asdict(estimate).items():
-        if not math.isfinite(value):
-            raise ValueError(
-                f"data must give a finite {field}, got {value!r}: a mean or a "
-                "moment of the data is beyond the float range"
-            )
+    _check_finite(asdict(estimate))
     return estimate
 
 
@@ -380,8 +399,18 @@ def lagrange_correspondence(data: Dataset, lambda_n: float) -> float:
 
     gamma_n = (sum_i Z_i D_i / n) * lambda_n, so that
     ``gmm_minimize(data, gamma_n)`` equals the uncentered penalized ratio
-    sum(ZY) / (sum(ZD) + lambda_n / n).
+    sum(ZY) / (sum(ZD) + lambda_n / n).  A multiplier beyond the float
+    range raises a ValueError naming ``data`` when sum(Z*D) overflows, else
+    ``lambda_n``.
     """
     _nonnegative("lambda_n", lambda_n)
-    szd, _ = _uncentered_sums(data)
-    return (szd / data.n) * lambda_n
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        szd, _ = _uncentered_sums(data)
+        gamma_n = (szd / data.n) * lambda_n
+    if not math.isfinite(gamma_n):
+        name = "data" if not math.isfinite(szd) else "lambda_n"
+        raise ValueError(
+            f"{name} must give a finite multiplier gamma_n at lambda_n = {lambda_n!r}, "
+            f"got {gamma_n!r} from sum(Z*D) = {szd!r}"
+        )
+    return gamma_n

@@ -3,8 +3,9 @@
 Two kinds of experiment live here: MSE sweeps over a grid of first-stage
 slopes or effect sizes (one aggregate row per grid point and penalty
 level), and collection of the raw sampling distribution of the scaled
-estimator, with the checks (:func:`verify_regimes`) that compare it against
-the closed-form limits in :mod:`.asymptotics`.
+estimator.  The checks of ``verify-asymptotics``, which compare such a
+draw against the closed-form limits in :mod:`.asymptotics`, live in
+:mod:`.verify`.
 
 Every repetition gets its own seed derived deterministically from
 ``(master_seed, grid index, rep index)``, or ``(master_seed, rep index)``
@@ -26,23 +27,18 @@ the intercepts drop out of every covariance:
 with pi1 the slope at the sample size n (``DgpParams.effective_pi1``).
 Reps are drawn and reduced in blocks from one Philox per thread, re-keyed
 for every rep, with every rep's moments formed on its own row, so no
-result depends on the block layout.  The checks of
-``verify-asymptotics`` share one such draw: every regime of a run reduces
-the same reps, rep i seeded ``derive_seed(seed, i)``, because the unit
-shocks do not depend on a design's parameters.
+result depends on the block layout.
 
 At n = 150 on one x86-64 core (9-10 us per rep, each stage timed alone
 over 41 seed paths of 100 reps), drawing the normals is 77-85% of the
 kernel, re-keying Philox 4-5%, deriving the seeds 3%, the reduction about
 5% (the means 2.5%, the dot products 2%, forming the moments under 1%),
 and the loop the rest.  Each rep's seed fixes its draws, so they may run
-on several processes (:func:`_draw_moments`) in equal rep ranges of each
-grid point or sampling distribution: 8 or more per worker, reps allowing.
-The calling process forks the workers for the call with ``os.fork`` and
-queues every task in a pipe; each worker claims the next task as soon as it
-is free, so no worker waits on a slow one's share.  The caller gets the
-moments back in task order in one shared array, and forms every ratio,
-aggregate and check; a sweep aggregates all its cells in one pass.
+on several processes (:func:`_draw_moments`, through the fork mapper of
+:mod:`._fork`) in equal rep ranges of each grid point or sampling
+distribution: 8 or more per worker, reps allowing.  The calling process
+forms every ratio, aggregate and check; a sweep aggregates all its cells
+in one pass.
 
 The estimates match the per-dataset path (``demeaned_cov`` or
 ``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: at most
@@ -64,26 +60,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import math
-import mmap
 import operator
-import os
-import pickle
-import select
-import signal
-import struct
-import sys
 import threading
-import traceback
-import warnings
-from typing import BinaryIO, NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import asymptotics
-from .dgp import DgpParams, _finite_real, _int_at_least, _nonnegative, _sample_size, aer_calibration
-from .estimators import PenaltyRate, PenaltySchedule, shifted_ratio
+from . import _fork
+from .dgp import DgpParams, _finite_real, _int_at_least, _nonnegative, _sample_size
+from .estimators import PenaltySchedule, shifted_ratio
 
 __all__ = [
     "GridVariable",
@@ -93,12 +79,7 @@ __all__ = [
     "derive_seed",
     "run_sweep",
     "collect_sampling_distribution",
-    "verify_min_reps",
-    "verify_regimes",
 ]
-
-VERIFY_TOLERANCE = 0.10
-VERIFY_REGIMES = ("strong-variance", "sqrtn-bias", "weak-instrument")
 
 
 class GridVariable(enum.Enum):
@@ -370,195 +351,12 @@ def _shock_moments(
             draw(seed, out)
         # Cov[x, z] = mean(x z) - mean(x) mean(z), without centering the block
         # first.  einsum runs numpy's own loop; a stacked matmul would call
-        # BLAS, which the forks of _map_moments rely on no draw doing.  Its
+        # BLAS, which the forks of _fork.map_tasks rely on no draw doing.  Its
         # dot products sum plainly, not pairwise as mean does (see README)
         means = shocks.mean(axis=2)
         dots = np.einsum("rin,rn->ri", shocks, shocks[:, 0])
         moments[:, start:stop] = (dots / n - means * means[:, :1]).T
     return moments
-
-
-# Forking pays only from this many samples (reps x n, summed over a call's
-# tasks).  On a 2-core x86-64 Linux host, 2 forked workers against the
-# serial path, 10 alternated pairs per size, won:
-#
-#   samples               3.1e4  6.2e4  9.2e4  1.5e5  2.2e5  3.1e5  4.0e5  6.2e5
-#   sweep, n = 150        0      0      2      5      7      10     9      10
-#
-#   samples               1.0e5  1.5e5  2.0e5  3.0e5  4.0e5  5.0e5
-#   rep range, n = 1e4    0      0      4      10     10     10
-#
-# Two forks, their page faults and their exits cost about 5 ms.  On the
-# moments of the default sweep-pi grid (41 x 100 reps, 6.2e5 samples) the
-# serial path took 57-68 ms, a fork multiprocessing Pool(2) 90-105 ms and
-# the two forked workers 44-48 ms.
-_POOL_MIN_SAMPLES = 300_000
-
-_Task = tuple[int, tuple[int, ...], int, int, int]  # _shock_moments' arguments
-_TASK_RECORD = struct.Struct("=I")  # a task's index in the task queue
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, so ``taskset`` limits it.
-
-    Every platform with affinity masks has ``os.fork``.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform: run serially
-        return 1
-
-
-def _pool_workers(tasks: int, samples: int) -> int:
-    """Processes to draw ``tasks`` tasks of ``samples`` samples in all; 1 is serial.
-
-    Nothing is forked for too little work, for a single task or CPU, in a
-    daemonic ``multiprocessing`` process such as a pool worker (a pool on W
-    CPUs would fork W**2 draw workers, and the SIGTERM of its
-    ``terminate()`` skips the ``finally`` that reaps them), or while another
-    Python thread runs: forking a threaded process can leave the child a
-    lock that no thread will release.
-    """
-    if samples < _POOL_MIN_SAMPLES or threading.active_count() > 1:
-        return 1
-    # a process that never imported multiprocessing is none of its daemons
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.current_process().daemon:
-        return 1
-    return min(_usable_cpus(), tasks)
-
-
-class _WorkerTraceback(Exception):
-    """The traceback of an error raised in a draw worker, as text."""
-
-
-def _draw_tasks(
-    queue: tuple[BinaryIO, BinaryIO],
-    tasks: list[_Task],
-    columns: list[tuple[int, int]],
-    shared: np.ndarray,
-    report: BinaryIO,
-) -> NoReturn:
-    """The life of a forked draw worker: claim tasks from ``queue`` until it ends, then exit.
-
-    ``queue`` holds the unbuffered read and write ends of the task queue.
-    The worker closes the write end, then reads one task index at a time and
-    draws that task into its columns of ``shared``; the end of file ends the
-    work.  An error, with its traceback, is pickled to ``report`` for the
-    caller to raise; an error that does not pickle and unpickle goes as a
-    RuntimeError naming it.  The worker never returns into the caller's
-    stack.
-    """
-    code = 1
-    try:
-        reader, writer = queue
-        writer.close()
-        # a record is never torn: the caller writes whole records, at most
-        # select.PIPE_BUF bytes at a time, and a pipe read takes its bytes
-        # whole
-        while record := reader.read(_TASK_RECORD.size):
-            (index,) = _TASK_RECORD.unpack(record)
-            first, last = columns[index]
-            shared[:, first:last] = _shock_moments(*tasks[index])
-        code = 0
-    except BaseException as exc:
-        # a caller blocked on a full queue goes on to read the reports once
-        # every worker has left it; a report larger than a pipe waits for that
-        queue[0].close()
-        text = traceback.format_exc()
-        try:
-            error = pickle.dumps((exc, text))
-            pickle.loads(error)
-        except Exception:
-            error = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
-        report.write(error)
-        report.flush()
-    finally:
-        os._exit(code)
-
-
-def _map_moments(tasks: list[_Task], workers: int) -> np.ndarray:
-    """``_shock_moments`` of each task side by side, in task order, on ``workers`` processes.
-
-    With more than one worker, the call forks one child per worker and then
-    writes every task's index into one pipe, the task queue.  Each child
-    claims the next index as soon as it is free, so a child on a slow CPU
-    draws fewer tasks instead of holding the others back.  It draws each task
-    into that task's columns of the anonymous shared ``mmap`` that the call
-    returns; the columns are fixed by the index, so the result does not
-    depend on which child drew what.  The children inherit the tasks, so
-    nothing is pickled but an error, which comes back over a pipe and is
-    raised here with the child's traceback as its cause.  No child outlives
-    the call: on any error, the children still running are killed, and
-    every child is reaped.
-
-    The queue is measured to pay.  With fixed strides in its place (worker
-    w drawing tasks w, w + W, ...), 8 alternated pairs of the perfbench
-    sweeps at 100 reps on a 2-core x86-64 host ran slower: the default
-    sweep-pi in 8 of 8 pairs (median 54.9 against 49.5 ms) and sweep-beta
-    with --raw --plots in 7 of 8 (85.9 against 82.5 ms).
-
-    numpy imports ``numpy.random`` on first use.  A caller that has not
-    drawn leaves that to the children, in parallel: 8.3-12.9 ms each
-    (median 9.0 ms) in 5 fresh processes on a 2-core x86-64 host.
-    Importing it here would add 5.5 MiB to the caller's resident memory.
-    """
-    if workers == 1:
-        return np.concatenate([_shock_moments(*task) for task in tasks], axis=1)
-    ends = [0, *itertools.accumulate(stop - start for _, _, start, stop, _ in tasks)]
-    columns = list(zip(ends, ends[1:]))
-    shared = np.frombuffer(mmap.mmap(-1, 3 * 8 * ends[-1]), np.float64).reshape(3, -1)
-    pids: list[int] = []  # forked and not yet reaped
-    pipes: list[BinaryIO] = []  # read ends: a child's pickled error, if any
-    read_fd, write_fd = os.pipe()
-    queue = (open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0))
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on any fork beside a native thread, such as
-            # the BLAS pool numpy starts; no draw calls BLAS, and
-            # _pool_workers has checked that no Python thread runs.
-            warnings.filterwarnings(
-                "ignore", r"This process .* is multi-threaded", DeprecationWarning
-            )
-            for _ in range(workers):
-                read_fd, write_fd = os.pipe()
-                pipes.append(open(read_fd, "rb"))
-                with open(write_fd, "wb") as report:
-                    pid = os.fork()
-                    if pid == 0:
-                        _draw_tasks(queue, tasks, columns, shared, report)
-                pids.append(pid)
-        # Only the children read the queue, so a write fails with
-        # BrokenPipeError once every one of them is gone; each one's report
-        # or exit status then says why.
-        queue[0].close()
-        records = struct.pack(f"={len(tasks)}I", *range(len(tasks)))
-        chunk = select.PIPE_BUF // _TASK_RECORD.size * _TASK_RECORD.size
-        try:
-            for first in range(0, len(records), chunk):
-                queue[1].write(records[first : first + chunk])
-        except BrokenPipeError:
-            pass
-        queue[1].close()  # the children read to the end of file
-        for pid, pipe in zip(pids.copy(), pipes):
-            error = pipe.read()  # the end of file comes when the child exits
-            status = os.waitpid(pid, 0)[1]
-            pids.remove(pid)
-            if error:
-                exc, text = pickle.loads(error)
-                raise exc from _WorkerTraceback(text)
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(f"draw worker {pid} exited with code {code}")
-    finally:
-        for end in queue:
-            end.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-    return shared
 
 
 # Tasks per worker: each seed path's reps are cut into equal ranges, about
@@ -586,13 +384,21 @@ _RANGES_PER_WORKER = 8
 def _draw_moments(
     master_seed: int, paths: Sequence[tuple[int, ...]], reps: int, n: int
 ) -> np.ndarray:
-    """``_shock_moments`` of reps [0, reps) of each seed path, shape (3, len(paths), reps)."""
-    workers = _pool_workers(len(paths) * reps, len(paths) * reps * n)
+    """``_shock_moments`` of reps [0, reps) of each seed path, shape (3, len(paths), reps).
+
+    The tasks run on :func:`~ridgeiv._fork.pool_workers` processes.  numpy
+    imports ``numpy.random`` on first use.  A caller that has not drawn
+    leaves that to the forked workers, in parallel: 8.3-12.9 ms each
+    (median 9.0 ms) in 5 fresh processes on a 2-core x86-64 host.
+    Importing it in the caller would add 5.5 MiB to its resident memory.
+    """
+    workers = _fork.pool_workers(len(paths) * reps, len(paths) * reps * n)
     ranges = 1 if workers == 1 else min(reps, math.ceil(_RANGES_PER_WORKER * workers / len(paths)))
     bounds = [reps * r // ranges for r in range(ranges + 1)]
     spans = list(zip(bounds, bounds[1:]))
     tasks = [(master_seed, path, start, stop, n) for path in paths for start, stop in spans]
-    return _map_moments(tasks, workers).reshape(3, len(paths), reps)
+    widths = [stop - start for start, stop in spans] * len(paths)
+    return _fork.map_tasks(_shock_moments, tasks, widths, 3, workers).reshape(3, len(paths), reps)
 
 
 def _ratios(
@@ -770,114 +576,3 @@ def collect_sampling_distribution(
     moments = _draw_moments(master_seed, [()], reps, n)[:, 0]
     (samples,) = _scaled_samples(params, n, moments, (shift,))
     return samples
-
-
-# ---------------------------------------------------------------------------
-# verification of the limit theory
-
-
-# The limit designs: a strong first stage, and the drifting first stage
-# pi1 = stock_c / sqrt(n) of Staiger and Stock (1997).
-_STRONG = dataclasses.replace(aer_calibration(beta1=1.0), pi1=1.0)
-_DRIFTING = dataclasses.replace(aer_calibration(beta1=1.0, stock_c=1.0), pi1=0.0)
-
-
-def _relative_check(label: str, predicted: float, empirical: float) -> tuple[bool, str]:
-    deviation = abs(empirical - predicted) / abs(predicted)
-    ok = deviation <= VERIFY_TOLERANCE
-    return ok, (
-        f"  {label}: predicted {predicted:.6g}, empirical {empirical:.6g}, "
-        f"rel dev {100 * deviation:.2f}% -> {'PASS' if ok else 'FAIL'} "
-        f"(tolerance {100 * VERIFY_TOLERANCE:.0f}%)"
-    )
-
-
-def _std_err_check(label: str, predicted: float, samples: np.ndarray) -> tuple[bool, str]:
-    empirical = float(np.mean(samples))
-    std_err = float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-    ok = abs(empirical - predicted) <= 3.0 * std_err
-    return ok, (
-        f"  {label}: predicted {predicted:.6g}, empirical {empirical:.6g}, |dev| = "
-        f"{abs(empirical - predicted) / std_err:.2f} MC std errors -> "
-        f"{'PASS' if ok else 'FAIL'} (tolerance 3)"
-    )
-
-
-def _tail_check(label: str, samples: np.ndarray, expected: bool, spread: bool) -> tuple[bool, str]:
-    """The heavy-tail flag against ``expected``; ``spread`` adds the median and IQR."""
-    diag = asymptotics.cauchy_diagnostics(samples)
-    ok = diag.tail_index_flag == expected
-    shown = f" (median {diag.median:.3g}, iqr {diag.iqr:.3g})" if spread else ""
-    return ok, (
-        f"  {label} heavy-tail flag: expected {expected}, got "
-        f"{diag.tail_index_flag}{shown} -> {'PASS' if ok else 'FAIL'}"
-    )
-
-
-def _regime_checks(regime: str, moments: np.ndarray, n: int) -> list[tuple[bool, str]]:
-    """(passed, report line) per check of one regime, from the shared moments."""
-    if regime == "strong-variance":
-        (samples,) = _scaled_samples(_STRONG, n, moments, (0.0,))
-        label, predicted = "variance of sqrt(n)(beta_hat - beta1)", asymptotics.v_ridge(_STRONG)
-        return [_relative_check(label, predicted, float(np.var(samples)))]
-    if regime == "sqrtn-bias":
-        schedule = PenaltySchedule(PenaltyRate.SQRT_N, 0.5)
-        (samples,) = _scaled_samples(_STRONG, n, moments, (schedule.lambda_n(n) / n,))
-        predicted = asymptotics.sqrtn_bias(_STRONG, schedule.lambda0)
-        return [_std_err_check("mean of sqrt(n)(beta_hat - beta1)", predicted, samples)]
-    # weak-instrument
-    schedule = PenaltySchedule(PenaltyRate.LINEAR_N, 1.0)
-    raw, ridge = _scaled_samples(_DRIFTING, n, moments, (0.0, schedule.lambda_n(n) / n))
-    mean, variance = asymptotics.staiger_stock_moments(_DRIFTING, schedule.lambda0)
-    return [
-        _tail_check("unpenalized ratio", raw, True, spread=True),
-        _relative_check("mean of sqrt(n) beta_hat", mean, float(np.mean(ridge))),
-        _relative_check("variance of sqrt(n) beta_hat", variance, float(np.var(ridge))),
-        _tail_check("penalized", ridge, False, spread=False),
-    ]
-
-
-def verify_min_reps(regimes: Sequence[str]) -> int:
-    """Fewest reps :func:`verify_regimes` accepts for these regimes.
-
-    ``regimes`` must be a non-empty sequence of distinct names from
-    ``VERIFY_REGIMES``; a bare string, an unknown name or a repeat raises a
-    ValueError.  Every check needs a sample variance; the heavy-tail check
-    of ``weak-instrument`` needs ``asymptotics.MIN_TAIL_SAMPLES`` samples.
-    """
-    if isinstance(regimes, str):
-        raise ValueError(f"regimes must be a sequence of regime names, got {regimes!r}")
-    if not regimes:
-        raise ValueError("regimes must be non-empty")
-    for regime in regimes:
-        if regime not in VERIFY_REGIMES:
-            raise ValueError(
-                f"regimes must contain only {VERIFY_REGIMES}, got unknown regime {regime!r}"
-            )
-    if len(set(regimes)) < len(regimes):
-        raise ValueError(f"regimes must not repeat a regime, got {list(regimes)}")
-    return asymptotics.MIN_TAIL_SAMPLES if "weak-instrument" in regimes else 2
-
-
-def verify_regimes(
-    regimes: Sequence[str], reps: int, seed: int, n: int = 10_000
-) -> list[tuple[bool, list[str]]]:
-    """Run each regime's predicted-vs-empirical checks, in the order given.
-
-    Returns (passed, report lines) per regime.  The unit shocks do not
-    depend on a design's parameters, so one draw of ``reps`` reps, rep i
-    seeded ``derive_seed(seed, i)``, serves every regime, and a regime's
-    lines do not depend on which regimes run beside it.  The regimes
-    (:func:`verify_min_reps`) and every floor are checked before the draw.
-    """
-    reps = _int_at_least("reps", reps, verify_min_reps(regimes))
-    n, seed = _sample_size(n), _int_at_least("seed", seed, 0)
-    moments = _draw_moments(seed, [()], reps, n)[:, 0]
-    results = []
-    for regime in regimes:
-        checks = _regime_checks(regime, moments, n)
-        header = f"[{regime}] n = {n}, reps = {reps}, seed = {seed}"
-        results.append(
-            (all(good for good, _ in checks), [header] + [line for _, line in checks])
-        )
-    return results

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-import ridgeiv.montecarlo as montecarlo
+import ridgeiv._fork as _fork
 from ridgeiv.dgp import DgpParams, aer_calibration, generate_dataset
 
 
@@ -30,8 +30,8 @@ def big_aer_dataset():
 @pytest.fixture
 def two_workers(monkeypatch):
     """Fork two draw workers for any work, whatever the host's CPUs."""
-    monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "_POOL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
 
 
 def assert_no_child_left():

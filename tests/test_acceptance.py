@@ -33,6 +33,7 @@ from ridgeiv.estimators import (
     gmm_minimize,
     lagrange_correspondence,
 )
+import ridgeiv._fork as _fork
 import ridgeiv.montecarlo as montecarlo
 from ridgeiv.montecarlo import collect_sampling_distribution, run_sweep
 
@@ -293,10 +294,10 @@ def test_criterion_8_determinism_across_workers(tmp_path, monkeypatch):
             return shock_moments(*task)
 
         monkeypatch.setattr(montecarlo, "_shock_moments", logged)
-        monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
+        monkeypatch.setattr(_fork, "_POOL_MIN_SAMPLES", 0)
         outputs, pids = {}, {}
         for workers in (1, 8):
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=workers: cpus)
+            monkeypatch.setattr(_fork, "_usable_cpus", lambda cpus=workers: cpus)
             log.write_text("")
             out = tmp_path / f"w{workers}"
             code = run_cli(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ridgeiv._fork as _fork
 import ridgeiv.cli as cli
 import ridgeiv.montecarlo as montecarlo
 from ridgeiv.cli import (
@@ -27,13 +28,13 @@ from ridgeiv.cli import (
 from ridgeiv.dgp import DgpParams, aer_calibration
 from ridgeiv.estimators import PenaltyRate, PenaltySchedule
 from ridgeiv.montecarlo import (
-    VERIFY_REGIMES,
     GridVariable,
     SweepCell,
     SweepConfig,
     SweepResult,
     run_sweep,
 )
+from ridgeiv.verify import VERIFY_REGIMES
 
 SMALL_CONFIG = {
     "grid": {"start": 0.1, "stop": 0.5, "points": 3},
@@ -1085,7 +1086,7 @@ def test_verify_needs_two_reps(monkeypatch, capsys, regime):
 
 def test_verify_report_matches_reference(monkeypatch, capsys):
     # one worker, so the draw runs in this process, where it is recorded
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
     draws = []
     shock_moments = montecarlo._shock_moments
     monkeypatch.setattr(

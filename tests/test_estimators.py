@@ -511,6 +511,36 @@ def test_an_objective_beyond_the_float_range_is_named(data, beta, gamma, name):
         gmm_objective(data, beta, gamma)
 
 
+@pytest.mark.parametrize(
+    "data, lambda_n, name",
+    [
+        # returned -inf and inf: (z'd / n) * lambda_n overflows
+        (_OVERFLOWING, 1e300, "lambda_n"),
+        (_SMALL, 1.7e308, "lambda_n"),
+        # numpy's overflow warning from z'd itself
+        (Dataset(y=_SMALL.y, d=np.full(4, 1e308), z=np.array([1.0, 1.0, 2.0, 0.5])), 1.0, "data"),
+    ],
+    ids=["product-negative", "product-positive", "data"],
+)
+def test_a_multiplier_beyond_the_float_range_is_named(data, lambda_n, name):
+    message = f"^{name} must give a finite multiplier gamma_n at lambda_n = "
+    with pytest.raises(ValueError, match=message):
+        lagrange_correspondence(data, lambda_n)
+
+
+@pytest.mark.parametrize(
+    "stage, field",
+    [(first_stage, "sigma_eta_hat"), (reduced_form, "sigma_red_hat")],
+    ids=["first-stage", "reduced-form"],
+)
+def test_a_stage_beyond_the_float_range_is_named(stage, field):
+    # the residual's square overflowed: an inf sd, after numpy's warning
+    scaled = 1e200 * np.array([1.0, 2.0, -1.0, 3.0])
+    data = Dataset(y=scaled, d=scaled, z=_SMALL.z[:, 0])
+    with pytest.raises(ValueError, match=f"^data must give a finite {field}, got inf: "):
+        stage(data)
+
+
 def test_the_vector_ratio_marks_degenerate_reps_nan_and_names_the_shift():
     numerator, base = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])
     ratios = shifted_ratio(numerator, base, (0.0, 1.0))

@@ -23,6 +23,7 @@ from ridgeiv.estimators import (
     fit_ridge_iv,
 )
 import ridgeiv.asymptotics as asymptotics
+import ridgeiv._fork as _fork
 import ridgeiv.montecarlo as montecarlo
 from ridgeiv.cli import write_raw_csv
 from ridgeiv.montecarlo import (
@@ -39,9 +40,8 @@ from ridgeiv.montecarlo import (
     collect_sampling_distribution,
     derive_seed,
     run_sweep,
-    verify_min_reps,
-    verify_regimes,
 )
+from ridgeiv.verify import VERIFY_REGIMES, verify_min_reps, verify_regimes
 
 
 def _small_config(**overrides):
@@ -879,7 +879,7 @@ def _count_draws(monkeypatch):
     The draws run on one worker: a forked worker's calls would not reach
     this process's record.
     """
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
     calls = []
     shock_moments = montecarlo._shock_moments
 
@@ -999,8 +999,8 @@ def test_heavy_tail_fail_lines(monkeypatch):
 @pytest.mark.parametrize(
     "regimes",
     [
-        montecarlo.VERIFY_REGIMES,
-        montecarlo.VERIFY_REGIMES[::-1],
+        VERIFY_REGIMES,
+        VERIFY_REGIMES[::-1],
         ("weak-instrument", "strong-variance"),
     ],
     ids=["all", "reversed", "subset"],
@@ -1054,7 +1054,7 @@ def test_verify_rejects_what_the_cli_rejects(monkeypatch, check, regimes, messag
     assert calls == []
 
 
-@pytest.mark.parametrize("regime", montecarlo.VERIFY_REGIMES)
+@pytest.mark.parametrize("regime", VERIFY_REGIMES)
 def test_verify_floors_checked_before_the_draw(monkeypatch, regime):
     # one rep has no sample variance: the bias check printed |dev| = nan
     calls = _count_draws(monkeypatch)

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import ridgeiv
 
@@ -16,3 +20,23 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_importing_the_package_and_cli_leaves_heavy_modules_unloaded(tmp_path):
+    # numpy.random alone adds 5.5 MiB to the caller's resident memory; the
+    # draws import it on first use, in the forked workers when they run there
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, ridgeiv, ridgeiv.cli\n"
+        "print(sorted({'numpy.random', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -5,8 +5,10 @@ import multiprocessing
 import os
 import threading
 
+import numpy as np
 import pytest
 
+import ridgeiv._fork as _fork
 import ridgeiv.montecarlo as montecarlo
 from conftest import assert_no_child_left
 from ridgeiv.cli import (
@@ -23,8 +25,8 @@ from ridgeiv.montecarlo import (
     SweepConfig,
     collect_sampling_distribution,
     run_sweep,
-    verify_regimes,
 )
+from ridgeiv.verify import VERIFY_REGIMES, verify_regimes
 
 _SWEEP = SweepConfig(
     base_params=aer_calibration(beta1=1.0),
@@ -53,7 +55,7 @@ _ENTRY_POINTS = {
     "collect": lambda _: collect_sampling_distribution(
         aer_calibration(beta1=1.0), _SCHEDULE, 40, 7, 3
     ).tobytes(),
-    "verify": lambda _: verify_regimes(montecarlo.VERIFY_REGIMES, 500, 402, n=60),
+    "verify": lambda _: verify_regimes(VERIFY_REGIMES, 500, 402, n=60),
 }
 
 
@@ -69,10 +71,10 @@ def draw_pids(monkeypatch, tmp_path):
         return shock_moments(*task)
 
     monkeypatch.setattr(montecarlo, "_shock_moments", logged)
-    monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(_fork, "_POOL_MIN_SAMPLES", 0)
 
     def run(entry, workers, out):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda: workers)
         log.write_text("")
         out.mkdir()
         value = _ENTRY_POINTS[entry](out)
@@ -108,12 +110,28 @@ def test_no_pool_beside_a_live_thread(draw_pids, tmp_path):
 
 
 def test_small_work_stays_serial(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
     reps, n = 10, 50
-    assert reps * n < montecarlo._POOL_MIN_SAMPLES
-    assert montecarlo._pool_workers(reps, reps * n) == 1
-    assert montecarlo._pool_workers(1, 10**9) == 1  # one task
-    assert montecarlo._pool_workers(reps, 10**9) == 2
+    assert reps * n < _fork._POOL_MIN_SAMPLES
+    assert _fork.pool_workers(reps, reps * n) == 1
+    assert _fork.pool_workers(1, 10**9) == 1  # one task
+    assert _fork.pool_workers(reps, 10**9) == 2
+
+
+def _two_rows(first, width):
+    """A stand-in task: 2 rows of ``width`` columns, none of them a draw."""
+    return np.sqrt(np.arange(first, first + 2 * width, dtype=np.float64)).reshape(2, width)
+
+
+def test_the_mapper_gives_the_serial_bytes_for_any_row_count():
+    tasks = [(0, 1), (10, 3), (20, 2), (30, 4), (40, 1)]
+    widths = [width for _, width in tasks]
+    serial = _fork.map_tasks(_two_rows, tasks, widths, 2, 1)
+    assert serial.shape == (2, sum(widths))
+    pooled = _fork.map_tasks(_two_rows, tasks, widths, 2, 2)
+    assert pooled.dtype == np.float64 and pooled.shape == serial.shape
+    assert pooled.tobytes() == serial.tobytes()
+    assert_no_child_left()
 
 
 def test_an_error_in_a_task_reaches_the_caller(monkeypatch):
@@ -121,8 +139,8 @@ def test_an_error_in_a_task_reaches_the_caller(monkeypatch):
         raise RuntimeError(f"draw of reps {start}-{stop} failed")
 
     monkeypatch.setattr(montecarlo, "_shock_moments", fail)
-    monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "_POOL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match=r"draw of reps \d+-\d+ failed"):
         collect_sampling_distribution(aer_calibration(beta1=1.0), _SCHEDULE, 40, 8, 3)
     assert multiprocessing.active_children() == []
@@ -135,8 +153,8 @@ def _collect_bytes(_=None):
 
 def test_a_pool_worker_draws_serially(monkeypatch):
     # a pool on W CPUs would fork W**2 draw workers, and terminate() would orphan them
-    monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "_POOL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         (inner,) = pool.map(_collect_bytes, [None])
         pool.close()
@@ -148,16 +166,16 @@ def test_a_pool_worker_draws_serially(monkeypatch):
 
 @pytest.fixture
 def map_calls(monkeypatch):
-    """Two usable CPUs; returns the (tasks, workers) of each ``_map_moments`` call."""
+    """Two usable CPUs; returns the (tasks, workers) of each ``_fork.map_tasks`` call."""
     calls = []
-    map_moments = montecarlo._map_moments
+    map_tasks = _fork.map_tasks
 
-    def recorded(tasks, workers):
+    def recorded(function, tasks, widths, rows, workers):
         calls.append((tasks, workers))
-        return map_moments(tasks, workers)
+        return map_tasks(function, tasks, widths, rows, workers)
 
-    monkeypatch.setattr(montecarlo, "_map_moments", recorded)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "map_tasks", recorded)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
     return calls
 
 
@@ -172,7 +190,7 @@ def test_a_default_sweep_makes_one_task_per_grid_point(map_calls, preset):
 
 
 def test_verify_makes_8_equal_rep_ranges_per_worker(map_calls):
-    verify_regimes(montecarlo.VERIFY_REGIMES, 500, DEFAULT_SEED)
+    verify_regimes(VERIFY_REGIMES, 500, DEFAULT_SEED)
     bounds = [500 * r // 16 for r in range(17)]
     tasks = [(DEFAULT_SEED, (), start, stop, 10_000) for start, stop in zip(bounds, bounds[1:])]
     assert map_calls == [(tasks, 2)]

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import ridgeiv._fork as _fork
 import ridgeiv.montecarlo as montecarlo
 from conftest import assert_no_child_left
 from ridgeiv.dgp import aer_calibration
@@ -38,8 +39,8 @@ def test_a_slow_worker_does_not_hold_the_other_tasks(monkeypatch, tmp_path):
         return shock_moments(master_seed, path, start, stop, n)
 
     monkeypatch.setattr(montecarlo, "_shock_moments", slow_on_task_0)
-    monkeypatch.setattr(montecarlo, "_POOL_MIN_SAMPLES", 0)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "_POOL_MIN_SAMPLES", 0)
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
     pooled = run_sweep(_SWEEP)
     assert pooled == serial
     assert pooled.estimates.tobytes() == serial.estimates.tobytes()
@@ -82,7 +83,7 @@ def test_an_error_outlives_the_broken_queue(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_shock_moments", fail)
     with pytest.raises(LookupError, match=r"^no draw for path \(\d+,\)$"):
-        montecarlo._map_moments(_MANY_TASKS, 2)
+        _fork.map_tasks(montecarlo._shock_moments, _MANY_TASKS, [1] * len(_MANY_TASKS), 3, 2)
     assert_no_child_left()
 
 
@@ -92,5 +93,5 @@ def test_a_killed_worker_outlives_the_broken_queue(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_shock_moments", die)
     with pytest.raises(RuntimeError, match=r"^draw worker \d+ exited with code -9$"):
-        montecarlo._map_moments(_MANY_TASKS, 2)
+        _fork.map_tasks(montecarlo._shock_moments, _MANY_TASKS, [1] * len(_MANY_TASKS), 3, 2)
     assert_no_child_left()
