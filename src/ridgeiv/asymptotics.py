@@ -16,6 +16,12 @@ Sampling regimes by penalty rate, for a nonzero first stage:
 * lambda_n = lambda0 * n with a c/sqrt(n) first stage: sqrt(n) * beta_hat
   is asymptotically N(c beta1 / lambda0, sigma_red^2 / lambda0^2), while
   the unpenalized ratio collapses to a heavy-tailed (Cauchy-type) limit.
+
+Each closed form returns finite numbers or raises a ValueError naming the
+argument that takes its result beyond the float range, in the wording of
+:mod:`.estimators`: ``<name> must give a finite <quantity>, got ...``.
+Squares are float products, which give inf where ``**`` would raise an
+unnamed OverflowError.
 """
 
 from __future__ import annotations
@@ -56,14 +62,23 @@ class TailDiagnostics(NamedTuple):
     tail_index_flag: bool
 
 
+def _finite(value, name: str, quantity: str):
+    """``value`` if it is finite throughout, else a ValueError naming ``name``."""
+    if not np.isfinite(value).all():
+        shown = value.tolist() if isinstance(value, np.ndarray) else value
+        raise ValueError(f"{name} must give a finite {quantity}, got {shown!r}")
+    return value
+
+
 def sigma_red_sq(params: DgpParams) -> float:
     """Variance of the reduced-form disturbance beta1 * u + eps."""
-    s_eta_sq = params.first_stage_error_var
-    return (
-        params.beta1**2 * s_eta_sq
-        + params.sigma_eps**2
-        + 2.0 * params.beta1 * params.err_cov
+    b = params.beta1
+    value = (
+        b * b * params.first_stage_error_var
+        + params.sigma_eps * params.sigma_eps
+        + 2.0 * b * params.err_cov
     )
+    return _finite(value, "params", "sigma_red^2")
 
 
 def sigma_fixed(params: DgpParams) -> np.ndarray:
@@ -75,7 +90,8 @@ def sigma_fixed(params: DgpParams) -> np.ndarray:
     """
     s_eta_sq = params.first_stage_error_var
     off = params.beta1 * s_eta_sq + params.err_cov
-    return np.array([[sigma_red_sq(params), off], [off, s_eta_sq]])
+    sigma = np.array([[sigma_red_sq(params), off], [off, s_eta_sq]])
+    return _finite(sigma, "params", "fixed-instrument covariance matrix")
 
 
 def sigma_stochastic(params: DgpParams) -> np.ndarray:
@@ -86,44 +102,69 @@ def sigma_stochastic(params: DgpParams) -> np.ndarray:
     standard normal instrument.
     """
     b = params.beta1
-    scale = params.pi1**2 * (_Z_FOURTH_MOMENT - 1.0)
-    return sigma_fixed(params) + scale * np.array([[b * b, b], [b, 1.0]])
+    scale = params.pi1 * params.pi1 * (_Z_FOURTH_MOMENT - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        sigma = sigma_fixed(params) + scale * np.array([[b * b, b], [b, 1.0]])
+    return _finite(sigma, "params", "stochastic-instrument covariance matrix")
 
 
 def ratio_gradient(x: float, y: float) -> np.ndarray:
-    """Gradient of h(x, y) = x / y, i.e. (1/y, -x/y^2)."""
+    """Gradient of h(x, y) = x / y, i.e. (1/y, -x/y^2).
+
+    A gradient beyond the float range names ``y`` when 1/y^2 leaves it,
+    else ``x``.
+    """
     if y == 0.0:
         raise ValueError("ratio map is singular at y = 0")
-    return np.array([1.0 / y, -x / y**2])
+    gradient = np.array([1.0 / y, -x / y / y])  # y**2 underflows to 0 for a tiny y
+    name = "y" if not math.isfinite(1.0 / y / y) else "x"
+    return _finite(gradient, name, f"gradient of x / y at x = {x!r} and y = {y!r}")
 
 
 def delta_method_variance(sigma: np.ndarray, beta1: float, pi1: float) -> float:
     """Variance of the ratio estimator propagated through h(x, y) = x/y.
 
-    Evaluates grad h(beta1*pi1, pi1)' Sigma grad h(beta1*pi1, pi1).  With
-    either Sigma construction this collapses to sigma_eps^2 / pi1^2: the
-    fourth-moment terms of the stochastic-instrument matrix cancel in the
-    quadratic form.
+    Evaluates grad h(beta1*pi1, pi1)' Sigma grad h(beta1*pi1, pi1), with the
+    gradient in its reduced form (1/pi1, -beta1/pi1).  With either Sigma
+    construction this collapses to sigma_eps^2 / pi1^2: the fourth-moment
+    terms of the stochastic-instrument matrix cancel in the quadratic form.
+    A variance beyond the float range names ``pi1`` when 1/pi1^2 leaves it,
+    else ``beta1`` when (beta1/pi1)^2 does, else ``sigma``.
     """
     if pi1 == 0.0:
         raise ValueError("delta method is undefined at pi1 = 0")
     sigma = np.asarray(sigma, dtype=np.float64)
-    g = ratio_gradient(beta1 * pi1, pi1)
-    return float(g @ sigma @ g)
+    reciprocal, ratio = 1.0 / pi1, beta1 / pi1
+    g = np.array([reciprocal, -ratio])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        variance = float(g @ sigma @ g)
+    if not math.isfinite(reciprocal * reciprocal):
+        name = "pi1"
+    else:
+        name = "beta1" if not math.isfinite(ratio * ratio) else "sigma"
+    quantity = f"delta-method variance at beta1 = {beta1!r} and pi1 = {pi1!r}"
+    return _finite(variance, name, quantity)
 
 
 def v_ridge(params: DgpParams) -> float:
     """Limiting variance sigma_eps^2 / pi1^2 under slow penalty rates."""
     if params.pi1 == 0.0:
         raise ValueError("v_ridge is undefined at pi1 = 0")
-    return params.sigma_eps**2 / params.pi1**2
+    ratio = params.sigma_eps / params.pi1  # pi1**2 underflows to 0 for a tiny pi1
+    return _finite(ratio * ratio, "params", "v_ridge")
 
 
 def sqrtn_bias(params: DgpParams, lambda0: float) -> float:
-    """Asymptotic mean of sqrt(n)(beta_hat - beta1) under lambda_n = lambda0*sqrt(n)."""
+    """Asymptotic mean of sqrt(n)(beta_hat - beta1) under lambda_n = lambda0*sqrt(n).
+
+    A bias beyond the float range names ``params`` when beta1/pi1 leaves
+    it, else ``lambda0``.
+    """
     if params.pi1 == 0.0:
         raise ValueError("sqrt(n) bias is undefined at pi1 = 0")
-    return -params.beta1 * lambda0 / params.pi1
+    ratio = params.beta1 / params.pi1
+    name = "params" if not math.isfinite(ratio) else "lambda0"
+    return _finite(-ratio * lambda0, name, f"sqrt(n) bias at lambda0 = {lambda0!r}")
 
 
 def staiger_stock_moments(params: DgpParams, lambda0: float) -> tuple[float, float]:
@@ -134,6 +175,8 @@ def staiger_stock_moments(params: DgpParams, lambda0: float) -> tuple[float, flo
     heavy-tailed limit and no normal moments exist).  The reduced-form
     variance is evaluated at the pi1 -> 0 limit, where the formula
     beta1^2 sigma_eta^2 + sigma_eps^2 + 2 beta1 err_cov is unchanged.
+    Moments beyond the float range name ``params`` when sigma_red^2 or
+    stock_c * beta1 leaves it, else ``lambda0``.
     """
     if params.stock_c is None:
         raise ValueError("staiger_stock_moments requires stock_c to be set")
@@ -142,8 +185,13 @@ def staiger_stock_moments(params: DgpParams, lambda0: float) -> tuple[float, flo
             "staiger_stock_moments requires lambda0 > 0; the unpenalized "
             "ratio has no normal limit under a drifting first stage"
         )
-    mean = params.stock_c * params.beta1 / lambda0
-    variance = sigma_red_sq(params) / lambda0**2
+    red = sigma_red_sq(params)  # names params
+    effect = params.stock_c * params.beta1
+    name = "params" if not math.isfinite(effect) else "lambda0"
+    mean = _finite(effect / lambda0, name, f"limiting mean at lambda0 = {lambda0!r}")
+    variance = _finite(  # lambda0**2 underflows to 0 for a tiny lambda0
+        red / lambda0 / lambda0, "lambda0", f"limiting variance at lambda0 = {lambda0!r}"
+    )
     return mean, variance
 
 
@@ -151,9 +199,12 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
     """Robust location/scale summaries plus a heavy-tail flag.
 
     The flag is True when the sample (Pearson) kurtosis exceeds
-    :data:`KURTOSIS_FLAG_THRESHOLD` or is non-finite; it verifies
+    :data:`KURTOSIS_FLAG_THRESHOLD` or a sample is not finite; it verifies
     ratio-estimator instability rather than fitting any distribution.
-    A zero-variance sample has no tails and flags False.
+    A zero-variance sample has no tails and flags False.  The kurtosis
+    does not depend on the sample's scale, so it is taken of the sample
+    divided by its largest magnitude, whose powers neither overflow nor
+    vanish: a finite sample's flag is the same at every scale.
     """
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim != 1:
@@ -165,10 +216,11 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
     iqr = float(q75 - q25)
     if not np.all(np.isfinite(s)):
         return TailDiagnostics(median, iqr, True)
-    centered = s - s.mean()
+    peak = np.max(np.abs(s))
+    scaled = s / peak if peak else s
+    centered = scaled - scaled.mean()
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:
         return TailDiagnostics(median, iqr, False)
-    kurtosis = float(np.mean(centered**4)) / m2**2
-    flag = (not math.isfinite(kurtosis)) or kurtosis > KURTOSIS_FLAG_THRESHOLD
-    return TailDiagnostics(median, iqr, flag)
+    kurtosis = float(np.mean(centered**4)) / (m2 * m2)
+    return TailDiagnostics(median, iqr, kurtosis > KURTOSIS_FLAG_THRESHOLD)

@@ -299,6 +299,10 @@ def _parse_grid(raw: Any) -> tuple[float, ...]:
             raise ConfigError(
                 f"config field 'grid.points' must be at most {_MAX_GRID_POINTS}, got {points}"
             )
+        if not math.isfinite(stop - start):  # np.linspace steps by stop - start
+            raise ConfigError(
+                f"config field 'grid' must have a finite stop - start, got {stop!r} - {start!r}"
+            )
         return tuple(np.linspace(start, stop, points))
     raise ConfigError(
         "config field 'grid' must be a list of numbers or {start, stop, points}"

@@ -148,8 +148,10 @@ class DgpParams:
 
     @property
     def first_stage_error_var(self) -> float:
-        """Variance of the composite first-stage disturbance u."""
-        return self.sigma_eta**2 + self.eps_loading**2 * self.sigma_eps**2
+        """Variance of the composite first-stage disturbance u; inf beyond the float range."""
+        loading, s_eps, s_eta = self.eps_loading, self.sigma_eps, self.sigma_eta
+        # float products give inf where ** would raise an unnamed OverflowError
+        return s_eta * s_eta + loading * loading * (s_eps * s_eps)
 
     def effective_pi1(self, n: int) -> float:
         """First-stage slope at sample size n (c/sqrt(n) under drift)."""

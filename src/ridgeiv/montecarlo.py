@@ -37,8 +37,9 @@ and the loop the rest.  Each rep's seed fixes its draws, so they may run
 on several processes (:func:`_draw_moments`, through the fork mapper of
 :mod:`._fork`) in equal rep ranges of each grid point or sampling
 distribution: 8 or more per worker, reps allowing.  The calling process
-forms every ratio, aggregate and check; a sweep aggregates all its cells
-in one pass.
+forms every ratio, aggregate and check; a sweep reduces every cell in
+:func:`_aggregate_rows`, one pass for all the rows that keep the same
+number of reps.
 
 The estimates match the per-dataset path (``demeaned_cov`` or
 ``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: at most
@@ -434,23 +435,6 @@ def _ratios(
 
 
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
-# the SweepCell fields that aggregate the estimates
-_STATS = ("mse", "bias", "variance", "q05", "q25", "q50", "q75", "q95")
-
-
-def _aggregate(
-    estimates: np.ndarray, true_beta1: float, grid_value: float, lam: float
-) -> SweepCell:
-    values = estimates[~np.isnan(estimates)]
-    n_degenerate = estimates.size - values.size
-    if values.size == 0:
-        return SweepCell(grid_value, lam, *[math.nan] * 8, n_degenerate)
-    errors = values - true_beta1
-    bias = float(errors.mean())
-    variance = float(np.mean((errors - bias) ** 2))
-    mse = float(np.mean(errors**2))
-    quantiles = np.quantile(values, _QUANTILES).tolist()
-    return SweepCell(grid_value, lam, mse, bias, variance, *quantiles, n_degenerate)
 
 
 def _aggregate_rows(
@@ -458,33 +442,42 @@ def _aggregate_rows(
     true_beta1: Sequence[float],
     grid_values: Sequence[float],
     lams: Sequence[float],
-) -> tuple[SweepCell, ...]:
-    """``_aggregate`` of each row of ``estimates``, with one argument of each sequence per row.
+) -> tuple[np.ndarray, tuple[SweepCell, ...]]:
+    """The ``SweepCell`` of each row of ``estimates``, with one argument of each sequence per row.
 
-    The rows without a NaN are aggregated together, in one pass along
-    ``axis=1``: each row is reduced as its own 1-D array would be, so every
-    cell has the bits of ``_aggregate``.  A row with a degenerate rep goes
-    through ``_aggregate``.
+    This is the one place that reduces a row of estimates to a cell.  A
+    row's statistics describe its non-NaN values: the MSE, bias and
+    variance about its true beta1, then the quantiles.  They are NaN where
+    every rep is degenerate.  All of them sit in one array of shape
+    (rows, 8), in ``SweepCell``'s field order, before any cell is built;
+    the array is returned beside the cells, so :func:`run_sweep` checks the
+    float range on it once.  The rows that keep the same number of values
+    are compacted and reduced together, in one pass along ``axis=1``: each
+    row is reduced as its own 1-D array of values would be, so every cell
+    has the bits of the 1-D reduction.
     """
-    clean = ~np.isnan(estimates).any(axis=1)
-    values = estimates[clean]  # a copy, which the quantiles may reorder
-    errors = values - np.asarray(true_beta1)[clean, None]
-    bias = errors.mean(axis=1)
-    mse = np.mean(errors**2, axis=1)
-    # in place from here: the caller's resident memory grows with every
-    # array of the size of its estimates that is alive at once
-    errors -= bias[:, None]
-    variance = np.mean(np.square(errors, out=errors), axis=1)
-    quantiles = np.quantile(values, _QUANTILES, axis=1, overwrite_input=True)
-    stats = zip(mse.tolist(), bias.tolist(), variance.tolist(), *quantiles.tolist())
-    return tuple(
-        SweepCell(grid_value, lam, *next(stats), 0)
-        if ok
-        else _aggregate(row, beta1, grid_value, lam)
-        for row, ok, beta1, grid_value, lam in zip(
-            estimates, clean.tolist(), true_beta1, grid_values, lams
-        )
-    )
+    reps = estimates.shape[1]
+    degenerate = np.zeros(len(estimates), dtype=np.intp)
+    partial = np.isnan(estimates).any(axis=1)  # cheaper than counting every row
+    degenerate[partial] = np.isnan(estimates[partial]).sum(axis=1)
+    true_beta1 = np.asarray(true_beta1)
+    stats = np.full((len(estimates), 8), np.nan)
+    for n_degenerate in set(degenerate.tolist()) - {reps}:
+        rows = np.flatnonzero(degenerate == n_degenerate)
+        values = estimates[rows]  # a copy, which the quantiles may reorder
+        if n_degenerate:
+            values = values[~np.isnan(values)].reshape(len(rows), reps - n_degenerate)
+        errors = values - true_beta1[rows, None]
+        bias = errors.mean(axis=1)
+        mse = np.mean(errors**2, axis=1)
+        # in place from here: the caller's resident memory grows with every
+        # array of the size of its estimates that is alive at once
+        errors -= bias[:, None]
+        variance = np.mean(np.square(errors, out=errors), axis=1)
+        quantiles = np.quantile(values, _QUANTILES, axis=1, overwrite_input=True)
+        stats[rows] = np.column_stack((mse, bias, variance, *quantiles))
+    cells = map(SweepCell, grid_values, lams, *stats.T.tolist(), degenerate.tolist())
+    return stats, tuple(cells)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -492,7 +485,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     Every statistic is finite, or NaN in a cell whose reps are all
     degenerate; a cell whose statistics leave the float range raises a
-    ValueError naming its grid entry, with the cell's lambda.
+    ValueError naming its grid entry, with the cell's lambda: the first
+    such cell, lambda-major, and its first such field.  The rule is checked
+    once, on the array of every cell's statistics from
+    :func:`_aggregate_rows`.
 
     The draws of each grid point are one or more tasks, claimed from a queue
     by up to one forked process per usable CPU when the sweep is large enough
@@ -513,23 +509,22 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     del moments  # kept through the aggregate, it would raise the caller's peak memory
     estimates = estimates.reshape(len(lambdas) * len(grid), reps)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        cells = _aggregate_rows(
+        stats, cells = _aggregate_rows(
             estimates,
             [p.beta1 for p in params] * len(lambdas),
             grid * len(lambdas),
             [lam for lam in lambdas for _ in grid],
         )
-    for i, cell in enumerate(cells):
-        if cell.n_degenerate == reps:  # every statistic is NaN
-            continue
-        for stat in _STATS:
-            value = getattr(cell, stat)
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"grid[{i % len(grid)}] must give a finite {stat} at lambda = "
-                    f"{cell.lam!r} and n = {n}, got {value!r}: its estimates spread "
-                    "beyond the float range"
-                )
+    out_of_range = ~np.isfinite(stats)
+    out_of_range[[cell.n_degenerate == reps for cell in cells]] = False  # NaN by rule
+    if out_of_range.any():
+        i, j = np.argwhere(out_of_range)[0].tolist()  # row-major: the cell, then its field
+        stat = dataclasses.fields(SweepCell)[2 + j].name
+        raise ValueError(
+            f"grid[{i % len(grid)}] must give a finite {stat} at lambda = "
+            f"{cells[i].lam!r} and n = {n}, got {getattr(cells[i], stat)!r}: its "
+            "estimates spread beyond the float range"
+        )
     return SweepResult(config.grid_variable, n, reps, cells, estimates)
 
 

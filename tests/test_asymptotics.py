@@ -174,6 +174,45 @@ def test_sigma_red_sq_aer_design():
     )
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: sigma_red_sq(_params(beta1=1e200)), "params"),
+        (lambda: sigma_red_sq(_params(sigma_eta=1e200)), "params"),
+        (lambda: sigma_fixed(_params(beta1=1e200)), "params"),
+        (lambda: sigma_stochastic(_params(beta1=1e200)), "params"),
+        (lambda: sigma_stochastic(_params(pi1=1e200)), "params"),
+        (lambda: ratio_gradient(1.0, 1e-200), "y"),
+        (lambda: ratio_gradient(1e300, 1e-10), "x"),
+        (lambda: delta_method_variance(np.eye(2), 1.0, 1e-200), "pi1"),
+        (lambda: delta_method_variance(np.eye(2), 1e300, 1e-10), "beta1"),
+        (lambda: delta_method_variance(1e308 * np.eye(2), 2.0, 1.0), "sigma"),
+        (lambda: v_ridge(_params(pi1=1e-200)), "params"),
+        (lambda: staiger_stock_moments(_params(stock_c=1.0), 1e-200), "lambda0"),
+        (lambda: staiger_stock_moments(_params(beta1=1e10, stock_c=1e300), 1.0), "params"),
+        (lambda: sqrtn_bias(DgpParams(0.0, 1e200, 0.0, 1e-200), 1.0), "params"),
+        (lambda: sqrtn_bias(_params(beta1=1e200), 1e200), "lambda0"),
+    ],
+    ids=[
+        "sigma_red_sq-beta1", "sigma_red_sq-sigma_eta", "sigma_fixed", "sigma_stochastic-beta1",
+        "sigma_stochastic-pi1", "ratio_gradient-y", "ratio_gradient-x", "delta-pi1",
+        "delta-beta1", "delta-sigma", "v_ridge", "staiger-lambda0", "staiger-params",
+        "sqrtn_bias-params", "sqrtn_bias-lambda0",
+    ],
+)
+def test_a_closed_form_beyond_the_float_range_is_named(call, name):
+    # these raised OverflowError or ZeroDivisionError, or returned -inf
+    with pytest.raises(ValueError, match=f"^{name} must give a finite "):
+        call()
+
+
+def test_tiny_arguments_keep_a_finite_closed_form():
+    # a square of a tiny argument underflows to 0; these divide by it twice instead
+    assert ratio_gradient(1e-300, 1e-200).tolist() == [1e200, -1e100]
+    assert v_ridge(_params(sigma_eps=1e-100, pi1=1e-200)) == pytest.approx(1e200)
+    assert delta_method_variance(np.eye(2), 0.0, 1e-100) == pytest.approx(1e200)
+
+
 # ---------------------------------------------------------------------------
 # heavy-tail diagnostics
 
@@ -202,6 +241,14 @@ def test_cauchy_diagnostics_nonfinite_flags():
     samples = np.ones(600)
     samples[17] = np.inf
     assert cauchy_diagnostics(samples).tail_index_flag
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e81, 1e200])
+def test_cauchy_diagnostics_flag_does_not_depend_on_scale(scale):
+    # the kurtosis' powers warned and overflowed, or vanished to 0 / 0
+    rng = np.random.default_rng(9)
+    assert not cauchy_diagnostics(scale * rng.standard_normal(1000)).tail_index_flag
+    assert cauchy_diagnostics(scale * np.r_[np.zeros(499), 1.0]).tail_index_flag
 
 
 def test_cauchy_diagnostics_needs_samples():

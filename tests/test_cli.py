@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -238,8 +239,12 @@ def test_overlong_integer_literal_exits_2(tmp_path, capsys):
         ({"start": math.inf, "stop": 1.0, "points": 3}, "'grid.start' must be finite"),
         ({"start": 0.0, "points": 3}, "'grid.stop' is required"),
         ({"start": 0.0, "stop": 1.0}, "'grid.points' is required"),
+        (
+            {"start": -1e308, "stop": 1e308, "points": 3},
+            "'grid' must have a finite stop - start, got 1e+308 - -1e+308",
+        ),
     ],
-    ids=["start", "stop", "points"],
+    ids=["start", "stop", "points", "span"],
 )
 def test_grid_range_fields_named_with_their_object(tmp_path, capsys, grid, message):
     path = tmp_path / "grid.json"
@@ -669,6 +674,40 @@ def test_sweep_end_to_end(tmp_path, capsys):
     rows = read_sweep_csv(out / "mse_sweep.csv")
     assert len(rows) == 3 * 2
     assert all(r["n_degenerate"] == 0 for r in rows)
+
+
+# sha256 of every artifact of perfbench's two sweep workloads.  Any change to
+# their bytes, a last-bit one included, must re-pin these and say so.
+_SWEEP_DIGESTS = {
+    ("sweep-pi", "--reps", "100"): {
+        "mse_sweep.csv": "b2eb0ce2fdfc8a458490149e1113aaaef04038d3cfc74a61b0f6aca1bc914d9a",
+    },
+    ("sweep-beta", "--reps", "100", "--raw", "--plots"): {
+        "mse_lambda_0.8.svg": "51e0dbd34c1b0a662b70a8a403b2e1033b07b42844d5a0c42758a3a30caedbda",
+        "mse_lambda_0.svg": "b0ae2b4d288ae01495822b15ba0dbda335a0df239d45816bcaeedd56c329144b",
+        "mse_lambda_3.svg": "bbd4b9e75acf55f5c942f64ebd4133033f136c780450371bf3d7985a1df210f2",
+        "mse_sweep.csv": "395182df6ccee2b358884ca454ec3795426843daa71c4a0a04055db140859fe2",
+        "raw_estimates.csv": "fbb4f7db7c46da8f752678d9b735e145151f9f0d48ace644b8e26db882526b09",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(_SWEEP_DIGESTS), ids=["sweep-pi", "sweep-beta-raw-plots"])
+@pytest.mark.parametrize("workers", ["serial", "two_workers"])
+def test_benchmarked_sweeps_keep_their_bytes(
+    tmp_path, monkeypatch, capsys, request, argv, workers
+):
+    if workers == "serial":
+        monkeypatch.setattr(_fork, "_usable_cpus", lambda: 1)
+    else:
+        request.getfixturevalue("two_workers")
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == _SWEEP_DIGESTS[argv]
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -29,8 +29,8 @@ from ridgeiv.cli import write_raw_csv
 from ridgeiv.montecarlo import (
     _BLOCK_REPS,
     GridVariable,
+    SweepCell,
     SweepConfig,
-    _aggregate,
     _aggregate_rows,
     _block_reps,
     _derive_seeds,
@@ -666,12 +666,24 @@ def test_one_pass_aggregate_matches_each_row_bit_for_bit(rows, beta1):
     grid_values = [0.25 * i for i in range(len(rows))]
     lams = [float(i % 2) for i in range(len(rows))]
     with np.errstate(all="ignore"):  # an inf row's mean may be inf - inf
-        cells = _aggregate_rows(estimates, true_beta1, grid_values, lams)
-        expected = [
-            _aggregate(row.copy(), *args)
-            for row, *args in zip(estimates, true_beta1, grid_values, lams)
-        ]
+        stats, cells = _aggregate_rows(estimates, true_beta1, grid_values, lams)
+        expected = []
+        for row, true, grid_value, lam in zip(estimates, true_beta1, grid_values, lams):
+            # plain 1-D numpy over the row's non-NaN values
+            values = row[~np.isnan(row)]
+            stats_1d = [math.nan] * 8
+            if values.size:
+                errors = values - true
+                bias = float(errors.mean())
+                variance = float(np.mean((errors - bias) ** 2))
+                mse = float(np.mean(errors**2))
+                quantiles = np.quantile(values, (0.05, 0.25, 0.5, 0.75, 0.95)).tolist()
+                stats_1d = [mse, bias, variance, *quantiles]
+            expected.append(SweepCell(grid_value, lam, *stats_1d, row.size - values.size))
     assert [_cell_bits(c) for c in cells] == [_cell_bits(c) for c in expected]
+    assert [_cell_bits(c)[2:10] for c in cells] == [
+        [v.hex() for v in row] for row in stats.tolist()
+    ]
 
 
 def test_raw_estimates_artifact(tmp_path):
