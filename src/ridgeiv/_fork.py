@@ -11,7 +11,10 @@ worker count: one, the serial path, unless the work is large enough for
 the forks to pay.
 
 Nothing here knows what a task computes: the caller passes the function
-and each task's arguments, and states how wide each result is.
+and each task's arguments, and states how wide each result is.  Every task
+is a pure function of its arguments, so a worker whose task raises just
+exits, and the caller runs the tasks again on its own thread, where the
+error is raised with its own type, message and traceback.
 """
 
 from __future__ import annotations
@@ -19,13 +22,11 @@ from __future__ import annotations
 import itertools
 import mmap
 import os
-import pickle
 import select
 import signal
 import struct
 import sys
 import threading
-import traceback
 import warnings
 from typing import BinaryIO, Callable, NoReturn, Sequence
 
@@ -82,27 +83,21 @@ def pool_workers(tasks: int, samples: int) -> int:
     return min(_usable_cpus(), tasks)
 
 
-class _WorkerTraceback(Exception):
-    """The traceback of an error raised in a worker, as text."""
-
-
 def _serve_tasks(
     queue: tuple[BinaryIO, BinaryIO],
     function: Callable,
     tasks: Sequence[tuple],
     columns: list[tuple[int, int]],
     shared: np.ndarray,
-    report: BinaryIO,
 ) -> NoReturn:
     """The life of a forked worker: claim tasks from ``queue`` until it ends, then exit.
 
     ``queue`` holds the unbuffered read and write ends of the task queue.
     The worker closes the write end, then reads one task index at a time and
     writes ``function`` of that task into its columns of ``shared``; the end
-    of file ends the work.  An error, with its traceback, is pickled to
-    ``report`` for the caller to raise; an error that does not pickle and
-    unpickle goes as a RuntimeError naming it.  The worker never returns
-    into the caller's stack.
+    of file ends the work.  An error ends the worker with exit code 1 and
+    nothing written: the caller runs the tasks again to raise it.  The
+    worker never returns into the caller's stack.
     """
     code = 1
     try:
@@ -116,18 +111,6 @@ def _serve_tasks(
             first, last = columns[index]
             shared[:, first:last] = function(*tasks[index])
         code = 0
-    except BaseException as exc:
-        # a caller blocked on a full queue goes on to read the reports once
-        # every worker has left it; a report larger than a pipe waits for that
-        queue[0].close()
-        text = traceback.format_exc()
-        try:
-            error = pickle.dumps((exc, text))
-            pickle.loads(error)
-        except Exception:
-            error = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
-        report.write(error)
-        report.flush()
     finally:
         os._exit(code)
 
@@ -148,11 +131,15 @@ def map_tasks(
     that task's columns of the anonymous shared ``mmap`` that the call
     returns; the columns are fixed by the index, so the result does not
     depend on which child ran what.  The children inherit the function and
-    the tasks, so nothing is pickled but an error, which comes back over a
-    pipe and is raised here with the child's traceback as its cause.  No
-    child outlives the call: on any error, the children still running are
-    killed, and every child is reaped.  ``function`` must not call BLAS,
-    whose threads the children do not inherit.
+    the tasks, so nothing is pickled.  A child whose task raises exits with
+    code 1; once every child is reaped, the tasks run again in order on the
+    calling thread, so the error is raised here with its own type, message
+    and traceback.  If that run raises nothing (the error came from a child
+    alone), its result, the same bytes, is returned.  A child ended
+    otherwise, as by a signal, raises a RuntimeError naming its exit code.
+    No child outlives the call: on any error, the children still running
+    are killed, and every child is reaped.  ``function`` must not call
+    BLAS, whose threads the children do not inherit.
 
     The queue is measured to pay.  With fixed strides in its place (worker
     w drawing tasks w, w + W, ...), 8 alternated pairs of the perfbench
@@ -166,7 +153,7 @@ def map_tasks(
     columns = list(zip(ends, ends[1:]))
     shared = np.frombuffer(mmap.mmap(-1, rows * 8 * ends[-1]), np.float64).reshape(rows, -1)
     pids: list[int] = []  # forked and not yet reaped
-    pipes: list[BinaryIO] = []  # read ends: a child's pickled error, if any
+    failed = False  # a child's task raised
     read_fd, write_fd = os.pipe()
     queue = (open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0))
     try:
@@ -178,16 +165,13 @@ def map_tasks(
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )
             for _ in range(workers):
-                read_fd, write_fd = os.pipe()
-                pipes.append(open(read_fd, "rb"))
-                with open(write_fd, "wb") as report:
-                    pid = os.fork()
-                    if pid == 0:
-                        _serve_tasks(queue, function, tasks, columns, shared, report)
+                pid = os.fork()
+                if pid == 0:
+                    _serve_tasks(queue, function, tasks, columns, shared)
                 pids.append(pid)
         # Only the children read the queue, so a write fails with
-        # BrokenPipeError once every one of them is gone; each one's report
-        # or exit status then says why.
+        # BrokenPipeError once every one of them is gone; each one's exit
+        # status then says why.
         queue[0].close()
         records = struct.pack(f"={len(tasks)}I", *range(len(tasks)))
         chunk = select.PIPE_BUF // _TASK_RECORD.size * _TASK_RECORD.size
@@ -197,15 +181,12 @@ def map_tasks(
         except BrokenPipeError:
             pass
         queue[1].close()  # the children read to the end of file
-        for pid, pipe in zip(pids.copy(), pipes):
-            error = pipe.read()  # the end of file comes when the child exits
-            status = os.waitpid(pid, 0)[1]
+        for pid in pids.copy():
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             pids.remove(pid)
-            if error:
-                exc, text = pickle.loads(error)
-                raise exc from _WorkerTraceback(text)
-            if status:
-                code = os.waitstatus_to_exitcode(status)
+            if code == 1:  # a task raised: the serial run below raises it here
+                failed = True
+            elif code:
                 raise RuntimeError(f"draw worker {pid} exited with code {code}")
     finally:
         for end in queue:
@@ -213,6 +194,4 @@ def map_tasks(
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-    return shared
+    return map_tasks(function, tasks, widths, rows, 1) if failed else shared

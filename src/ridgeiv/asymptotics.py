@@ -201,23 +201,32 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
     The flag is True when the sample (Pearson) kurtosis exceeds
     :data:`KURTOSIS_FLAG_THRESHOLD` or a sample is not finite; it verifies
     ratio-estimator instability rather than fitting any distribution.
-    A zero-variance sample has no tails and flags False.  The kurtosis
-    does not depend on the sample's scale, so it is taken of the sample
-    divided by its largest magnitude, whose powers neither overflow nor
-    vanish: a finite sample's flag is the same at every scale.
+    A zero-variance sample has no tails and flags False.
+
+    A finite sample is scaled by a power of two, exactly, to a largest
+    magnitude in [0.5, 1), and every statistic is taken of that: the sum of
+    its middle pair and the difference of its quartiles cannot overflow, and
+    the powers in its kurtosis neither overflow nor vanish.  So the median
+    and IQR are finite wherever the float range holds them, with the bits
+    of the unscaled sample at ordinary scales, and a finite sample's flag
+    is the same at every scale.  An IQR beyond the float range raises a
+    ValueError.
     """
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     if s.size < MIN_TAIL_SAMPLES:
         raise ValueError(f"need at least {MIN_TAIL_SAMPLES} samples, got {s.size}")
-    median = float(np.median(s))
-    q25, q75 = np.percentile(s, [25.0, 75.0])
-    iqr = float(q75 - q25)
+    # frexp gives a non-finite peak the exponent 0: such a sample keeps its scale
+    exponent = math.frexp(np.max(np.abs(s)))[1]
+    scaled = np.ldexp(s, -exponent)
+    median = math.ldexp(np.median(scaled), exponent)
+    q25, q75 = np.percentile(scaled, [25.0, 75.0])
+    with np.errstate(over="ignore"):
+        iqr = float(np.ldexp(q75 - q25, exponent))
     if not np.all(np.isfinite(s)):
         return TailDiagnostics(median, iqr, True)
-    peak = np.max(np.abs(s))
-    scaled = s / peak if peak else s
+    _finite(iqr, "samples", "iqr")
     centered = scaled - scaled.mean()
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:

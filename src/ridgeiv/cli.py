@@ -60,7 +60,14 @@ from typing import Any, Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from .dgp import DgpParams, _int_at_least, _sample_size, aer_calibration, generate_dataset
+from .dgp import (
+    DgpParams,
+    _int_at_least,
+    _rep_count,
+    _sample_size,
+    aer_calibration,
+    generate_dataset,
+)
 from .estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
 from .montecarlo import GridVariable, SweepCell, SweepConfig, SweepResult, run_sweep
 from .verify import VERIFY_REGIMES, verify_min_reps, verify_regimes
@@ -356,7 +363,7 @@ _PARSERS: dict[str, Callable[[Any], Any]] = {
     "grid": _parse_grid,
     "lambdas": _parse_lambdas,
     "n": lambda raw: _check_type(raw, int, "n"),
-    "reps": lambda raw: _int_at_least("reps", _check_type(raw, int, "reps"), 1),
+    "reps": lambda raw: _rep_count(_check_type(raw, int, "reps")),
     "seed": _parse_seed,
     "output_dir": _parse_output_dir,
     "emit_plots": lambda raw: _check_type(raw, bool, "emit_plots"),
@@ -439,7 +446,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         **{k: v for k, v in values.items() if k not in ("grid", "lambdas")},
     )
     if command is Command.VERIFY_ASYMPTOTICS:
-        _int_at_least("reps", config.reps, verify_min_reps(config.regimes))
+        _rep_count(config.reps, verify_min_reps(config.regimes))
     if command is Command.SINGLE_RUN:
         _sample_size(config.n)
         try:  # a finite lambda0 can still overflow at the run's n
@@ -528,9 +535,12 @@ def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
         y_lo, y_hi = -1.0, 1.0
     if y_hi - y_lo < 1e-9:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    # half the grid's span, from halves: a finite grid's span can lie beyond
+    # the float range, and halving is exact, so the bits are those of the span
+    half_span = x_hi / 2 - x_lo / 2
 
     def sx(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * (width - left - right)
+        return left + (x / 2 - x_lo / 2) / half_span * (width - left - right)
 
     def sy(y: float) -> float:
         return height - bottom - (y - y_lo) / (y_hi - y_lo) * (height - top - bottom)
@@ -550,7 +560,7 @@ def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
         'stroke="black"/>',
     ]
     for i in range(5):
-        x = x_lo + (x_hi - x_lo) * i / 4
+        x = 2 * (x_lo / 2 + half_span * (i / 4))
         px = sx(x)
         parts.append(
             f'<line x1="{px:.2f}" y1="{height - bottom}" x2="{px:.2f}" '

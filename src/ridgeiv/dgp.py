@@ -91,6 +91,21 @@ def _sample_size(n: object) -> int:
     return n
 
 
+# The seeds hash a rep's index as one 32-bit word, so reps 0 to 2**32 - 1
+# are the most one draw can tell apart.
+_MAX_REPS = 2**32
+
+
+def _rep_count(reps: object, least: int = 1) -> int:
+    """``reps`` as a rep count: an int of at least ``least`` and at most ``_MAX_REPS``."""
+    reps = _int_at_least("reps", reps, least)
+    if reps > _MAX_REPS:
+        raise ValueError(
+            f"reps must be at most {_MAX_REPS}, one seed per 32-bit rep index, got {reps}"
+        )
+    return reps
+
+
 @dataclass(frozen=True)
 class DgpParams:
     """Structural coefficients and error moments of the IV model.

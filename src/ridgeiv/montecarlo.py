@@ -69,7 +69,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _fork
-from .dgp import DgpParams, _finite_real, _int_at_least, _nonnegative, _sample_size
+from .dgp import DgpParams, _finite_real, _int_at_least, _nonnegative, _rep_count, _sample_size
 from .estimators import PenaltySchedule, shifted_ratio
 
 __all__ = [
@@ -108,9 +108,8 @@ class SweepConfig:
             if not isinstance(value, cls):
                 raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
         object.__setattr__(self, "n", _sample_size(self.n))
-        for name, least in (("reps", 1), ("master_seed", 0)):
-            value = _int_at_least(name, getattr(self, name), least)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "reps", _rep_count(self.reps))
+        object.__setattr__(self, "master_seed", _int_at_least("master_seed", self.master_seed, 0))
         for name, check in (("grid", _finite_real), ("lambda_values", _nonnegative)):
             values = tuple(
                 float(check(f"{name}[{i}]", value))
@@ -565,7 +564,7 @@ def collect_sampling_distribution(
         raise TypeError(f"params must be a DgpParams, got {params!r}")
     if not isinstance(schedule, PenaltySchedule):
         raise TypeError(f"schedule must be a PenaltySchedule, got {schedule!r}")
-    n, reps = _sample_size(n), _int_at_least("reps", reps, 1)
+    n, reps = _sample_size(n), _rep_count(reps)
     master_seed = _int_at_least("master_seed", master_seed, 0)
     shift = schedule.lambda_n(n) / n  # raises before the draw if it overflows
     moments = _draw_moments(master_seed, [()], reps, n)[:, 0]

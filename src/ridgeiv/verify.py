@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import asymptotics
-from .dgp import _int_at_least, _sample_size, aer_calibration
+from .dgp import _int_at_least, _rep_count, _sample_size, aer_calibration
 from .estimators import PenaltyRate, PenaltySchedule
 from .montecarlo import _draw_moments, _scaled_samples
 
@@ -121,7 +121,7 @@ def verify_regimes(
     lines do not depend on which regimes run beside it.  The regimes
     (:func:`verify_min_reps`) and every floor are checked before the draw.
     """
-    reps = _int_at_least("reps", reps, verify_min_reps(regimes))
+    reps = _rep_count(reps, verify_min_reps(regimes))
     n, seed = _sample_size(n), _int_at_least("seed", seed, 0)
     moments = _draw_moments(seed, [()], reps, n)[:, 0]
     results = []

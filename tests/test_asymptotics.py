@@ -251,6 +251,40 @@ def test_cauchy_diagnostics_flag_does_not_depend_on_scale(scale):
     assert cauchy_diagnostics(scale * np.r_[np.zeros(499), 1.0]).tail_index_flag
 
 
+# finite samples at the float range's edge, each with a median and an IQR
+# the float range holds
+_EDGE_SAMPLES = {
+    "constant": np.full(600, 1e308),
+    "middle-pair": np.r_[np.full(300, 1e308), np.full(300, 1.7e308)],
+    "quartile-across-zero": np.r_[np.full(150, -1.7e308), np.full(450, 1.7e308)],
+}
+
+
+@pytest.mark.parametrize("samples", list(_EDGE_SAMPLES.values()), ids=list(_EDGE_SAMPLES))
+def test_cauchy_diagnostics_median_and_iqr_finite_at_the_float_range(samples):
+    # the middle pair's sum and the quartiles' difference warned and
+    # overflowed to an inf median or IQR (or a nan quartile)
+    quarter = samples / 4  # exact, and far from overflow
+    q25, q75 = np.percentile(quarter, [25.0, 75.0])
+    diag = cauchy_diagnostics(samples)
+    assert diag.median == 4 * np.median(quarter)
+    assert diag.iqr == 4 * (q75 - q25)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 3.7, 1e300])
+def test_cauchy_diagnostics_keeps_the_unscaled_bits_at_ordinary_scales(scale):
+    samples = scale * np.random.default_rng(10).standard_cauchy(1001)
+    q25, q75 = np.percentile(samples, [25.0, 75.0])
+    diag = cauchy_diagnostics(samples)
+    assert (diag.median, diag.iqr) == (np.median(samples), q75 - q25)
+
+
+def test_cauchy_diagnostics_names_an_iqr_beyond_the_float_range():
+    samples = np.r_[np.full(300, -1e308), np.full(300, 1e308)]
+    with pytest.raises(ValueError, match=r"^samples must give a finite iqr, got inf$"):
+        cauchy_diagnostics(samples)
+
+
 def test_cauchy_diagnostics_needs_samples():
     with pytest.raises(ValueError, match="at least 500"):
         cauchy_diagnostics(np.ones(499))

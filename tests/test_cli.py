@@ -901,6 +901,43 @@ def test_emit_plot_unwritable_path(tmp_path):
         emit_plot(_small_result(), 1.0, tmp_path / "missing" / "x.svg")
 
 
+def _plotted_xs(path):
+    """Every x coordinate of an SVG plot: attributes and polyline points."""
+    xs = []
+    for element in ET.parse(path).getroot().iter():
+        xs += [float(element.get(name)) for name in ("x", "x1", "x2", "cx") if element.get(name)]
+        if element.get("points"):
+            xs += [float(point.split(",")[0]) for point in element.get("points").split()]
+    return xs
+
+
+def _assert_plot_inside(path):
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    xs = _plotted_xs(path)
+    assert xs and all(0 <= x <= 640 for x in xs)
+
+
+def test_a_plot_over_a_span_beyond_the_float_range_stays_inside(tmp_path, capsys):
+    # the span 2e308 overflowed: every x coordinate read "nan", a tick "inf"
+    out = tmp_path / "out"
+    payload = {"grid": [-1e308, 1e308], "reps": 5, "lambdas": [0.0], "output_dir": str(out)}
+    assert run_cli(["sweep-pi", "--plots", "--config", _write_config(tmp_path, payload)]) == 0
+    capsys.readouterr()
+    _assert_plot_inside(out / "mse_lambda_0.svg")
+
+
+def test_plotted_points_over_a_span_beyond_the_float_range_stay_inside(tmp_path):
+    result = _small_result()
+    moved = {0.1: -1e308, 0.3: 0.0, 0.5: 1e308}
+    cells = tuple(dataclasses.replace(c, grid_value=moved[c.grid_value]) for c in result.cells)
+    path = tmp_path / "wide.svg"
+    emit_plot(dataclasses.replace(result, cells=cells), 1.0, path)
+    circles = ET.parse(path).getroot().findall(".//{http://www.w3.org/2000/svg}circle")
+    assert [float(c.get("cx")) for c in circles] == [70.0, 345.0, 620.0]
+    _assert_plot_inside(path)
+
+
 # ---------------------------------------------------------------------------
 # other subcommands
 
@@ -1064,6 +1101,20 @@ def test_an_n_that_cannot_be_drawn_exits_2(tmp_path, capsys, command, rate, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(r"config field 'n' must be (finite|at most \d+)", captured.err)
+
+
+@pytest.mark.parametrize("reps", [2**32 + 1, 10**20])
+@pytest.mark.parametrize("command", ["sweep-pi", "verify-asymptotics"])
+def test_reps_beyond_the_rep_index_range_exit_2(tmp_path, capsys, command, reps):
+    # sweep-pi exited 1 with numpy's unnamed "Maximum allowed dimension exceeded"
+    payload = {"reps": reps}
+    if command == "sweep-pi":
+        payload["output_dir"] = str(tmp_path / "out")
+    assert run_cli([command, "--config", _write_config(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config field 'reps' must be at most 4294967296" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_single_run_bad_schedule_rate(tmp_path, capsys):

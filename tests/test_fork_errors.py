@@ -4,8 +4,10 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
+import ridgeiv._fork as _fork
 import ridgeiv.montecarlo as montecarlo
 from conftest import assert_no_child_left
 from ridgeiv.dgp import aer_calibration
@@ -54,8 +56,8 @@ def test_an_error_in_one_share_reaches_the_caller(monkeypatch, two_workers, entr
     message = r"^no draw for path \(\d?,?\), reps \d+-\d+$"
     with pytest.raises(LookupError, match=message) as info:
         call()
-    # the worker's traceback comes along as the cause
-    assert "fail_in_second_share" in str(info.value.__cause__)
+    # the caller's serial run raises it, so the traceback passes the task
+    assert "fail_in_second_share" in [entry.name for entry in info.traceback]
     assert_no_child_left()
 
 
@@ -66,13 +68,33 @@ class Unbuildable(Exception):
         super().__init__(f"{a} {b}")
 
 
-def test_an_error_that_does_not_unpickle_arrives_by_name(monkeypatch, two_workers):
+def test_an_error_that_does_not_unpickle_reaches_the_caller_as_itself(
+    monkeypatch, two_workers
+):
     def fail(*task):
         raise Unbuildable("lost", "reps")
 
     monkeypatch.setattr(montecarlo, "_shock_moments", fail)
-    with pytest.raises(RuntimeError, match=r"^Unbuildable: lost reps$"):
+    # nothing is pickled: the caller's serial run raises it
+    with pytest.raises(Unbuildable, match=r"^lost reps$"):
         _ENTRY_POINTS["collect"][0]()
+    assert_no_child_left()
+
+
+def test_an_error_in_a_forked_worker_alone_gives_the_serial_bytes():
+    # the caller's run of the tasks raises nothing, so its result is returned
+    caller = os.getpid()
+
+    def fail_in_a_child(row, width):
+        if os.getpid() != caller:
+            raise LookupError("only in a child")
+        return np.full((2, width), float(row))
+
+    tasks = [(row, width) for row, width in enumerate((1, 3, 2, 4))]
+    widths = [width for _, width in tasks]
+    serial = _fork.map_tasks(fail_in_a_child, tasks, widths, 2, 1)
+    pooled = _fork.map_tasks(fail_in_a_child, tasks, widths, 2, 2)
+    assert pooled.tobytes() == serial.tobytes()
     assert_no_child_left()
 
 

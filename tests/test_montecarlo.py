@@ -937,6 +937,18 @@ def test_integer_arguments_checked_by_name(monkeypatch, entry, field, bad):
     assert calls == []
 
 
+@pytest.mark.parametrize("reps", [2**32 + 1, 10**20])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_reps_beyond_the_rep_index_range_are_named_before_the_draw(monkeypatch, entry, reps):
+    # a rep's index is hashed as one 32-bit word: the draw raised an unnamed
+    # OverflowError, or numpy's "Maximum allowed dimension exceeded"
+    calls = _count_draws(monkeypatch)
+    call, _ = _ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^reps must be at most 4294967296, .* got {reps}$"):
+        call(n=50, reps=reps, seed=1)
+    assert calls == []
+
+
 @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
 def test_negative_seed_rejected_by_name(monkeypatch, entry):
     calls = _count_draws(monkeypatch)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -40,3 +41,17 @@ def test_importing_the_package_and_cli_leaves_heavy_modules_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_the_fork_mapper_imports_no_ridgeiv_module():
+    # _fork maps any task function over forked workers and knows nothing of
+    # the draws: montecarlo imports it, never the other way round
+    source = (Path(ridgeiv.__file__).parent / "_fork.py").read_text()
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert [name for name in imported if name.startswith((".", "ridgeiv"))] == []
