@@ -18,10 +18,10 @@ Sampling regimes by penalty rate, for a nonzero first stage:
   the unpenalized ratio collapses to a heavy-tailed (Cauchy-type) limit.
 
 Each closed form returns finite numbers or raises a ValueError naming the
-argument that takes its result beyond the float range, in the wording of
-:mod:`.estimators`: ``<name> must give a finite <quantity>, got ...``.
-Squares are float products, which give inf where ``**`` would raise an
-unnamed OverflowError.
+argument that takes its result beyond the float range, in the package's
+one wording (``dgp._finite_result``): ``<name> must give a finite
+<quantity>, got ...``.  Squares are float products, which give inf where
+``**`` would raise an unnamed OverflowError.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dgp import DgpParams
+from .dgp import DgpParams, _finite_result
 
 __all__ = [
     "TailDiagnostics",
@@ -57,17 +57,11 @@ _Z_FOURTH_MOMENT = 3.0
 
 
 class TailDiagnostics(NamedTuple):
+    """What :func:`cauchy_diagnostics` returns; median and iqr are NaN for a non-finite sample."""
+
     median: float
     iqr: float
     tail_index_flag: bool
-
-
-def _finite(value, name: str, quantity: str):
-    """``value`` if it is finite throughout, else a ValueError naming ``name``."""
-    if not np.isfinite(value).all():
-        shown = value.tolist() if isinstance(value, np.ndarray) else value
-        raise ValueError(f"{name} must give a finite {quantity}, got {shown!r}")
-    return value
 
 
 def sigma_red_sq(params: DgpParams) -> float:
@@ -78,7 +72,7 @@ def sigma_red_sq(params: DgpParams) -> float:
         + params.sigma_eps * params.sigma_eps
         + 2.0 * b * params.err_cov
     )
-    return _finite(value, "params", "sigma_red^2")
+    return _finite_result("params", "sigma_red^2", value)
 
 
 def sigma_fixed(params: DgpParams) -> np.ndarray:
@@ -91,7 +85,7 @@ def sigma_fixed(params: DgpParams) -> np.ndarray:
     s_eta_sq = params.first_stage_error_var
     off = params.beta1 * s_eta_sq + params.err_cov
     sigma = np.array([[sigma_red_sq(params), off], [off, s_eta_sq]])
-    return _finite(sigma, "params", "fixed-instrument covariance matrix")
+    return _finite_result("params", "fixed-instrument covariance matrix", sigma)
 
 
 def sigma_stochastic(params: DgpParams) -> np.ndarray:
@@ -105,7 +99,7 @@ def sigma_stochastic(params: DgpParams) -> np.ndarray:
     scale = params.pi1 * params.pi1 * (_Z_FOURTH_MOMENT - 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         sigma = sigma_fixed(params) + scale * np.array([[b * b, b], [b, 1.0]])
-    return _finite(sigma, "params", "stochastic-instrument covariance matrix")
+    return _finite_result("params", "stochastic-instrument covariance matrix", sigma)
 
 
 def ratio_gradient(x: float, y: float) -> np.ndarray:
@@ -115,10 +109,10 @@ def ratio_gradient(x: float, y: float) -> np.ndarray:
     else ``x``.
     """
     if y == 0.0:
-        raise ValueError("ratio map is singular at y = 0")
+        raise ValueError("y must be nonzero: the ratio map is singular at y = 0")
     gradient = np.array([1.0 / y, -x / y / y])  # y**2 underflows to 0 for a tiny y
     name = "y" if not math.isfinite(1.0 / y / y) else "x"
-    return _finite(gradient, name, f"gradient of x / y at x = {x!r} and y = {y!r}")
+    return _finite_result(name, f"gradient of x / y at x = {x!r} and y = {y!r}", gradient)
 
 
 def delta_method_variance(sigma: np.ndarray, beta1: float, pi1: float) -> float:
@@ -132,7 +126,7 @@ def delta_method_variance(sigma: np.ndarray, beta1: float, pi1: float) -> float:
     else ``beta1`` when (beta1/pi1)^2 does, else ``sigma``.
     """
     if pi1 == 0.0:
-        raise ValueError("delta method is undefined at pi1 = 0")
+        raise ValueError("pi1 must be nonzero: the delta method is undefined at pi1 = 0")
     sigma = np.asarray(sigma, dtype=np.float64)
     reciprocal, ratio = 1.0 / pi1, beta1 / pi1
     g = np.array([reciprocal, -ratio])
@@ -143,15 +137,15 @@ def delta_method_variance(sigma: np.ndarray, beta1: float, pi1: float) -> float:
     else:
         name = "beta1" if not math.isfinite(ratio * ratio) else "sigma"
     quantity = f"delta-method variance at beta1 = {beta1!r} and pi1 = {pi1!r}"
-    return _finite(variance, name, quantity)
+    return _finite_result(name, quantity, variance)
 
 
 def v_ridge(params: DgpParams) -> float:
     """Limiting variance sigma_eps^2 / pi1^2 under slow penalty rates."""
     if params.pi1 == 0.0:
-        raise ValueError("v_ridge is undefined at pi1 = 0")
+        raise ValueError("params must have a nonzero pi1: v_ridge is undefined at pi1 = 0")
     ratio = params.sigma_eps / params.pi1  # pi1**2 underflows to 0 for a tiny pi1
-    return _finite(ratio * ratio, "params", "v_ridge")
+    return _finite_result("params", "v_ridge", ratio * ratio)
 
 
 def sqrtn_bias(params: DgpParams, lambda0: float) -> float:
@@ -161,10 +155,10 @@ def sqrtn_bias(params: DgpParams, lambda0: float) -> float:
     it, else ``lambda0``.
     """
     if params.pi1 == 0.0:
-        raise ValueError("sqrt(n) bias is undefined at pi1 = 0")
+        raise ValueError("params must have a nonzero pi1: sqrt(n) bias is undefined at pi1 = 0")
     ratio = params.beta1 / params.pi1
     name = "params" if not math.isfinite(ratio) else "lambda0"
-    return _finite(-ratio * lambda0, name, f"sqrt(n) bias at lambda0 = {lambda0!r}")
+    return _finite_result(name, f"sqrt(n) bias at lambda0 = {lambda0!r}", -ratio * lambda0)
 
 
 def staiger_stock_moments(params: DgpParams, lambda0: float) -> tuple[float, float]:
@@ -179,18 +173,18 @@ def staiger_stock_moments(params: DgpParams, lambda0: float) -> tuple[float, flo
     stock_c * beta1 leaves it, else ``lambda0``.
     """
     if params.stock_c is None:
-        raise ValueError("staiger_stock_moments requires stock_c to be set")
+        raise ValueError("params must set stock_c: the limit needs a drifting first stage")
     if lambda0 <= 0.0:
         raise ValueError(
-            "staiger_stock_moments requires lambda0 > 0; the unpenalized "
-            "ratio has no normal limit under a drifting first stage"
+            "lambda0 must be positive (lambda0 > 0): the unpenalized ratio has no "
+            "normal limit under a drifting first stage"
         )
     red = sigma_red_sq(params)  # names params
     effect = params.stock_c * params.beta1
     name = "params" if not math.isfinite(effect) else "lambda0"
-    mean = _finite(effect / lambda0, name, f"limiting mean at lambda0 = {lambda0!r}")
-    variance = _finite(  # lambda0**2 underflows to 0 for a tiny lambda0
-        red / lambda0 / lambda0, "lambda0", f"limiting variance at lambda0 = {lambda0!r}"
+    mean = _finite_result(name, f"limiting mean at lambda0 = {lambda0!r}", effect / lambda0)
+    variance = _finite_result(  # lambda0**2 underflows to 0 for a tiny lambda0
+        "lambda0", f"limiting variance at lambda0 = {lambda0!r}", red / lambda0 / lambda0
     )
     return mean, variance
 
@@ -201,7 +195,10 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
     The flag is True when the sample (Pearson) kurtosis exceeds
     :data:`KURTOSIS_FLAG_THRESHOLD` or a sample is not finite; it verifies
     ratio-estimator instability rather than fitting any distribution.
-    A zero-variance sample has no tails and flags False.
+    A zero-variance sample has no tails and flags False.  A sample with an
+    infinite or NaN entry has no median or IQR here: both are NaN, since its
+    order statistics can be infinite or undefined (``-inf`` and ``inf``
+    halves), and the flag is True.
 
     A finite sample is scaled by a power of two, exactly, to a largest
     magnitude in [0.5, 1), and every statistic is taken of that: the sum of
@@ -217,16 +214,14 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
         raise ValueError("samples must be one-dimensional")
     if s.size < MIN_TAIL_SAMPLES:
         raise ValueError(f"need at least {MIN_TAIL_SAMPLES} samples, got {s.size}")
-    # frexp gives a non-finite peak the exponent 0: such a sample keeps its scale
+    if not np.isfinite(s).all():
+        return TailDiagnostics(math.nan, math.nan, True)
     exponent = math.frexp(np.max(np.abs(s)))[1]
     scaled = np.ldexp(s, -exponent)
     median = math.ldexp(np.median(scaled), exponent)
     q25, q75 = np.percentile(scaled, [25.0, 75.0])
-    with np.errstate(over="ignore"):
-        iqr = float(np.ldexp(q75 - q25, exponent))
-    if not np.all(np.isfinite(s)):
-        return TailDiagnostics(median, iqr, True)
-    _finite(iqr, "samples", "iqr")
+    with np.errstate(over="ignore"):  # _finite_result names an overflow
+        iqr = _finite_result("samples", "iqr", float(np.ldexp(q75 - q25, exponent)))
     centered = scaled - scaled.mean()
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:

@@ -67,6 +67,30 @@ def _finite_real(name: str, value: object) -> float:
     return value
 
 
+def _finite_result(name: str, quantity: str, value, got: str = "{!r}", plural: bool = False):
+    """``value``, a float or an array, if finite throughout; else a ValueError naming ``name``.
+
+    This is the one message of a result beyond the float range:
+    ``<name> must give a finite <quantity>, got <got>``, with ``name`` the
+    argument that took the result there.  ``got`` is ``str.format``-ed with
+    the value (an array as a list), so a text without braces stands as
+    written; a ``plural`` quantity drops the article (``must give finite
+    covariances``).
+    """
+    if np.isfinite(value).all():
+        return value
+    shown = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    finite = "finite" if plural else "a finite"
+    raise ValueError(f"{name} must give {finite} {quantity}, got {got.format(shown)}")
+
+
+def _finite_entries(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` if every entry is finite; else a ValueError naming ``name``."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got a non-finite entry")
+    return values
+
+
 def _nonnegative(name: str, value: object) -> float:
     """``value`` if it is a finite nonnegative real; else an error naming ``name``."""
     if _finite_real(name, value) < 0:
@@ -145,14 +169,11 @@ class DgpParams:
                 "equation cannot covary with the first stage"
             )
         try:  # sigma_eps**2 can underflow to 0 or overflow
-            finite = math.isfinite(self.eps_loading)
+            loading = self.eps_loading
         except (ZeroDivisionError, OverflowError):
-            finite = False
-        if not finite:
-            raise ValueError(
-                f"sigma_eps must give a finite eps_loading = err_cov / sigma_eps**2, "
-                f"got sigma_eps = {self.sigma_eps!r} beside err_cov = {self.err_cov!r}"
-            )
+            loading = math.nan
+        got = f"sigma_eps = {self.sigma_eps!r} beside err_cov = {self.err_cov!r}"
+        _finite_result("sigma_eps", "eps_loading = err_cov / sigma_eps**2", loading, got)
 
     @property
     def eps_loading(self) -> float:
@@ -203,11 +224,7 @@ class Dataset:
         if z.shape[1] < 1:
             raise ValueError("need at least one instrument")
         for name, values in (("y", y), ("d", d), ("z", z)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} must be finite, got a non-finite entry")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "z", z)
+            object.__setattr__(self, name, _finite_entries(name, values))
 
     @property
     def n(self) -> int:
@@ -247,10 +264,8 @@ def generate_dataset(params: DgpParams, n: int, seed: int) -> Dataset:
         u = params.eps_loading * eps + eta
         d = params.pi0 + params.effective_pi1(n) * z + u
         y = params.beta0 + params.beta1 * d + eps
-    if not np.isfinite(y).all():  # y is finite only where d and eps are
-        raise ValueError(
-            f"params must give finite data at n = {n}, got d or y beyond the float range"
-        )
+    # y is finite only where d and eps are
+    _finite_result("params", f"data at n = {n}", y, "d or y beyond the float range", plural=True)
     return Dataset(y=y, d=d, z=z.reshape(n, 1))
 
 

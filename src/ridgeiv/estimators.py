@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dgp import Dataset, _finite_real, _nonnegative
+from .dgp import Dataset, _finite_entries, _finite_real, _finite_result, _nonnegative
 
 __all__ = [
     "DegenerateDenominatorError",
@@ -136,7 +136,12 @@ class Estimate:
 
 
 def demeaned_cov(x: np.ndarray, w: np.ndarray) -> float:
-    """Sample covariance (1/n) * sum (x_i - xbar)(w_i - wbar)."""
+    """Sample covariance (1/n) * sum (x_i - xbar)(w_i - wbar).
+
+    ``x`` and ``w`` must be finite, each named when it is not; a covariance,
+    or a mean on the way to it, beyond the float range raises a ValueError
+    naming ``x and w``.
+    """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if x.ndim != 1 or w.ndim != 1:
@@ -145,6 +150,14 @@ def demeaned_cov(x: np.ndarray, w: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {w.shape[0]}")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 observations")
+    _finite_entries("x", x)
+    _finite_entries("w", w)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_result names an overflow
+        return _finite_result("x and w", "covariance", _cov(x, w))
+
+
+def _cov(x: np.ndarray, w: np.ndarray) -> float:
+    """:func:`demeaned_cov` unchecked: the caller checks the inputs and the result's range."""
     return float(np.mean((x - x.mean()) * (w - w.mean())))
 
 
@@ -167,8 +180,9 @@ def shifted_ratio(
 
     A shifted denominator beyond the float range from a finite ``base``
     raises naming ``shift_name`` (``str.format``-ed with the shift's index
-    when ``shift`` is a sequence); any other result that is not finite
-    names ``name``, the argument that set the numerator and the base.
+    when ``shift`` is a sequence); any other result that is not finite,
+    and a degenerate float ratio, names ``name``, the argument that set the
+    numerator and the base.
     """
     numerator = np.asarray(numerator, dtype=np.float64)
     base = np.asarray(base, dtype=np.float64)
@@ -186,17 +200,17 @@ def shifted_ratio(
             float(np.broadcast_to(x, bad.shape)[at])
             for x in (numerator, base, shifts, denominators, quotients)
         )
-        if math.isfinite(b) and not math.isfinite(den):
-            raise ValueError(
-                f"{shift_name.format(*at[:shift_axes])} must give a finite "
-                f"shifted denominator with {name}, got {b!r} + {s!r} = {den!r}"
-            )
-        raise ValueError(f"{name} must give a finite beta1_hat, got {q!r} = {num!r} / {den!r}")
+        if math.isfinite(b):
+            shift_at = shift_name.format(*at[:shift_axes])
+            quantity = f"shifted denominator with {name}"
+            _finite_result(shift_at, quantity, den, f"{b!r} + {s!r} = {den!r}")
+        # a finite quotient over an infinite base is out of range too
+        _finite_result(name, "beta1_hat", (q, den), f"{q!r} = {num!r} / {den!r}")
     if quotients.ndim == 0:
         if degenerate:
             raise DegenerateDenominatorError(
-                f"shifted denominator is exactly zero (base = {float(base)!r}, "
-                f"shift = {float(shifts)!r})"
+                f"{name} gives a shifted denominator of exactly zero "
+                f"(base = {float(base)!r}, shift = {float(shifts)!r})"
             )
         return float(quotients)
     quotients[degenerate] = math.nan
@@ -213,23 +227,17 @@ def _instrument_column(data: Dataset) -> np.ndarray:
 
 def _simple_ols(x: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
     """OLS of t on (1, x); returns (intercept, slope, residual sd, 1/n convention)."""
-    var_x = demeaned_cov(x, x)
+    var_x = _cov(x, x)
     if var_x == 0.0:
-        raise DegenerateInstrumentError("regressor has zero sample variance")
-    slope = demeaned_cov(x, t) / var_x
+        raise DegenerateInstrumentError("data has an instrument of zero sample variance")
+    slope = _cov(x, t) / var_x
     intercept = float(t.mean() - slope * x.mean())
     resid = t - intercept - slope * x
     return intercept, slope, float(np.sqrt(np.mean(resid**2)))
 
 
-def _check_finite(fields: dict[str, float]) -> None:
-    """Raise a ValueError naming ``data`` and the first field that is not finite."""
-    for field, value in fields.items():
-        if not math.isfinite(value):
-            raise ValueError(
-                f"data must give a finite {field}, got {value!r}: a mean or a "
-                "moment of the data is beyond the float range"
-            )
+# Why a field of a fit on finite data can leave the float range
+_DATA_OUT_OF_RANGE = "{!r}: a mean or a moment of the data is beyond the float range"
 
 
 def _checked_ols(
@@ -237,7 +245,8 @@ def _checked_ols(
 ) -> tuple[float, float, float]:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         fit = _simple_ols(_instrument_column(data), t)
-    _check_finite(dict(zip(names, fit)))
+    for field, value in zip(names, fit):
+        _finite_result("data", field, value, _DATA_OUT_OF_RANGE)
     return fit
 
 
@@ -280,14 +289,14 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
     shift = lambda_n / data.n
     z = _instrument_column(data)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        numerator = demeaned_cov(data.y, z)
-        cov_dz = demeaned_cov(data.d, z)
+        numerator = _cov(data.y, z)
+        cov_dz = _cov(data.d, z)
         beta1_hat = shifted_ratio(numerator, cov_dz, shift, "data", "schedule")
         _, pi1_hat, sigma_eta_hat = _simple_ols(z, data.d)
         _, _, sigma_red_hat = _simple_ols(z, data.y)
         resid = (data.y - data.y.mean()) - beta1_hat * (data.d - data.d.mean())
         sigma_eps_hat = float(np.sqrt(np.mean(resid**2)))
-        sigma_z_hat = math.sqrt(demeaned_cov(z, z))
+        sigma_z_hat = math.sqrt(_cov(z, z))
     estimate = Estimate(
         beta1_hat=beta1_hat,
         numerator=numerator,
@@ -300,7 +309,8 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
         sigma_eps_hat=sigma_eps_hat,
         sigma_z_hat=sigma_z_hat,
     )
-    _check_finite(asdict(estimate))
+    for field, value in asdict(estimate).items():
+        _finite_result("data", field, value, _DATA_OUT_OF_RANGE)
     return estimate
 
 
@@ -340,7 +350,7 @@ def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
         try:
             solved = np.linalg.solve(zz, np.hstack([zd, zy]))
         except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"Z'Z is singular: {exc}") from exc
+            raise SingularSystemError(f"data gives a singular Z'Z: {exc}") from exc
         a = zd.T @ solved[:, :1]
         b = zd.T @ solved[:, 1]
     return np.array([shifted_ratio(b.item(), a.item(), lam, "data", "lam")])
@@ -367,17 +377,14 @@ def gmm_objective(data: Dataset, beta: float, gamma: float) -> float:
         # float products give inf where ** would raise an unnamed OverflowError
         fit, penalty = moment * moment, gamma * beta * beta
         objective = fit + penalty
-        if math.isfinite(objective):
-            return objective
         if not math.isfinite(fit):
             szd, szy = _uncentered_sums(data)
             name = "data" if not math.isfinite(szd * szd + szy * szy) else "beta"
         else:
             name = "beta" if not math.isfinite(beta * beta) else "gamma"
-    raise ValueError(
-        f"{name} must give a finite GMM objective at beta = {beta!r} and gamma = "
-        f"{gamma!r}, got {objective!r} from the moment {moment!r} and the penalty {penalty!r}"
-    )
+    quantity = f"GMM objective at beta = {beta!r} and gamma = {gamma!r}"
+    got = f"{{!r}} from the moment {moment!r} and the penalty {penalty!r}"
+    return _finite_result(name, quantity, objective, got)
 
 
 def gmm_minimize(data: Dataset, gamma: float) -> float:
@@ -407,10 +414,6 @@ def lagrange_correspondence(data: Dataset, lambda_n: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         szd, _ = _uncentered_sums(data)
         gamma_n = (szd / data.n) * lambda_n
-    if not math.isfinite(gamma_n):
-        name = "data" if not math.isfinite(szd) else "lambda_n"
-        raise ValueError(
-            f"{name} must give a finite multiplier gamma_n at lambda_n = {lambda_n!r}, "
-            f"got {gamma_n!r} from sum(Z*D) = {szd!r}"
-        )
-    return gamma_n
+    name = "data" if not math.isfinite(szd) else "lambda_n"
+    quantity = f"multiplier gamma_n at lambda_n = {lambda_n!r}"
+    return _finite_result(name, quantity, gamma_n, f"{{!r}} from sum(Z*D) = {szd!r}")

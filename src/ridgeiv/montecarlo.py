@@ -69,7 +69,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _fork
-from .dgp import DgpParams, _finite_real, _int_at_least, _nonnegative, _rep_count, _sample_size
+from .dgp import DgpParams, _finite_real, _finite_result, _int_at_least, _nonnegative
+from .dgp import _rep_count, _sample_size
 from .estimators import PenaltySchedule, shifted_ratio
 
 __all__ = [
@@ -425,11 +426,9 @@ def _ratios(
             + params.sigma_eta * s_hz
         )
         cov_yz = params.beta1 * cov_dz + params.sigma_eps * s_ez
-    if not np.isfinite(cov_yz).all():  # cov_yz is finite only where cov_dz is
-        raise ValueError(
-            f"{name} must give finite covariances at n = {n}, "
-            "got Cov[D,Z] or Cov[Y,Z] beyond the float range"
-        )
+    # cov_yz is finite only where cov_dz is
+    got = "Cov[D,Z] or Cov[Y,Z] beyond the float range"
+    _finite_result(name, f"covariances at n = {n}", cov_yz, got, plural=True)
     return shifted_ratio(cov_yz, cov_dz, shifts, f"{name} at n = {n}", shift_name)
 
 
@@ -519,11 +518,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     if out_of_range.any():
         i, j = np.argwhere(out_of_range)[0].tolist()  # row-major: the cell, then its field
         stat = dataclasses.fields(SweepCell)[2 + j].name
-        raise ValueError(
-            f"grid[{i % len(grid)}] must give a finite {stat} at lambda = "
-            f"{cells[i].lam!r} and n = {n}, got {getattr(cells[i], stat)!r}: its "
-            "estimates spread beyond the float range"
-        )
+        quantity = f"{stat} at lambda = {cells[i].lam!r} and n = {n}"
+        got = "{!r}: its estimates spread beyond the float range"
+        _finite_result(f"grid[{i % len(grid)}]", quantity, stats[i, j], got)
     return SweepResult(config.grid_variable, n, reps, cells, estimates)
 
 
@@ -537,11 +534,9 @@ def _scaled_samples(
             math.sqrt(n) * (row[~np.isnan(row)] - center)
             for row in _ratios(params, n, moments, shifts)
         ]
-    if not all(np.isfinite(sample).all() for sample in samples):
-        raise ValueError(
-            f"params must give finite samples sqrt(n) * (beta1_hat - {center!r}) at "
-            f"n = {n}, got one beyond the float range"
-        )
+    quantity = f"samples sqrt(n) * (beta1_hat - {center!r}) at n = {n}"
+    for sample in samples:
+        _finite_result("params", quantity, sample, "one beyond the float range", plural=True)
     return samples
 
 

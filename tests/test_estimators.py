@@ -67,6 +67,22 @@ def test_demeaned_cov_validation():
         demeaned_cov(np.array([1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "x, w, message",
+    [
+        ([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0], r"^x must be finite, got a non-finite entry$"),
+        ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0], r"^w must be finite, got a non-finite entry$"),
+        (np.linspace(-1.0, 1.0, 20) * 1e300, np.linspace(-1.0, 1.0, 20) * 1e300,
+         r"^x and w must give a finite covariance, got inf$"),
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_demeaned_cov_names_what_leaves_the_float_range(x, w, message):
+    # these returned nan, or warned and returned nan or inf
+    with pytest.raises(ValueError, match=message):
+        demeaned_cov(np.array(x), np.array(w))
+
+
 @pytest.mark.parametrize("two_d", ["x", "w"])
 def test_demeaned_cov_rejects_two_dimensional_input(two_d):
     arrays = {"x": Z123, "w": Z123, two_d: Z123.reshape(3, 1)}

@@ -1,0 +1,265 @@
+"""The float-range rule, over every callable of the public API.
+
+Fed floats from across the whole range, every public callable returns a
+finite result, or a NaN its docstring documents, or raises a TypeError,
+ValueError or ArithmeticError whose message starts with the name of an
+argument (or of a field or method of one).  pytest turns any numpy warning
+into a failure, so none may escape either.
+
+``_ARGUMENTS`` holds one entry per callable of ``ridgeiv.__all__`` and
+``ridgeiv.asymptotics.__all__``: a strategy for its positional arguments,
+and where its docstring documents a NaN result, a predicate that says
+whether a result's NaNs are the documented ones.  Objects passed to a
+callable (a ``Dataset``, ``DgpParams``, ``PenaltySchedule`` or
+``SweepConfig``) are built valid, from finite values across the range;
+their own constructors meet the non-finite values.
+"""
+
+import dataclasses
+import inspect
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ridgeiv
+from ridgeiv import asymptotics
+from ridgeiv.asymptotics import MIN_TAIL_SAMPLES
+from ridgeiv.estimators import PenaltyRate, PenaltySchedule
+from ridgeiv.montecarlo import GridVariable, SweepCell, SweepConfig
+from support import _names_a_field
+
+# Both ends of the float range and its middle: signed zeros, the smallest
+# subnormal and normal, 1e+-300 and the largest floats
+_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, 1.7e308, -1.7e308,
+]
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+# the powers of ten, drawn log-uniformly, reach both ends far more often than uniform bits
+_POWERS = st.integers(-323, 308).map(lambda e: 10.0**e)
+
+
+def _floats(finite=False, nonnegative=False):
+    edges = _EDGES if finite else _EDGES + _NON_FINITE
+    powers = _POWERS if nonnegative else _POWERS | _POWERS.map(lambda x: -x)
+    uniform = st.floats(
+        min_value=0.0 if nonnegative else None, allow_nan=not finite, allow_infinity=not finite
+    )
+    if nonnegative:
+        edges = [x for x in edges if not x < 0.0]
+    return st.sampled_from(edges) | powers | uniform
+
+
+_ANY = _floats()
+_FINITE = _floats(finite=True)
+_NONNEGATIVE = _floats(finite=True, nonnegative=True)
+
+
+@st.composite
+def _arrays(draw, size, values=_ANY):
+    """A 1-D float64 array of ``size`` entries: a unit shape at a drawn scale, then edits.
+
+    The shapes are a normal draw with its peak at 1, a constant and two
+    halves of opposite sign; the scale spans the finite range, and up to
+    three entries, or one whole half, are then set to drawn ``values``.
+    """
+    n = draw(size)
+    shape = draw(st.sampled_from(["normal", "constant", "halves"]))
+    if shape == "normal":
+        unit = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+        unit /= np.abs(unit).max()
+    else:
+        unit = np.ones(n)
+        if shape == "halves":
+            unit[n // 2 :] = -1.0
+    array = unit * draw(_FINITE)
+    if shape == "halves" and draw(st.booleans()):
+        array[n // 2 :] = draw(values)
+    for index, value in draw(st.lists(st.tuples(st.integers(0, n - 1), values), max_size=3)):
+        array[index] = value
+    return array
+
+
+def _valid(build, *strategies):
+    """``build(*args)`` for drawn args, where that raises no ValueError."""
+
+    def attempt(args):
+        try:
+            return build(*args)
+        except ValueError:
+            return None
+
+    return st.tuples(*strategies).map(attempt).filter(lambda built: built is not None)
+
+
+def _same_size(count, values=_ANY, sizes=st.integers(3, 8)):
+    """``count`` arrays of one drawn size."""
+    return sizes.flatmap(lambda n: st.tuples(*[_arrays(st.just(n), values)] * count))
+
+
+_DATASETS = _same_size(3, _FINITE).map(lambda a: ridgeiv.Dataset(*a))
+_DATASETS_K2 = _same_size(4, _FINITE).map(
+    lambda a: ridgeiv.Dataset(a[0], a[1], np.column_stack(a[2:]))
+)
+_PARAMS = _valid(
+    ridgeiv.DgpParams,
+    *[_FINITE] * 4, _NONNEGATIVE, _NONNEGATIVE, _FINITE, st.none() | _FINITE,
+)
+_SCHEDULES = st.builds(PenaltySchedule, st.sampled_from(PenaltyRate), _NONNEGATIVE)
+_GRIDS = st.lists(_FINITE, min_size=1, max_size=3, unique=True).map(lambda g: tuple(sorted(g)))
+_LAMBDAS = st.lists(_NONNEGATIVE, min_size=1, max_size=2, unique=True).map(tuple)
+_SMALL_N, _SMALL_REPS = st.integers(3, 30), st.integers(1, 5)
+_SEEDS = st.integers(0, 2**64 - 1)
+_CONFIGS = _valid(
+    SweepConfig,
+    _PARAMS.map(lambda p: dataclasses.replace(p, stock_c=None)),
+    st.sampled_from(GridVariable), _GRIDS, _LAMBDAS, _SMALL_N, _SMALL_REPS, _SEEDS,
+)
+# a record holds what it is given: finite values, and NaN where it documents one
+_FINITE_OR_NAN = _FINITE | st.just(math.nan)
+_CELLS = st.builds(
+    lambda grid_value, lam, stats, n_degenerate: SweepCell(grid_value, lam, *stats, n_degenerate),
+    _FINITE, _NONNEGATIVE, st.lists(_FINITE_OR_NAN, min_size=8, max_size=8), st.integers(0, 5),
+)
+_SWEEP_RESULTS = st.tuples(
+    st.sampled_from(GridVariable), st.lists(_CELLS, min_size=1, max_size=2), st.integers(1, 3)
+).flatmap(
+    lambda a: st.tuples(
+        st.just(a[0]), st.just(30), st.just(a[2]), st.just(tuple(a[1])),
+        _arrays(st.just(len(a[1]) * a[2]), _FINITE_OR_NAN).map(
+            lambda e: e.reshape(len(a[1]), a[2])
+        ),
+    )
+)
+
+
+def _given_nan(result, args):
+    """A record documents the NaN it was given: it holds its arguments as they are."""
+    return any(np.isnan(_floats_in(arg)).any() for arg in args)
+
+
+def _nan_samples_only(result, args):
+    """cauchy_diagnostics: NaN median and IQR, flagged, only for a non-finite sample."""
+    (samples,) = args
+    return not np.isfinite(samples).all() and result.tail_index_flag
+
+
+def _nan_degenerate_only(result, args):
+    """run_sweep: NaN estimates are the degenerate reps, and NaN cells have no other reps."""
+    degenerate = np.isnan(result.estimates).sum(axis=1)
+    for cell, count in zip(result.cells, degenerate.tolist()):
+        stats = dataclasses.astuple(cell)[2:-1]
+        if cell.n_degenerate != count or (np.isnan(stats).any() and count < result.reps):
+            return False
+    return True
+
+
+_ARGUMENTS = {
+    # asymptotics
+    "TailDiagnostics": (st.tuples(_FINITE_OR_NAN, _FINITE_OR_NAN, st.booleans()), _given_nan),
+    "cauchy_diagnostics": (st.tuples(_arrays(st.integers(MIN_TAIL_SAMPLES, MIN_TAIL_SAMPLES + 3))),
+                           _nan_samples_only),
+    "delta_method_variance": (st.tuples(_arrays(st.just(4)).map(lambda a: a.reshape(2, 2)),
+                                        _ANY, _ANY), None),
+    "sigma_fixed": (st.tuples(_PARAMS), None),
+    "sigma_red_sq": (st.tuples(_PARAMS), None),
+    "sigma_stochastic": (st.tuples(_PARAMS), None),
+    "sqrtn_bias": (st.tuples(_PARAMS, _ANY), None),
+    "staiger_stock_moments": (st.tuples(_PARAMS, _ANY), None),
+    "v_ridge": (st.tuples(_PARAMS), None),
+    "ratio_gradient": (st.tuples(_ANY, _ANY), None),
+    # dgp
+    "Dataset": (_same_size(3), None),
+    "DgpParams": (st.tuples(*[_ANY] * 7, st.none() | _ANY), None),
+    "aer_calibration": (st.tuples(_ANY, st.none() | _ANY), None),
+    "generate_dataset": (st.tuples(_PARAMS, st.integers(3, 40), st.integers(0, 2**128 - 1)),
+                         None),
+    # estimators
+    "DegenerateDenominatorError": (st.tuples(_ANY), None),
+    "DegenerateInstrumentError": (st.tuples(_ANY), None),
+    "SingularSystemError": (st.tuples(_ANY), None),
+    "Estimate": (st.tuples(*[_FINITE] * 4, st.integers(3, 10**6), *[_FINITE] * 5), None),
+    "PenaltyRate": (st.tuples(st.sampled_from([rate.value for rate in PenaltyRate])), None),
+    "PenaltySchedule": (st.tuples(st.sampled_from(PenaltyRate), _ANY), None),
+    "demeaned_cov": (_same_size(2, sizes=st.integers(2, 8)), None),
+    "first_stage": (st.tuples(_DATASETS), None),
+    "reduced_form": (st.tuples(_DATASETS), None),
+    "fit_2sls": (st.tuples(_DATASETS), None),
+    "fit_ridge_iv": (st.tuples(_DATASETS, _SCHEDULES), None),
+    "fit_ridge_iv_matrix": (st.tuples(_DATASETS, _ANY), None),
+    "fit_ridge_iv_overidentified": (st.tuples(_DATASETS | _DATASETS_K2, _ANY), None),
+    "gmm_minimize": (st.tuples(_DATASETS, _ANY), None),
+    "gmm_objective": (st.tuples(_DATASETS, _ANY, _ANY), None),
+    "lagrange_correspondence": (st.tuples(_DATASETS, _ANY), None),
+    # montecarlo
+    "GridVariable": (st.tuples(st.sampled_from([v.value for v in GridVariable])), None),
+    "SweepCell": (_CELLS.map(dataclasses.astuple), _given_nan),
+    "SweepConfig": (st.tuples(_PARAMS, st.sampled_from(GridVariable),
+                              st.lists(_ANY, min_size=1, max_size=3),
+                              st.lists(_ANY, min_size=1, max_size=2),
+                              _SMALL_N, _SMALL_REPS, _SEEDS), None),
+    "SweepResult": (_SWEEP_RESULTS, _given_nan),
+    "collect_sampling_distribution": (st.tuples(_PARAMS, _SCHEDULES, _SMALL_N, _SMALL_REPS,
+                                                _SEEDS), None),
+    "derive_seed": (st.lists(st.integers(-1, 2**70), min_size=1, max_size=4), None),
+    "run_sweep": (st.tuples(_CONFIGS), _nan_degenerate_only),
+}
+
+
+def _floats_in(value):
+    """Every float ``value`` holds, through tuples, records and float arrays, as a list."""
+    if isinstance(value, (float, np.floating)):
+        return [float(value)]
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist() if value.dtype.kind == "f" else []
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = tuple(getattr(value, field.name) for field in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return [x for item in value for x in _floats_in(item)]
+    return []
+
+
+def _argument_names(function, args):
+    """The call's parameter names, and the public attributes of every record it is given."""
+    names = set(inspect.signature(function).parameters)
+    for arg in args:
+        if dataclasses.is_dataclass(arg):
+            names |= {name for name in dir(arg) if not name.startswith("_")}
+    return names
+
+
+def _public_callables():
+    return {
+        name: getattr(module, name)
+        for module in (ridgeiv, asymptotics)
+        for name in module.__all__
+        if callable(getattr(module, name))
+    }
+
+
+def test_every_public_callable_has_a_strategy():
+    # a new public callable without an entry would escape the rule below
+    assert sorted(_ARGUMENTS) == sorted(_public_callables())
+
+
+# 37 callables at 40 examples each: 5.1 s of calls in all on a 2-core x86-64 host
+@pytest.mark.parametrize("name", sorted(_ARGUMENTS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_result_is_finite_a_documented_nan_or_named(name, data):
+    function = _public_callables()[name]
+    strategy, nan_documented = _ARGUMENTS[name]
+    args = data.draw(strategy, label="args")
+    try:
+        result = function(*args)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        assert _names_a_field(exc, _argument_names(function, args)), repr(exc)
+        return
+    values = np.array(_floats_in(result))
+    if np.isfinite(values).all():
+        return
+    assert not np.isinf(values).any(), result
+    assert nan_documented is not None and nan_documented(result, args), result

@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import hashlib
 import math
-import re
 import sys
 import threading
 from fractions import Fraction
@@ -34,6 +33,7 @@ from ridgeiv.montecarlo import (
     _aggregate_rows,
     _block_reps,
     _derive_seeds,
+    _draw_moments,
     _ratios,
     _shock_moments,
     _UnitShocks,
@@ -42,6 +42,7 @@ from ridgeiv.montecarlo import (
     run_sweep,
 )
 from ridgeiv.verify import VERIFY_REGIMES, verify_min_reps, verify_regimes
+from support import _exact_moments, _ks_rejects, _names_a_field
 
 
 def _small_config(**overrides):
@@ -238,6 +239,19 @@ def test_kernel_moments_match_exact_arithmetic(n, reps):
         for row, x in enumerate(shocks):
             error = abs(Fraction(moments[row, rep]) - _exact_cov(x, z))
             assert float(error) <= 1e-14 * math.sqrt(x.var() * z.var())
+
+
+@pytest.mark.parametrize(
+    "n, reps, exact_reps", [(150, 40_000, 400_000), (10_000, 1_000, 100_000)], ids=["150", "10000"]
+)
+def test_kernel_moments_follow_their_exact_law(n, reps, exact_reps):
+    # a sampler of the moments' joint law that shares nothing with the
+    # kernel; at n = 150 the test has the power to see Var z formed with
+    # 1 / (n - 1), a shift of 0.06 of its sd
+    moments = _draw_moments(2026, [()], reps, n)[:, 0]
+    exact = _exact_moments(n, exact_reps, np.random.default_rng(2027))
+    for row, (kernel, law) in enumerate(zip(moments, exact)):
+        assert not _ks_rejects(kernel, law, 1e-3), ("Var z", "Cov[e,z]", "Cov[h,z]")[row]
 
 
 @pytest.mark.parametrize("n", [149, 150, 151, 10_001])
@@ -571,13 +585,6 @@ _FIELD_NAMES = {
 }
 
 
-def _names_a_field(exc):
-    """Whether the message starts with a field name, indexed or dotted or called at an n."""
-    first = str(exc).split(" ")[0]
-    match = re.fullmatch(r"(\w+)(\[\d+\]|\.\w+|\(\d+\))?", first)
-    return match is not None and match.group(1) in _FIELD_NAMES
-
-
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     fields=st.fixed_dictionaries(
@@ -604,13 +611,13 @@ def test_every_estimate_is_finite_degenerate_or_named(
     try:
         params = DgpParams(**fields)
     except ValueError as exc:
-        assert _names_a_field(exc), exc
+        assert _names_a_field(exc, _FIELD_NAMES), exc
         return
     try:
         config = SweepConfig(params, grid_variable, tuple(grid), tuple(lambdas), n, reps, seed)
         result = run_sweep(config)
     except ValueError as exc:
-        assert _names_a_field(exc), exc
+        assert _names_a_field(exc, _FIELD_NAMES), exc
     else:
         degenerate = np.isnan(result.estimates)
         assert np.isfinite(result.estimates[~degenerate]).all()
@@ -625,7 +632,7 @@ def test_every_estimate_is_finite_degenerate_or_named(
     try:
         samples = collect_sampling_distribution(params, schedule, n, reps, seed)
     except ValueError as exc:
-        assert _names_a_field(exc), exc
+        assert _names_a_field(exc, _FIELD_NAMES), exc
     else:
         assert np.isfinite(samples).all()
     try:
@@ -634,7 +641,7 @@ def test_every_estimate_is_finite_degenerate_or_named(
     except DegenerateDenominatorError:
         pass
     except ValueError as exc:
-        assert _names_a_field(exc), exc
+        assert _names_a_field(exc, _FIELD_NAMES), exc
     else:
         assert all(math.isfinite(value) for value in dataclasses.astuple(estimate))
 
