@@ -20,8 +20,10 @@ Sampling regimes by penalty rate, for a nonzero first stage:
 Each closed form returns finite numbers or raises a ValueError naming the
 argument that takes its result beyond the float range, in the package's
 one wording (``dgp._finite_result``): ``<name> must give a finite
-<quantity>, got ...``.  Squares are float products, which give inf where
-``**`` would raise an unnamed OverflowError.
+<quantity>, got ...``; a float argument that is not finite raises
+``<name> must be finite, got ...`` (``dgp._finite_real``), since an infinite
+one would give a finite limit.  Squares are float products, which give inf
+where ``**`` would raise an unnamed OverflowError.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dgp import DgpParams, _finite_result
+from .dgp import DgpParams, _finite_real, _finite_result
 
 __all__ = [
     "TailDiagnostics",
@@ -108,6 +110,7 @@ def ratio_gradient(x: float, y: float) -> np.ndarray:
     A gradient beyond the float range names ``y`` when 1/y^2 leaves it,
     else ``x``.
     """
+    x, y = _finite_real("x", x), _finite_real("y", y)
     if y == 0.0:
         raise ValueError("y must be nonzero: the ratio map is singular at y = 0")
     gradient = np.array([1.0 / y, -x / y / y])  # y**2 underflows to 0 for a tiny y
@@ -125,6 +128,7 @@ def delta_method_variance(sigma: np.ndarray, beta1: float, pi1: float) -> float:
     A variance beyond the float range names ``pi1`` when 1/pi1^2 leaves it,
     else ``beta1`` when (beta1/pi1)^2 does, else ``sigma``.
     """
+    beta1, pi1 = _finite_real("beta1", beta1), _finite_real("pi1", pi1)
     if pi1 == 0.0:
         raise ValueError("pi1 must be nonzero: the delta method is undefined at pi1 = 0")
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -154,6 +158,7 @@ def sqrtn_bias(params: DgpParams, lambda0: float) -> float:
     A bias beyond the float range names ``params`` when beta1/pi1 leaves
     it, else ``lambda0``.
     """
+    lambda0 = _finite_real("lambda0", lambda0)
     if params.pi1 == 0.0:
         raise ValueError("params must have a nonzero pi1: sqrt(n) bias is undefined at pi1 = 0")
     ratio = params.beta1 / params.pi1
@@ -172,6 +177,7 @@ def staiger_stock_moments(params: DgpParams, lambda0: float) -> tuple[float, flo
     Moments beyond the float range name ``params`` when sigma_red^2 or
     stock_c * beta1 leaves it, else ``lambda0``.
     """
+    lambda0 = _finite_real("lambda0", lambda0)
     if params.stock_c is None:
         raise ValueError("params must set stock_c: the limit needs a drifting first stage")
     if lambda0 <= 0.0:

@@ -56,7 +56,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, get_type_hints
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -148,14 +148,11 @@ def default_beta_sweep(
     reps: int = DEFAULT_REPS, master_seed: int = DEFAULT_SEED
 ) -> SweepConfig:
     """Effect-size sweep on the AER-calibrated design."""
-    return SweepConfig(
-        base_params=aer_calibration(beta1=1.0),
+    return dataclasses.replace(
+        default_pi_sweep(reps, master_seed),
         grid_variable=GridVariable.BETA1,
         grid=tuple(np.linspace(0.0, 3.475, 40)),
         lambda_values=(0.0, 0.8, 3.0),
-        n=150,
-        reps=reps,
-        master_seed=master_seed,
     )
 
 
@@ -166,30 +163,6 @@ def default_beta_sweep(
 _SWEEP_FIELDS = {
     "params": "base_params", "grid": "grid", "lambdas": "lambda_values",
     "n": "n", "reps": "reps", "seed": "master_seed",
-}
-_SWEEP_KEYS = (*_SWEEP_FIELDS, "output_dir", "emit_plots", "emit_raw")
-
-# The top-level config keys each subcommand reads; any other key exits 2.
-_CONFIG_KEYS: dict[Command, tuple[str, ...]] = {
-    Command.SWEEP_PI: _SWEEP_KEYS,
-    Command.SWEEP_BETA: _SWEEP_KEYS,
-    Command.VERIFY_ASYMPTOTICS: ("reps", "seed", "regimes"),
-    Command.SINGLE_RUN: ("params", "n", "seed", "schedule"),
-}
-
-# flag -> (the config key it overrides, add_argument options).  A subcommand
-# has the flags of its keys; a flag left out is None and overrides nothing.
-_SWITCH = dict(action="store_const", const=True)
-_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
-    "--seed": ("seed", dict(type=int, help="master seed (u64)")),
-    "--reps": ("reps", dict(type=int, help="Monte Carlo repetitions")),
-    "--out": ("output_dir", dict(help="output directory")),
-    "--plots": ("emit_plots", dict(_SWITCH, help="emit one SVG per penalty")),
-    "--raw": ("emit_raw", dict(_SWITCH, help="persist per-rep estimates")),
-    "--regime": (
-        "regimes",
-        dict(choices=(*VERIFY_REGIMES, "all"), help="which limit regime to verify"),
-    ),
 }
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(DgpParams))
@@ -357,20 +330,39 @@ def _parse_output_dir(raw: Any) -> Path:
     return Path(path)
 
 
-# config key -> its parser; each raises a ConfigError or a library ValueError
-_PARSERS: dict[str, Callable[[Any], Any]] = {
-    "params": _parse_params,
-    "grid": _parse_grid,
-    "lambdas": _parse_lambdas,
-    "n": lambda raw: _check_type(raw, int, "n"),
-    "reps": lambda raw: _rep_count(_check_type(raw, int, "reps")),
-    "seed": _parse_seed,
-    "output_dir": _parse_output_dir,
-    "emit_plots": lambda raw: _check_type(raw, bool, "emit_plots"),
-    "emit_raw": lambda raw: _check_type(raw, bool, "emit_raw"),
-    "regimes": _parse_regimes,
-    "schedule": _parse_schedule,
+_SWEEPS = (Command.SWEEP_PI, Command.SWEEP_BETA)
+_SWITCH = dict(action="store_const", const=True)
+
+
+class _Key(NamedTuple):
+    parse: Callable[[Any], Any]  # raises a ConfigError or a library ValueError
+    commands: tuple[Command, ...]  # the subcommands that read the key
+    flag: tuple[str, dict[str, Any]] | None = None  # its flag and add_argument options
+
+
+# Every top-level config key.  A subcommand reads only the keys that list it, and
+# has their flags in this order; any other key exits 2.
+_KEYS = {
+    "params": _Key(_parse_params, (*_SWEEPS, Command.SINGLE_RUN)),
+    "grid": _Key(_parse_grid, _SWEEPS),
+    "lambdas": _Key(_parse_lambdas, _SWEEPS),
+    "n": _Key(lambda raw: _check_type(raw, int, "n"), (*_SWEEPS, Command.SINGLE_RUN)),
+    "seed": _Key(_parse_seed, tuple(Command),
+                 ("--seed", dict(type=int, help="master seed (u64)"))),
+    "reps": _Key(lambda raw: _rep_count(_check_type(raw, int, "reps")),
+                 (*_SWEEPS, Command.VERIFY_ASYMPTOTICS),
+                 ("--reps", dict(type=int, help="Monte Carlo repetitions"))),
+    "output_dir": _Key(_parse_output_dir, _SWEEPS, ("--out", dict(help="output directory"))),
+    "emit_plots": _Key(lambda raw: _check_type(raw, bool, "emit_plots"), _SWEEPS,
+                       ("--plots", dict(_SWITCH, help="emit one SVG per penalty"))),
+    "emit_raw": _Key(lambda raw: _check_type(raw, bool, "emit_raw"), _SWEEPS,
+                     ("--raw", dict(_SWITCH, help="persist per-rep estimates"))),
+    "regimes": _Key(_parse_regimes, (Command.VERIFY_ASYMPTOTICS,),
+                    ("--regime", dict(choices=(*VERIFY_REGIMES, "all"),
+                                      help="which limit regime to verify"))),
+    "schedule": _Key(_parse_schedule, (Command.SINGLE_RUN,)),
 }
+_CONFIG_KEYS = {c: tuple(k for k, key in _KEYS.items() if c in key.commands) for c in Command}
 
 
 def _load_json(path: Path) -> dict:
@@ -419,16 +411,16 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     command = Command(args.command)
     file_cfg = _load_json(Path(args.config)) if args.config else {}
     _reject_unknown(file_cfg, _CONFIG_KEYS[command], "", f" by {command.value}")
-    values = {key: _PARSERS[key](raw) for key, raw in file_cfg.items()}
-    for flag, (key, _) in _FLAGS.items():
-        given = getattr(args, flag[2:], None)
+    values = {key: _KEYS[key].parse(raw) for key, raw in file_cfg.items()}
+    for key, (parse, _, flag) in _KEYS.items():
+        given = getattr(args, flag[0][2:], None) if flag else None
         if given is not None:
             if key == "regimes":
                 given = list(VERIFY_REGIMES) if given == "all" else [given]
-            values[key] = _PARSERS[key](given)
+            values[key] = parse(given)
 
     sweep = None
-    if command in (Command.SWEEP_PI, Command.SWEEP_BETA):
+    if command in _SWEEPS:
         preset = default_pi_sweep() if command is Command.SWEEP_PI else default_beta_sweep()
         swept = preset.grid_variable.value
         for key in file_cfg.get("params", {}):
@@ -506,6 +498,20 @@ _AXIS_LABEL = {
 }
 
 
+# The plot's coordinates are ints or text formatted by the caller
+def _svg_line(x1: int | str, y1: int | str, x2: int | str, y2: int | str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>'
+
+
+def _svg_text(
+    x: int | str, y: int | str, size: int, text: str, anchor: str = "middle", extra: str = ""
+) -> str:
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{text}</text>'
+    )
+
+
 def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
     """Write a deterministic SVG line plot of log10 MSE against the grid.
 
@@ -547,53 +553,30 @@ def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
 
     lam_text = format(lam, "g")
     xlabel = _AXIS_LABEL[result.grid_variable]
+    axis_y, mid_y = height - bottom, f"{(top + height - bottom) / 2:.1f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">'
-        f"MSE by {xlabel}, lambda = {lam_text}</text>",
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-        f'y2="{height - bottom}" stroke="black"/>',
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" '
-        'stroke="black"/>',
+        _svg_text(f"{width / 2:.1f}", 24, 15, f"MSE by {xlabel}, lambda = {lam_text}"),
+        _svg_line(left, axis_y, width - right, axis_y),
+        _svg_line(left, top, left, axis_y),
     ]
     for i in range(5):
         x = 2 * (x_lo / 2 + half_span * (i / 4))
-        px = sx(x)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{height - bottom}" x2="{px:.2f}" '
-            f'y2="{height - bottom + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{height - bottom + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x:.3g}</text>'
-        )
+        px = f"{sx(x):.2f}"
+        parts.append(_svg_line(px, axis_y, px, axis_y + 5))
+        parts.append(_svg_text(px, axis_y + 20, 12, f"{x:.3g}"))
     tick_lo, tick_hi = math.ceil(y_lo), math.floor(y_hi)
     ticks = [float(t) for t in range(tick_lo, tick_hi + 1)] or [y_lo, y_hi]
     step = max(1, len(ticks) // 8)
     for tick in ticks[::step]:
         py = sy(tick)
-        parts.append(
-            f'<line x1="{left - 5}" y1="{py:.2f}" x2="{left}" y2="{py:.2f}" '
-            'stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{left - 9}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{tick:.3g}</text>'
-        )
-    parts.append(
-        f'<text x="{(left + width - right) / 2:.1f}" y="{height - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f"{xlabel}</text>"
-    )
-    parts.append(
-        f'<text x="18" y="{(top + height - bottom) / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {(top + height - bottom) / 2:.1f})">'
-        f"log10 MSE (lambda = {lam_text})</text>"
-    )
+        parts.append(_svg_line(left - 5, f"{py:.2f}", left, f"{py:.2f}"))
+        parts.append(_svg_text(left - 9, f"{py + 4:.2f}", 12, f"{tick:.3g}", "end"))
+    parts.append(_svg_text(f"{(left + width - right) / 2:.1f}", height - 12, 13, xlabel))
+    rotate = f' transform="rotate(-90 18 {mid_y})"'
+    parts.append(_svg_text(18, mid_y, 13, f"log10 MSE (lambda = {lam_text})", extra=rotate))
     if len(points) >= 2:
         coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
         parts.append(
@@ -613,8 +596,11 @@ def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
 
 
 def _run_sweep_command(config: ExperimentConfig) -> int:
-    assert config.sweep is not None
     out = config.output_dir
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory is not writable: {exc}") from exc
     result = run_sweep(config.sweep)
     csv_path = out / "mse_sweep.csv"
     write_sweep_csv(result, csv_path)
@@ -646,8 +632,8 @@ def _run_single_command(config: ExperimentConfig) -> int:
     data = generate_dataset(config.params, config.n, config.seed)
     estimate = fit_ridge_iv(data, config.schedule)
     payload = dataclasses.asdict(estimate)
-    # JSON has no infinity: the std_error of an exactly zero pi1_hat * sigma_z_hat
-    # is null, and any other non-finite value raises rather than print bad JSON
+    # JSON has no infinity: an inf std_error (its docstring says where) is null,
+    # and any other non-finite value raises rather than print bad JSON
     std_error = estimate.std_error
     payload["std_error"] = std_error if math.isfinite(std_error) else None
     print(json.dumps(payload, indent=2, allow_nan=False))
@@ -673,9 +659,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(command.value, help=doc)
         p.add_argument("--config", help="path to a JSON experiment config")
-        for flag, (key, options) in _FLAGS.items():
-            if key in _CONFIG_KEYS[command]:
-                p.add_argument(flag, **options)
+        for _, commands, flag in _KEYS.values():
+            if flag and command in commands:
+                p.add_argument(flag[0], **flag[1])
     return parser
 
 
@@ -687,20 +673,11 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = build_config(args)
-        if config.command in (Command.SWEEP_PI, Command.SWEEP_BETA):
-            config.output_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"config error: output directory is not writable: {exc}", file=sys.stderr)
-        return 2
-    try:
         # a config value whose covariances or data overflow is named like one
         # that fails a rule
         with _naming_config_keys():
-            if config.command in (Command.SWEEP_PI, Command.SWEEP_BETA):
+            config = build_config(args)
+            if config.sweep is not None:
                 return _run_sweep_command(config)
             if config.command is Command.VERIFY_ASYMPTOTICS:
                 return _run_verify_command(config)

@@ -185,9 +185,11 @@ class DgpParams:
     @property
     def first_stage_error_var(self) -> float:
         """Variance of the composite first-stage disturbance u; inf beyond the float range."""
-        loading, s_eps, s_eta = self.eps_loading, self.sigma_eps, self.sigma_eta
-        # float products give inf where ** would raise an unnamed OverflowError
-        return s_eta * s_eta + loading * loading * (s_eps * s_eps)
+        # loading * sigma_eps = err_cov / sigma_eps, which stays in the float range
+        # where loading squared may not; float products give inf where ** would
+        # raise an unnamed OverflowError
+        spread = self.eps_loading * self.sigma_eps
+        return self.sigma_eta * self.sigma_eta + spread * spread
 
     def effective_pi1(self, n: int) -> float:
         """First-stage slope at sample size n (c/sqrt(n) under drift)."""

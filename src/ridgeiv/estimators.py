@@ -127,7 +127,8 @@ class Estimate:
         This is the unpenalized (2SLS) standard error, from the limiting
         variance sigma_eps^2 / (pi1^2 Var z); it is reported as is when
         lambda_n > 0 and ignores the penalty's shrinkage.  It does not
-        change when z is rescaled.
+        change when z is rescaled.  It is inf where the quotient lies beyond
+        the float range, and where ``pi1_hat * sigma_z_hat`` is 0.
         """
         scale = abs(self.pi1_hat) * self.sigma_z_hat
         if scale == 0.0:
@@ -327,9 +328,7 @@ def fit_ridge_iv_matrix(data: Dataset, lam: float) -> np.ndarray:
             f"Z'D must be square: one endogenous regressor needs k = 1, got k = {data.k}"
         )
     _nonnegative("lam", lam)
-    with np.errstate(over="ignore", invalid="ignore"):  # shifted_ratio names an overflow
-        zd = (data.z.T @ data.d.reshape(-1, 1)).item()
-        zy = (data.z.T @ data.y).item()
+    zd, zy = _uncentered_sums(data)
     return np.array([shifted_ratio(zy, zd, lam, "data", "lam")])
 
 
@@ -357,8 +356,10 @@ def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
 
 
 def _uncentered_sums(data: Dataset) -> tuple[float, float]:
+    """(sum Z*D, sum Z*Y); each caller names a sum beyond the float range."""
     z = _instrument_column(data)
-    return float(z @ data.d), float(z @ data.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(z @ data.d), float(z @ data.y)
 
 
 def gmm_objective(data: Dataset, beta: float, gamma: float) -> float:
@@ -395,8 +396,7 @@ def gmm_minimize(data: Dataset, gamma: float) -> float:
     both zero it has no unique minimizer, and the ratio raises.
     """
     _nonnegative("gamma", gamma)
-    with np.errstate(over="ignore", invalid="ignore"):  # shifted_ratio names an overflow
-        szd, szy = _uncentered_sums(data)
+    szd, szy = _uncentered_sums(data)  # shifted_ratio names an overflow
     # float products give inf where ** would raise an unnamed OverflowError
     return shifted_ratio(szd * szy, szd * szd, gamma, "data", "gamma")
 

@@ -192,17 +192,26 @@ def test_sigma_red_sq_aer_design():
         (lambda: staiger_stock_moments(_params(beta1=1e10, stock_c=1e300), 1.0), "params"),
         (lambda: sqrtn_bias(DgpParams(0.0, 1e200, 0.0, 1e-200), 1.0), "params"),
         (lambda: sqrtn_bias(_params(beta1=1e200), 1e200), "lambda0"),
+        (lambda: staiger_stock_moments(_params(stock_c=1.0), math.inf), "lambda0"),
+        (lambda: delta_method_variance(np.eye(2), 1.0, math.inf), "pi1"),
+        (lambda: delta_method_variance(np.eye(2), math.nan, 1.0), "beta1"),
+        (lambda: ratio_gradient(1.0, math.inf), "y"),
+        (lambda: ratio_gradient(math.nan, 1.0), "x"),
+        (lambda: sqrtn_bias(_params(), -math.inf), "lambda0"),
     ],
     ids=[
         "sigma_red_sq-beta1", "sigma_red_sq-sigma_eta", "sigma_fixed", "sigma_stochastic-beta1",
         "sigma_stochastic-pi1", "ratio_gradient-y", "ratio_gradient-x", "delta-pi1",
         "delta-beta1", "delta-sigma", "v_ridge", "staiger-lambda0", "staiger-params",
-        "sqrtn_bias-params", "sqrtn_bias-lambda0",
+        "sqrtn_bias-params", "sqrtn_bias-lambda0", "staiger-inf", "delta-inf", "delta-nan",
+        "ratio_gradient-inf", "ratio_gradient-nan", "sqrtn_bias-inf",
     ],
 )
 def test_a_closed_form_beyond_the_float_range_is_named(call, name):
-    # these raised OverflowError or ZeroDivisionError, or returned -inf
-    with pytest.raises(ValueError, match=f"^{name} must give a finite "):
+    # these raised OverflowError or ZeroDivisionError, returned -inf, or took an
+    # argument that is not finite to a finite limit
+    wording = "(give a finite|be finite, got (-?inf|nan)$)"
+    with pytest.raises(ValueError, match=f"^{name} must {wording}"):
         call()
 
 

@@ -594,7 +594,7 @@ def test_every_library_argument_the_cli_sets_has_a_config_key():
     ]
     assert set(arguments) <= set(cli._ARG_KEYS)
     for argument in arguments:
-        assert cli._ARG_KEYS[argument].split(".")[0] in cli._PARSERS
+        assert cli._ARG_KEYS[argument].split(".")[0] in cli._KEYS
 
 
 def test_unwritable_output_dir_exits_2(tmp_path, capsys):
@@ -651,6 +651,16 @@ def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, SMALL_CONFIG)
     assert run_cli(["sweep-pi", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "injected failure" in capsys.readouterr().err
+
+
+def test_a_failure_while_building_the_config_exits_1(monkeypatch, capsys):
+    def explode(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_resolve_config", explode)
+    assert run_cli(["single-run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: boom\n" and captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +909,46 @@ def test_emit_plot_unknown_lambda(tmp_path):
 def test_emit_plot_unwritable_path(tmp_path):
     with pytest.raises(OSError):
         emit_plot(_small_result(), 1.0, tmp_path / "missing" / "x.svg")
+
+
+def _plot_result(grid_variable, grid, mses):
+    """A SweepResult whose lambda = 1 cells have these MSEs; emit_plot reads no other field."""
+    cells = tuple(SweepCell(g, 1.0, mse, *[math.nan] * 7, 0) for g, mse in zip(grid, mses))
+    return SweepResult(grid_variable, 30, 1, cells, np.zeros((len(cells), 1)))
+
+
+# sha256 of the plot of each edge case.  Any change to their bytes must re-pin
+# these and say so.
+_EDGE_PLOTS = {
+    "single-point": (
+        (GridVariable.PI1, (0.3,), (0.02,)),
+        "09d52154bee4f42c3f3c55c7a71a7fdbd7b17acc264a0086957dfe6288638ead",
+    ),
+    "no-finite-mse": (
+        (GridVariable.PI1, (0.0, 0.5), (math.nan, 0.0)),
+        "386e9b1d3c0f043edc78e1ea0d32b27317778f8f70448492ac970dab53d20f1d",
+    ),
+    "constant-mse": (
+        (GridVariable.PI1, (0.1, 0.3, 0.5), (0.25, 0.25, 0.25)),
+        "800de7c8db3972141040d697826a6a1e9b479353593491848a1b4f970ae1f99a",
+    ),
+    "span-beyond-the-float-range": (
+        (GridVariable.PI1, (-1.7e308, 0.0, 1.7e308), (1.0, 10.0, 1e-3)),
+        "d06ff9c0a56f3fee6ef751dbe526e335d55f885d82a4e6ac6f6b70025f4b6b68",
+    ),
+    "beta1-axis": (
+        (GridVariable.BETA1, (0.0, 1.0, 2.0, 3.475), (0.5, 1e-6, 3.0, 1e12)),
+        "cc720145b4234e466d64ce2a07a8b13be480240f0bcc1eeb211066d816f42faf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_PLOTS))
+def test_edge_case_plots_keep_their_bytes(tmp_path, case):
+    fields, digest = _EDGE_PLOTS[case]
+    path = tmp_path / "plot.svg"
+    emit_plot(_plot_result(*fields), 1.0, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def _plotted_xs(path):

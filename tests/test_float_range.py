@@ -12,12 +12,16 @@ and where its docstring documents a NaN result, a predicate that says
 whether a result's NaNs are the documented ones.  Objects passed to a
 callable (a ``Dataset``, ``DgpParams``, ``PenaltySchedule`` or
 ``SweepConfig``) are built valid, from finite values across the range;
-their own constructors meet the non-finite values.
+their own constructors meet the non-finite values.  ``_PROPERTIES`` holds
+the public properties that may leave the float range to the same rule,
+with an inf allowed only where the property's docstring documents one.
 """
 
 import dataclasses
 import inspect
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 import ridgeiv
 from ridgeiv import asymptotics
 from ridgeiv.asymptotics import MIN_TAIL_SAMPLES
-from ridgeiv.estimators import PenaltyRate, PenaltySchedule
+from ridgeiv.estimators import Estimate, PenaltyRate, PenaltySchedule
 from ridgeiv.montecarlo import GridVariable, SweepCell, SweepConfig
 from support import _names_a_field
 
@@ -263,3 +267,47 @@ def test_every_result_is_finite_a_documented_nan_or_named(name, data):
         return
     assert not np.isinf(values).any(), result
     assert nan_documented is not None and nan_documented(result, args), result
+
+
+# A float rounds to inf from max + half its last place, 2**970, up.
+_ROUNDS_TO_INF = Fraction(sys.float_info.max) + Fraction(2) ** 970
+
+
+def _composite_variance_beyond_the_float_range(params):
+    """first_stage_error_var: sigma_eta^2 + (eps_loading sigma_eps)^2, taken exactly."""
+    loading, s_eps, s_eta = map(Fraction, (params.eps_loading, params.sigma_eps, params.sigma_eta))
+    return s_eta**2 + (loading * s_eps) ** 2 >= _ROUNDS_TO_INF
+
+
+def _std_error_beyond_the_float_range(estimate):
+    """std_error's documented inf: a zero |pi1_hat| sigma_z_hat, or an exact quotient beyond."""
+    scale = abs(estimate.pi1_hat) * estimate.sigma_z_hat
+    if scale == 0.0:
+        return True
+    quotient = Fraction(estimate.sigma_eps_hat) / Fraction(scale * math.sqrt(estimate.n))
+    return abs(quotient) >= _ROUNDS_TO_INF
+
+
+# The properties of the records above that may leave the float range: a strategy
+# for the record, and where the docstring documents an inf, a predicate that says
+# whether this record is one it documents.
+_PROPERTIES = {
+    "DgpParams.eps_loading": (_PARAMS, None),
+    "DgpParams.first_stage_error_var": (_PARAMS, _composite_variance_beyond_the_float_range),
+    "Estimate.std_error": (
+        _ARGUMENTS["Estimate"][0].map(lambda args: Estimate(*args)),
+        _std_error_beyond_the_float_range,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROPERTIES))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_property_is_finite_or_a_documented_inf(name, data):
+    strategy, inf_documented = _PROPERTIES[name]
+    record = data.draw(strategy, label="record")
+    value = getattr(record, name.split(".")[1])
+    if math.isfinite(value):
+        return
+    assert math.isinf(value) and inf_documented is not None and inf_documented(record), value
