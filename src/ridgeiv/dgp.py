@@ -54,7 +54,12 @@ def _int_at_least(name: str, value: object, least: int) -> int:
 
 
 def _finite_real(name: str, value: object) -> float:
-    """``value`` if it is a finite real other than a bool; else an error naming ``name``."""
+    """``value`` as a Python float if it is a finite real other than a bool.
+
+    Otherwise a TypeError or ValueError naming ``name``.  numpy scalars,
+    ints and Fractions come back as the float nearest them, so no caller
+    meets numpy's warnings or an int too large to square as a float.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     try:
@@ -64,7 +69,7 @@ def _finite_real(name: str, value: object) -> float:
         raise ValueError(message) from None
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    return float(value)
 
 
 def _finite_result(name: str, quantity: str, value, got: str = "{!r}", plural: bool = False):
@@ -92,10 +97,11 @@ def _finite_entries(name: str, values: np.ndarray) -> np.ndarray:
 
 
 def _nonnegative(name: str, value: object) -> float:
-    """``value`` if it is a finite nonnegative real; else an error naming ``name``."""
-    if _finite_real(name, value) < 0:
+    """``value`` as a float if it is a finite nonnegative real; else an error naming ``name``."""
+    real = _finite_real(name, value)
+    if value < 0:  # exact, so a negative Fraction that rounds to -0.0 is still negative
         raise ValueError(f"{name} must be nonnegative, got {value}")
-    return value
+    return real
 
 
 # The largest n whose (3, n) float64 block numpy can address; beyond it
@@ -142,7 +148,8 @@ class DgpParams:
 
     ``sigma_eps = 0`` / ``sigma_eta = 0`` are allowed as exact zero-noise
     toggles for testing; ``err_cov`` must then be 0 alongside
-    ``sigma_eps = 0``.  Every field is a finite real; ``stock_c`` may be ``None``.
+    ``sigma_eps = 0``.  Every field is a finite real, stored as the Python
+    float nearest it; ``stock_c`` may be ``None``.
     :attr:`eps_loading` must be finite too, so a nonzero ``err_cov`` rules
     out a ``sigma_eps`` whose square underflows to 0, and no ``sigma_eps``
     may square beyond the float range.
@@ -160,9 +167,8 @@ class DgpParams:
     def __post_init__(self) -> None:
         for field in fields(self):
             if field.name != "stock_c" or self.stock_c is not None:
-                _finite_real(field.name, getattr(self, field.name))
-        _nonnegative("sigma_eps", self.sigma_eps)
-        _nonnegative("sigma_eta", self.sigma_eta)
+                check = _nonnegative if field.name in ("sigma_eps", "sigma_eta") else _finite_real
+                object.__setattr__(self, field.name, check(field.name, getattr(self, field.name)))
         if self.sigma_eps == 0.0 and self.err_cov != 0.0:
             raise ValueError(
                 "err_cov must be 0 when sigma_eps is 0: a noiseless structural "

@@ -19,6 +19,14 @@ reps), or the call raises a ValueError naming the input.  Near-zero
 denominators pass through on purpose, as long as the ratio stays a float:
 the instability of the unpenalized estimator is a measured quantity here,
 not a failure mode.
+
+The per-dataset fit states each fact once.  Every form with one
+instrument takes it through one rule, which names ``data`` when there are
+more.  :func:`fit_ridge_iv` forms Var z, Cov[D,Z] and Cov[Y,Z] once each
+and hands them to the ratio and to the one stage regression that
+:func:`first_stage` and :func:`reduced_form` also run; one loop then
+names ``data`` and the first field beyond the float range.  Real
+arguments (penalties, ``beta``) are taken as Python floats.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -79,7 +87,8 @@ class PenaltySchedule:
 
     lambda_n(n) is ``lambda0`` (CONSTANT), ``lambda0 * sqrt(n)`` (SQRT_N)
     or ``lambda0 * n`` (LINEAR_N).  ``lambda0 = 0`` reduces every form to
-    unpenalized 2SLS.  ``rate`` must be a :class:`PenaltyRate` member.
+    unpenalized 2SLS.  ``rate`` must be a :class:`PenaltyRate` member, and
+    ``lambda0`` is stored as a Python float.
     """
 
     rate: PenaltyRate
@@ -88,7 +97,7 @@ class PenaltySchedule:
     def __post_init__(self) -> None:
         if not isinstance(self.rate, PenaltyRate):
             raise TypeError(f"rate must be a PenaltyRate, got {self.rate!r}")
-        _nonnegative("lambda0", self.lambda0)
+        object.__setattr__(self, "lambda0", _nonnegative("lambda0", self.lambda0))
 
     def lambda_n(self, n: int) -> float:
         """The penalty at sample size n; a ValueError if it overflows."""
@@ -97,8 +106,8 @@ class PenaltySchedule:
         name = f"lambda_n({n})"
         # else math.sqrt raises an unnamed error on a negative n, and an int
         # beyond the float range an OverflowError
-        _nonnegative(name, n)
-        growth = math.sqrt(n) if self.rate is PenaltyRate.SQRT_N else n
+        real_n = _nonnegative(name, n)
+        growth = math.sqrt(real_n) if self.rate is PenaltyRate.SQRT_N else real_n
         return _nonnegative(name, self.lambda0 * growth)
 
 
@@ -127,13 +136,21 @@ class Estimate:
         This is the unpenalized (2SLS) standard error, from the limiting
         variance sigma_eps^2 / (pi1^2 Var z); it is reported as is when
         lambda_n > 0 and ignores the penalty's shrinkage.  It does not
-        change when z is rescaled.  It is inf where the quotient lies beyond
-        the float range, and where ``pi1_hat * sigma_z_hat`` is 0.
+        change when z is rescaled.  The exponents of the fields are taken
+        apart (:func:`math.frexp`), so no product underflows or overflows on
+        the way: it is finite wherever the exact quotient is in the float
+        range, and inf only where ``pi1_hat`` or ``sigma_z_hat`` is 0, or the
+        quotient lies beyond the float range.
         """
-        scale = abs(self.pi1_hat) * self.sigma_z_hat
-        if scale == 0.0:
+        pi1, sd_z = abs(float(self.pi1_hat)), float(self.sigma_z_hat)
+        sd_eps, root_n = float(self.sigma_eps_hat), math.sqrt(self.n)
+        if pi1 == 0.0 or sd_z == 0.0:
             return math.inf
-        return self.sigma_eps_hat / (scale * math.sqrt(self.n))
+        (m_eps, e_eps), (m_pi1, e_pi1), (m_z, e_z) = map(math.frexp, (sd_eps, pi1, sd_z))
+        try:
+            return math.ldexp(m_eps / (m_pi1 * m_z * root_n), e_eps - e_pi1 - e_z)
+        except OverflowError:  # the quotient is beyond the float range
+            return math.inf
 
 
 def demeaned_cov(x: np.ndarray, w: np.ndarray) -> float:
@@ -219,21 +236,23 @@ def shifted_ratio(
 
 
 def _instrument_column(data: Dataset) -> np.ndarray:
+    """The instrument column; every form that takes one instrument checks the count here."""
     if data.k != 1:
-        raise ValueError(
-            f"operation requires a single instrument, got k = {data.k}"
-        )
+        raise ValueError(f"data must have a single instrument (a square Z'D), got k = {data.k}")
     return data.z[:, 0]
 
 
-def _simple_ols(x: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
-    """OLS of t on (1, x); returns (intercept, slope, residual sd, 1/n convention)."""
-    var_x = _cov(x, x)
-    if var_x == 0.0:
+def _stage(z: np.ndarray, t: np.ndarray, var_z: float, cov_tz: float) -> tuple[float, ...]:
+    """OLS of t on (1, z) from Var z and Cov[t,z]: (intercept, slope, residual sd).
+
+    The residual sd takes the 1/n convention; a zero Var z raises
+    :class:`DegenerateInstrumentError`.
+    """
+    if var_z == 0.0:
         raise DegenerateInstrumentError("data has an instrument of zero sample variance")
-    slope = _cov(x, t) / var_x
-    intercept = float(t.mean() - slope * x.mean())
-    resid = t - intercept - slope * x
+    slope = cov_tz / var_z
+    intercept = float(t.mean() - slope * z.mean())
+    resid = t - intercept - slope * z
     return intercept, slope, float(np.sqrt(np.mean(resid**2)))
 
 
@@ -241,13 +260,17 @@ def _simple_ols(x: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
 _DATA_OUT_OF_RANGE = "{!r}: a mean or a moment of the data is beyond the float range"
 
 
-def _checked_ols(
-    data: Dataset, t: np.ndarray, names: tuple[str, str, str]
-) -> tuple[float, float, float]:
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        fit = _simple_ols(_instrument_column(data), t)
-    for field, value in zip(names, fit):
+def _data_in_range(fields: Iterable[tuple[str, float]]) -> None:
+    """A ValueError naming ``data`` and the first (field, value) pair beyond the float range."""
+    for field, value in fields:
         _finite_result("data", field, value, _DATA_OUT_OF_RANGE)
+
+
+def _checked_ols(data: Dataset, t: np.ndarray, names: Sequence[str]) -> tuple[float, ...]:
+    z = _instrument_column(data)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        fit = _stage(z, t, _cov(z, z), _cov(t, z))
+    _data_in_range(zip(names, fit))
     return fit
 
 
@@ -286,32 +309,21 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
     range; a ValueError naming ``data`` then says which field it reaches
     (``schedule`` when only the shifted denominator overflows).
     """
-    lambda_n = float(schedule.lambda_n(data.n))
+    lambda_n = schedule.lambda_n(data.n)
     shift = lambda_n / data.n
     z = _instrument_column(data)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        numerator = _cov(data.y, z)
-        cov_dz = _cov(data.d, z)
-        beta1_hat = shifted_ratio(numerator, cov_dz, shift, "data", "schedule")
-        _, pi1_hat, sigma_eta_hat = _simple_ols(z, data.d)
-        _, _, sigma_red_hat = _simple_ols(z, data.y)
+        var_z, cov_dz, cov_yz = _cov(z, z), _cov(data.d, z), _cov(data.y, z)
+        beta1_hat = shifted_ratio(cov_yz, cov_dz, shift, "data", "schedule")
+        _, pi1_hat, sigma_eta_hat = _stage(z, data.d, var_z, cov_dz)
+        _, _, sigma_red_hat = _stage(z, data.y, var_z, cov_yz)
         resid = (data.y - data.y.mean()) - beta1_hat * (data.d - data.d.mean())
         sigma_eps_hat = float(np.sqrt(np.mean(resid**2)))
-        sigma_z_hat = math.sqrt(_cov(z, z))
     estimate = Estimate(
-        beta1_hat=beta1_hat,
-        numerator=numerator,
-        denominator=cov_dz + shift,
-        lambda_n=lambda_n,
-        n=data.n,
-        pi1_hat=pi1_hat,
-        sigma_eta_hat=sigma_eta_hat,
-        sigma_red_hat=sigma_red_hat,
-        sigma_eps_hat=sigma_eps_hat,
-        sigma_z_hat=sigma_z_hat,
+        beta1_hat, cov_yz, cov_dz + shift, lambda_n, data.n,
+        pi1_hat, sigma_eta_hat, sigma_red_hat, sigma_eps_hat, math.sqrt(var_z),
     )
-    for field, value in asdict(estimate).items():
-        _finite_result("data", field, value, _DATA_OUT_OF_RANGE)
+    _data_in_range(asdict(estimate).items())
     return estimate
 
 
@@ -323,13 +335,8 @@ def fit_ridge_iv_matrix(data: Dataset, lam: float) -> np.ndarray:
     :func:`fit_ridge_iv`.  ``data`` must be square in the sense that the
     instrument count matches the single endogenous regressor (k = 1).
     """
-    if data.k != 1:
-        raise ValueError(
-            f"Z'D must be square: one endogenous regressor needs k = 1, got k = {data.k}"
-        )
-    _nonnegative("lam", lam)
-    zd, zy = _uncentered_sums(data)
-    return np.array([shifted_ratio(zy, zd, lam, "data", "lam")])
+    zd, zy = _uncentered_sums(data)  # checks the instrument count first
+    return np.array([shifted_ratio(zy, zd, _nonnegative("lam", lam), "data", "lam")])
 
 
 def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
@@ -339,7 +346,7 @@ def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
     uncentered arrays; lam = 0 reproduces textbook 2SLS.  A singular Z'Z
     raises :class:`SingularSystemError`.
     """
-    _nonnegative("lam", lam)
+    lam = _nonnegative("lam", lam)
     z = data.z
     d = data.d.reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # shifted_ratio names an overflow
@@ -370,8 +377,7 @@ def gmm_objective(data: Dataset, beta: float, gamma: float) -> float:
     ``data`` when its own sums square beyond it, else ``beta`` for the
     moment term or a square of beta beyond it, else ``gamma``.
     """
-    _finite_real("beta", beta)
-    _nonnegative("gamma", gamma)
+    beta, gamma = _finite_real("beta", beta), _nonnegative("gamma", gamma)
     z = _instrument_column(data)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         moment = float(z @ (data.y - data.d * beta))
@@ -395,7 +401,7 @@ def gmm_minimize(data: Dataset, gamma: float) -> float:
     (sum ZD)(sum ZY) / ((sum ZD)^2 + gamma).  When sum(Z*D) and gamma are
     both zero it has no unique minimizer, and the ratio raises.
     """
-    _nonnegative("gamma", gamma)
+    gamma = _nonnegative("gamma", gamma)
     szd, szy = _uncentered_sums(data)  # shifted_ratio names an overflow
     # float products give inf where ** would raise an unnamed OverflowError
     return shifted_ratio(szd * szy, szd * szd, gamma, "data", "gamma")
@@ -410,10 +416,9 @@ def lagrange_correspondence(data: Dataset, lambda_n: float) -> float:
     range raises a ValueError naming ``data`` when sum(Z*D) overflows, else
     ``lambda_n``.
     """
-    _nonnegative("lambda_n", lambda_n)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        szd, _ = _uncentered_sums(data)
-        gamma_n = (szd / data.n) * lambda_n
+    lambda_n = _nonnegative("lambda_n", lambda_n)
+    szd, _ = _uncentered_sums(data)
+    gamma_n = (szd / data.n) * lambda_n  # floats: an overflow is inf, named below
     name = "data" if not math.isfinite(szd) else "lambda_n"
     quantity = f"multiplier gamma_n at lambda_n = {lambda_n!r}"
     return _finite_result(name, quantity, gamma_n, f"{{!r}} from sum(Z*D) = {szd!r}")

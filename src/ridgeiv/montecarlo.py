@@ -113,8 +113,7 @@ class SweepConfig:
         object.__setattr__(self, "master_seed", _int_at_least("master_seed", self.master_seed, 0))
         for name, check in (("grid", _finite_real), ("lambda_values", _nonnegative)):
             values = tuple(
-                float(check(f"{name}[{i}]", value))
-                for i, value in enumerate(getattr(self, name))
+                check(f"{name}[{i}]", value) for i, value in enumerate(getattr(self, name))
             )
             if not values:
                 raise ValueError(f"{name} must be non-empty")

@@ -1006,6 +1006,37 @@ def test_single_run_prints_estimate(capsys):
     }
 
 
+# single-run's stdout for a few seeds, schedules and designs, pinned by sha256
+_PINNED_RUNS = {
+    "default": ({"seed": 11}, "30a8656f0cfb41ad7c9d8c06001f46679f5c522c0960ae33305020ca7fcfeaef"),
+    "sqrt_n": (
+        {"seed": 3, "schedule": {"rate": "sqrt_n", "lambda0": 0.5}},
+        "41f4e0468a922910046b4f0f77c5e9da0d26833afe553593ce62bc1a5388b26f",
+    ),
+    "linear_n": (
+        {"seed": 5, "n": 60, "schedule": {"rate": "linear_n", "lambda0": 1.0}},
+        "30d28d0ce0c5dda4cd69d7701f964398aa55f332981d3ec6c135a1e93a56b370",
+    ),
+    "drifting": (
+        {"seed": 2, "n": 400, "params": {"stock_c": 1.0},
+         "schedule": {"rate": "linear_n", "lambda0": 0.1}},
+        "9db753e895736e9f0f34f823308a46346eb0eed65bfa82ae3189b3e1ee89f6a5",
+    ),
+    "no-first-stage": (
+        {"seed": 4, "params": {"pi1": 0.0}, "schedule": {"rate": "constant", "lambda0": 4.0}},
+        "5c3b7c12a2d48ed6e0970e8c76181f6f32319c502a1d8806807be80dd268afa5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_RUNS))
+def test_single_run_keeps_its_bytes(tmp_path, capsys, case):
+    payload, digest = _PINNED_RUNS[case]
+    assert run_cli(["single-run", "--config", _write_config(tmp_path, payload)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 def test_module_entry_point_runs(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

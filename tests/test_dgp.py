@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,10 +63,15 @@ def test_generate_dataset_accepts_numpy_integers_and_the_largest_seed():
     assert generate_dataset(aer_calibration(), 5, 2**128 - 1).n == 5
 
 
-@pytest.mark.parametrize("field", ["sigma_eps", "sigma_eta"])
-def test_negative_scale_rejected(field):
+@pytest.mark.parametrize(
+    "field, value",
+    [(field, value) for value in (-0.1, Fraction(-1, 10**400)) for field in ("sigma_eps", "sigma_eta")],
+    # the Fraction rounds to -0.0, so only an exact comparison rejects it
+    ids=["sigma_eps", "sigma_eta", "sigma_eps-tiny-fraction", "sigma_eta-tiny-fraction"],
+)
+def test_negative_scale_rejected(field, value):
     kwargs = dict(beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.5)
-    kwargs[field] = -0.1
+    kwargs[field] = value
     with pytest.raises(ValueError, match="nonnegative"):
         DgpParams(**kwargs)
 

@@ -1,12 +1,14 @@
 import functools
+import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ridgeiv.dgp import Dataset, DgpParams, generate_dataset
+from ridgeiv.dgp import Dataset, DgpParams, aer_calibration, generate_dataset
 from ridgeiv.estimators import (
     DegenerateDenominatorError,
     DegenerateInstrumentError,
@@ -201,12 +203,19 @@ def test_penalty_schedule_rejects_a_rate_that_is_not_an_enum_member(rate):
 
 
 @pytest.mark.parametrize(
-    "rate, lambda0", [(PenaltyRate.SQRT_N, 1e308), (PenaltyRate.LINEAR_N, 1e307)]
+    "rate, lambda0, n",
+    [
+        (PenaltyRate.SQRT_N, 1e308, 150),
+        (PenaltyRate.LINEAR_N, 1e307, 150),
+        # a numpy n made lambda0 * n a numpy product, which warned as it overflowed
+        (PenaltyRate.LINEAR_N, 1e307, np.int64(150)),
+    ],
+    ids=["PenaltyRate.SQRT_N-1e+308", "PenaltyRate.LINEAR_N-1e+307", "numpy-n"],
 )
-def test_lambda_n_rejects_an_overflowing_penalty(rate, lambda0):
+def test_lambda_n_rejects_an_overflowing_penalty(rate, lambda0, n):
     schedule = PenaltySchedule(rate, lambda0)
     with pytest.raises(ValueError, match=r"lambda_n\(150\) must be finite, got inf"):
-        schedule.lambda_n(150)
+        schedule.lambda_n(n)
 
 
 @pytest.mark.parametrize("rate", [PenaltyRate.SQRT_N, PenaltyRate.LINEAR_N])
@@ -282,6 +291,23 @@ def test_std_error_matches_plugin_formula():
     assert est.std_error == expected
     degenerate = Estimate(0.0, 0.0, 1.0, 0.0, 10, 0.0, 1.0, 1.0, 1.0, 1.0)
     assert degenerate.std_error == math.inf
+
+
+@pytest.mark.parametrize(
+    "pi1_hat, sigma_z_hat, sigma_eps_hat, n",
+    [
+        (1e-200, 1e-200, 1e-300, 3),  # the product underflowed to 0: inf
+        (1e-160, 1e-160, 1e-300, 3),  # a subnormal product lost its low bits
+        (1e300, 1e300, 1e300, 4),  # the product overflowed: 0.0
+        (np.float64(-1e300), np.float64(1e300), np.float64(1e300), 4),  # numpy warned
+    ],
+    ids=["underflow", "subnormal", "overflow", "numpy-fields"],
+)
+def test_std_error_is_finite_wherever_its_exact_value_is(pi1_hat, sigma_z_hat, sigma_eps_hat, n):
+    est = Estimate(0.0, 0.0, 0.0, 0.0, n, pi1_hat, 0.0, 0.0, sigma_eps_hat, sigma_z_hat)
+    pi1, sd_z, sd_eps = map(Fraction, (pi1_hat, sigma_z_hat, sigma_eps_hat))
+    exact = sd_eps / (abs(pi1) * sd_z * Fraction(math.sqrt(n)))
+    assert est.std_error == pytest.approx(float(exact), rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,3 +628,70 @@ def test_every_penalty_names_an_int_beyond_float_range(argument):
     name = argument.split("-")[0]
     with pytest.raises(ValueError, match=f"^{name} must be finite, got a value too large"):
         _PENALTY_ARGUMENTS[argument](10**400)
+
+
+# ---------------------------------------------------------------------------
+# the fit path's bits
+
+# A draw of the model and small hand-made samples, among them one whose
+# Cov[D,Z] is 0, one whose instrument is constant, and some whose moments
+# reach the ends of the float range
+_PINNED_DATA = {
+    "aer": generate_dataset(aer_calibration(), 150, 7),
+    "random": _random_dataset(3),
+    "demeaned": _demeaned(_random_dataset(21, n=37)),
+    "line": Dataset(y=3.0 * Z123 + 1.0, d=Z123, z=Z123),
+    "constant-d": _CONSTANT_D,
+    "constant-z": Dataset(y=Z123, d=Z123, z=np.full(3, 2.0)),
+    "tiny": Dataset(y=1e-160 * _SMALL.y, d=1e-160 * _SMALL.d, z=1e-150 * _SMALL.z),
+    "huge": Dataset(y=1e150 * _SMALL.y, d=1e150 * _SMALL.d, z=1e150 * _SMALL.z[:, 0]),
+    "mean-overflow": Dataset(y=1e308 + np.arange(50.0), d=np.sin(np.arange(50.0)),
+                             z=np.cos(np.arange(50.0))),
+    "square-overflow": Dataset(y=1e200 * np.sin(np.arange(50.0)), d=np.cos(np.arange(50.0)),
+                               z=np.cos(np.arange(50.0))),
+    "overflowing": _OVERFLOWING,
+    "product-overflow": Dataset(y=_SMALL.y, d=2e154 * _SMALL.d, z=1e154 * _SMALL.z[:, 0]),
+}
+_PINNED_SCHEDULES = [
+    PenaltySchedule(PenaltyRate.CONSTANT, 0.0),
+    PenaltySchedule(PenaltyRate.CONSTANT, 4.0),
+    PenaltySchedule(PenaltyRate.SQRT_N, 0.5),
+    PenaltySchedule(PenaltyRate.LINEAR_N, 1.0),
+    PenaltySchedule(PenaltyRate.CONSTANT, 1.7e308),
+    PenaltySchedule(PenaltyRate.LINEAR_N, 1e307),
+]
+_PINNED_FITS = {
+    "aer": "9fd9a75209fab63e8e5d0f48adc894c13fe920e987e2bb7bda3a7adf1d038319",
+    "random": "7834fa31b6f3173db91aa4b3cd533fdd5311bf2cbc3df63c338cef12b344acd0",
+    "demeaned": "91ca2f1bebe1062d04ee393bb1e94b30b122662dfc8092bb9056781ae03dbf53",
+    "line": "29f1bc11756582cdfa27f832789b2a1f7b25e8f9173256dc7d12cc216ec76a74",
+    "constant-d": "29c43b999db2e5379b135b7c6fedd1fe9b6a22f3cd9b37a56de88d1bd63d04f1",
+    "constant-z": "82b03ce05ff4decd7733057cb1699fa13c761f582a4ebd7695b6a9ee4655c94e",
+    "tiny": "07d0a567c3c0ab8607ec066bba3adbcf7b755be69898430f41344ed680a6d1cc",
+    "huge": "a5f59d5efd1f158b01a720ac1cf750d5d27cc8016072c08e5d8f54ea196b4ae8",
+    "mean-overflow": "0c7fb4214907c6384796cea4bd6fdcc1257d859fea71ab069cf7972be1cc881f",
+    "square-overflow": "cbe6c7226085a36e1d1ee5bf11357c433a84bff7fc42253d07d7b2dd8f8261f5",
+    "overflowing": "6f93baf18633a231c6de838feba7450ef4c245b246c382b77320be2e4a73f2ad",
+    "product-overflow": "067085e080da7b37ea0e365cd612cdfcdfaa44ad3bfb199904e7cb8409432819",
+}
+
+
+def _outcome(call, *args):
+    """The repr of ``call(*args)``, or the type and message of what it raises."""
+    try:
+        return repr(call(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fit_path_outcomes(data):
+    outcomes = [_outcome(fit_ridge_iv, data, schedule) for schedule in _PINNED_SCHEDULES]
+    outcomes += [_outcome(stage, data) for stage in (first_stage, reduced_form)]
+    outcomes += [_outcome(fit_ridge_iv_matrix, data, lam) for lam in (0.0, 4.0, 1.7e308)]
+    return "\n".join(outcomes)
+
+
+@pytest.mark.parametrize("case", list(_PINNED_FITS))
+def test_the_fit_path_keeps_its_bits(case):
+    outcomes = _fit_path_outcomes(_PINNED_DATA[case])
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == _PINNED_FITS[case], outcomes
