@@ -22,8 +22,11 @@ argument that takes its result beyond the float range, in the package's
 one wording (``dgp._finite_result``): ``<name> must give a finite
 <quantity>, got ...``; a float argument that is not finite raises
 ``<name> must be finite, got ...`` (``dgp._finite_real``), since an infinite
-one would give a finite limit.  Squares are float products, which give inf
-where ``**`` would raise an unnamed OverflowError.
+one would give a finite limit.  A ``params`` that is not a
+:class:`~ridgeiv.dgp.DgpParams` raises ``params must be a DgpParams, got
+...`` (``dgp._instance``) before anything of it is read.  Squares are
+float products, which give inf where ``**`` would raise an unnamed
+OverflowError.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dgp import DgpParams, _finite_real, _finite_result
+from .dgp import DgpParams, _finite_real, _finite_result, _instance
 
 __all__ = [
     "TailDiagnostics",
@@ -68,7 +71,7 @@ class TailDiagnostics(NamedTuple):
 
 def sigma_red_sq(params: DgpParams) -> float:
     """Variance of the reduced-form disturbance beta1 * u + eps."""
-    b = params.beta1
+    b = _instance("params", params, DgpParams).beta1
     value = (
         b * b * params.first_stage_error_var
         + params.sigma_eps * params.sigma_eps
@@ -84,7 +87,7 @@ def sigma_fixed(params: DgpParams) -> np.ndarray:
      [beta1 sigma_eta^2 + err_cov, sigma_eta^2]]
     with sigma_eta^2 the composite first-stage error variance.
     """
-    s_eta_sq = params.first_stage_error_var
+    s_eta_sq = _instance("params", params, DgpParams).first_stage_error_var
     off = params.beta1 * s_eta_sq + params.err_cov
     sigma = np.array([[sigma_red_sq(params), off], [off, s_eta_sq]])
     return _finite_result("params", "fixed-instrument covariance matrix", sigma)
@@ -97,7 +100,7 @@ def sigma_stochastic(params: DgpParams) -> np.ndarray:
     fixed-instrument matrix, where m4 = 3 is the fourth moment of the
     standard normal instrument.
     """
-    b = params.beta1
+    b = _instance("params", params, DgpParams).beta1
     scale = params.pi1 * params.pi1 * (_Z_FOURTH_MOMENT - 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         sigma = sigma_fixed(params) + scale * np.array([[b * b, b], [b, 1.0]])
@@ -146,7 +149,7 @@ def delta_method_variance(sigma: np.ndarray, beta1: float, pi1: float) -> float:
 
 def v_ridge(params: DgpParams) -> float:
     """Limiting variance sigma_eps^2 / pi1^2 under slow penalty rates."""
-    if params.pi1 == 0.0:
+    if _instance("params", params, DgpParams).pi1 == 0.0:
         raise ValueError("params must have a nonzero pi1: v_ridge is undefined at pi1 = 0")
     ratio = params.sigma_eps / params.pi1  # pi1**2 underflows to 0 for a tiny pi1
     return _finite_result("params", "v_ridge", ratio * ratio)
@@ -159,7 +162,7 @@ def sqrtn_bias(params: DgpParams, lambda0: float) -> float:
     it, else ``lambda0``.
     """
     lambda0 = _finite_real("lambda0", lambda0)
-    if params.pi1 == 0.0:
+    if _instance("params", params, DgpParams).pi1 == 0.0:
         raise ValueError("params must have a nonzero pi1: sqrt(n) bias is undefined at pi1 = 0")
     ratio = params.beta1 / params.pi1
     name = "params" if not math.isfinite(ratio) else "lambda0"
@@ -178,7 +181,7 @@ def staiger_stock_moments(params: DgpParams, lambda0: float) -> tuple[float, flo
     stock_c * beta1 leaves it, else ``lambda0``.
     """
     lambda0 = _finite_real("lambda0", lambda0)
-    if params.stock_c is None:
+    if _instance("params", params, DgpParams).stock_c is None:
         raise ValueError("params must set stock_c: the limit needs a drifting first stage")
     if lambda0 <= 0.0:
         raise ValueError(

@@ -62,6 +62,7 @@ import numpy as np
 
 from .dgp import (
     DgpParams,
+    _instance,
     _int_at_least,
     _rep_count,
     _sample_size,
@@ -175,7 +176,6 @@ _ARG_KEYS = {
     **{field: key for key, field in _SWEEP_FIELDS.items()},
     **{name: f"params.{name}" for name in _PARAM_KEYS},
     **{f.name: f"schedule.{f.name}" for f in dataclasses.fields(PenaltySchedule)},
-    "schedule": "schedule",
     "regimes": "regimes",
 }
 
@@ -456,6 +456,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def write_sweep_csv(result: SweepResult, path: Path) -> None:
     """Write the aggregate table with full-precision decimal floats."""
+    _instance("result", result, SweepResult)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -470,6 +471,7 @@ def write_raw_csv(result: SweepResult, path: Path) -> None:
     back to the same float.  A degenerate rep has beta1_hat ``nan`` and
     degenerate ``1``.
     """
+    _instance("result", result, SweepResult)
     rep_texts = [f"{rep}," for rep in range(result.reps)]
     with Path(path).open("w", newline="") as fh:
         fh.write("grid_value,lambda,rep,beta1_hat,degenerate\n")
@@ -520,6 +522,7 @@ def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
     output is a pure function of ``(result, lam)``, so repeated calls
     produce byte-identical files.
     """
+    _instance("result", result, SweepResult)
     cells = result.cells_for_lambda(lam)
     if not cells:
         raise ValueError(f"sweep result has no cells for lambda = {lam!r}")

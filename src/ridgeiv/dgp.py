@@ -25,6 +25,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, fields
+from typing import TypeVar
 
 import numpy as np
 
@@ -70,6 +71,21 @@ def _finite_real(name: str, value: object) -> float:
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+_Record = TypeVar("_Record")
+
+
+def _instance(name: str, value: object, cls: type[_Record]) -> _Record:
+    """``value`` if it is a ``cls``; else a TypeError naming ``name``.
+
+    This is the one check of a record or enum argument, made before
+    anything of it is read: ``<name> must be a <cls>, got <value>``.  A
+    stand-in with the same attributes is not a ``cls``.
+    """
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def _finite_result(name: str, quantity: str, value, got: str = "{!r}", plural: bool = False):
@@ -255,7 +271,8 @@ def generate_dataset(params: DgpParams, n: int, seed: int) -> Dataset:
     Parameters
     ----------
     params : DgpParams
-        Structural coefficients and error moments.
+        Structural coefficients and error moments; anything else raises a
+        TypeError naming ``params``, after ``n`` and ``seed`` are checked.
     n : int
         Sample size, at least 3 and at most ``_MAX_N``.
     seed : int
@@ -264,6 +281,7 @@ def generate_dataset(params: DgpParams, n: int, seed: int) -> Dataset:
     n, seed = _sample_size(n), _int_at_least("seed", seed, 0)
     if seed >= 2**128:
         raise ValueError(f"seed must be less than 2**128, got {seed}")
+    _instance("params", params, DgpParams)
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below

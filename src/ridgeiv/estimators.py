@@ -20,7 +20,11 @@ denominators pass through on purpose, as long as the ratio stays a float:
 the instability of the unpenalized estimator is a measured quantity here,
 not a failure mode.
 
-The per-dataset fit states each fact once.  Every form with one
+The per-dataset fit states each fact once.  A ``data`` that is not a
+:class:`~ridgeiv.dgp.Dataset`, a ``schedule`` that is not a
+:class:`PenaltySchedule` and a ``rate`` that is not a :class:`PenaltyRate`
+raise a TypeError naming the argument, before anything of it is read
+(``dgp._instance``, the one record rule).  Every form with one
 instrument takes it through one rule, which names ``data`` when there are
 more.  :func:`fit_ridge_iv` forms Var z, Cov[D,Z] and Cov[Y,Z] once each
 and hands them to the ratio and to the one stage regression that
@@ -38,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dgp import Dataset, _finite_entries, _finite_real, _finite_result, _nonnegative
+from .dgp import Dataset, _finite_entries, _finite_real, _finite_result, _instance, _nonnegative
 
 __all__ = [
     "DegenerateDenominatorError",
@@ -95,8 +99,7 @@ class PenaltySchedule:
     lambda0: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rate, PenaltyRate):
-            raise TypeError(f"rate must be a PenaltyRate, got {self.rate!r}")
+        _instance("rate", self.rate, PenaltyRate)
         object.__setattr__(self, "lambda0", _nonnegative("lambda0", self.lambda0))
 
     def lambda_n(self, n: int) -> float:
@@ -236,8 +239,12 @@ def shifted_ratio(
 
 
 def _instrument_column(data: Dataset) -> np.ndarray:
-    """The instrument column; every form that takes one instrument checks the count here."""
-    if data.k != 1:
+    """The instrument column; every form that takes one instrument checks ``data`` here.
+
+    A ``data`` that is not a :class:`~ridgeiv.dgp.Dataset` raises a
+    TypeError, and one with more than one instrument a ValueError.
+    """
+    if _instance("data", data, Dataset).k != 1:
         raise ValueError(f"data must have a single instrument (a square Z'D), got k = {data.k}")
     return data.z[:, 0]
 
@@ -266,8 +273,9 @@ def _data_in_range(fields: Iterable[tuple[str, float]]) -> None:
         _finite_result("data", field, value, _DATA_OUT_OF_RANGE)
 
 
-def _checked_ols(data: Dataset, t: np.ndarray, names: Sequence[str]) -> tuple[float, ...]:
-    z = _instrument_column(data)
+def _checked_ols(data: Dataset, regressand: str, names: Sequence[str]) -> tuple[float, ...]:
+    """The stage regression of ``data``'s ``regressand`` (``"d"`` or ``"y"``) on z, checked."""
+    z, t = _instrument_column(data), getattr(data, regressand)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         fit = _stage(z, t, _cov(z, z), _cov(t, z))
     _data_in_range(zip(names, fit))
@@ -280,7 +288,7 @@ def first_stage(data: Dataset) -> tuple[float, float, float]:
     A value beyond the float range from finite data raises a ValueError
     naming ``data`` and the field, as :func:`fit_ridge_iv` does.
     """
-    return _checked_ols(data, data.d, ("pi0_hat", "pi1_hat", "sigma_eta_hat"))
+    return _checked_ols(data, "d", ("pi0_hat", "pi1_hat", "sigma_eta_hat"))
 
 
 def reduced_form(data: Dataset) -> tuple[float, float, float]:
@@ -290,7 +298,7 @@ def reduced_form(data: Dataset) -> tuple[float, float, float]:
     where sigma_red^2 = beta1^2 sigma_eta^2 + sigma_eps^2 + 2 beta1 err_cov.
     A value beyond the float range raises as in :func:`first_stage`.
     """
-    return _checked_ols(data, data.y, ("rf0_hat", "rf1_hat", "sigma_red_hat"))
+    return _checked_ols(data, "y", ("rf0_hat", "rf1_hat", "sigma_red_hat"))
 
 
 def fit_2sls(data: Dataset) -> Estimate:
@@ -306,15 +314,15 @@ def fit_ridge_iv(data: Dataset, schedule: PenaltySchedule) -> Estimate:
     """Penalized ratio estimator Cov[Y,Z] / (Cov[D,Z] + lambda_n(n)/n).
 
     Finite data can still have a mean, a moment or a ratio beyond the float
-    range; a ValueError naming ``data`` then says which field it reaches
-    (``schedule`` when only the shifted denominator overflows).
+    range; a ValueError naming ``data`` then says which field it reaches.
     """
-    lambda_n = schedule.lambda_n(data.n)
+    _instance("data", data, Dataset)
+    lambda_n = _instance("schedule", schedule, PenaltySchedule).lambda_n(data.n)
     shift = lambda_n / data.n
     z = _instrument_column(data)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         var_z, cov_dz, cov_yz = _cov(z, z), _cov(data.d, z), _cov(data.y, z)
-        beta1_hat = shifted_ratio(cov_yz, cov_dz, shift, "data", "schedule")
+        beta1_hat = shifted_ratio(cov_yz, cov_dz, shift, "data")
         _, pi1_hat, sigma_eta_hat = _stage(z, data.d, var_z, cov_dz)
         _, _, sigma_red_hat = _stage(z, data.y, var_z, cov_yz)
         resid = (data.y - data.y.mean()) - beta1_hat * (data.d - data.d.mean())
@@ -347,7 +355,7 @@ def fit_ridge_iv_overidentified(data: Dataset, lam: float) -> np.ndarray:
     raises :class:`SingularSystemError`.
     """
     lam = _nonnegative("lam", lam)
-    z = data.z
+    z = _instance("data", data, Dataset).z
     d = data.d.reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # shifted_ratio names an overflow
         zz = z.T @ z

@@ -48,7 +48,11 @@ amplifies it.  They divide through the fit's
 :func:`~ridgeiv.estimators.shifted_ratio`, so each is finite, or NaN for a
 degenerate rep, or the call raises a ValueError naming the input.  A
 sweep's aggregates and a sampling distribution's scaled samples keep the
-same rule: nothing here returns inf.
+same rule: nothing here returns inf.  A record or enum argument of another
+type (``params``, ``schedule`` and ``config``, a ``SweepConfig``'s
+``base_params`` and ``grid_variable``, a ``SweepResult``'s
+``grid_variable``) raises a TypeError naming it before anything of it is
+read, through ``dgp._instance``.
 
 The ``lambda_values`` of a sweep are denominator shifts at covariance
 scale: each estimate is Cov[Y,Z] / (Cov[D,Z] + lambda).  At the sweep's
@@ -69,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _fork
-from .dgp import DgpParams, _finite_real, _finite_result, _int_at_least, _nonnegative
+from .dgp import DgpParams, _finite_real, _finite_result, _instance, _int_at_least, _nonnegative
 from .dgp import _rep_count, _sample_size
 from .estimators import PenaltySchedule, shifted_ratio
 
@@ -104,10 +108,8 @@ class SweepConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        for name, cls in (("base_params", DgpParams), ("grid_variable", GridVariable)):
-            value = getattr(self, name)
-            if not isinstance(value, cls):
-                raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
+        _instance("base_params", self.base_params, DgpParams)
+        _instance("grid_variable", self.grid_variable, GridVariable)
         object.__setattr__(self, "n", _sample_size(self.n))
         object.__setattr__(self, "reps", _rep_count(self.reps))
         object.__setattr__(self, "master_seed", _int_at_least("master_seed", self.master_seed, 0))
@@ -176,6 +178,7 @@ class SweepResult:
     estimates: np.ndarray = dataclasses.field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        _instance("grid_variable", self.grid_variable, GridVariable)
         # the raw CSV writes one row per entry, so a short array would
         # silently drop reps or cells
         shape, estimates = (len(self.cells), self.reps), self.estimates
@@ -494,6 +497,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     ``SweepResult.estimates`` holds each cell's per-rep estimates; nothing
     is written to disk.
     """
+    _instance("config", config, SweepConfig)
     grid, lambdas, reps, n = config.grid, config.lambda_values, config.reps, config.n
     # every lambda shares the rep's draws
     estimates = np.empty((len(lambdas), len(grid), reps))
@@ -554,10 +558,8 @@ def collect_sampling_distribution(
     beta1).  Reps with an exactly-zero denominator are dropped; a sample
     beyond the float range raises a ValueError naming ``params``.
     """
-    if not isinstance(params, DgpParams):
-        raise TypeError(f"params must be a DgpParams, got {params!r}")
-    if not isinstance(schedule, PenaltySchedule):
-        raise TypeError(f"schedule must be a PenaltySchedule, got {schedule!r}")
+    _instance("params", params, DgpParams)
+    _instance("schedule", schedule, PenaltySchedule)
     n, reps = _sample_size(n), _rep_count(reps)
     master_seed = _int_at_least("master_seed", master_seed, 0)
     shift = schedule.lambda_n(n) / n  # raises before the draw if it overflows

@@ -17,24 +17,32 @@ callable (a ``Dataset``, ``DgpParams``, ``PenaltySchedule`` or
 their own constructors meet the non-finite values.  ``_PROPERTIES`` holds
 the public properties that may leave the float range to the same rule,
 with an inf allowed only where the property's docstring documents one.
+
+The record-type rule goes with it: every parameter that a public
+signature types as a record or an enum, the ``cli`` writers' included,
+rejects ``None``, a ``dict`` and a record of another class with a
+TypeError that names it, the other arguments drawn valid.
 """
 
 import dataclasses
+import enum
 import inspect
 import math
+import os
 import sys
+import typing
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import ridgeiv
-from ridgeiv import asymptotics
+from ridgeiv import asymptotics, cli
 from ridgeiv.asymptotics import MIN_TAIL_SAMPLES
 from ridgeiv.estimators import Estimate, PenaltyRate, PenaltySchedule
-from ridgeiv.montecarlo import GridVariable, SweepCell, SweepConfig
+from ridgeiv.montecarlo import GridVariable, SweepCell, SweepConfig, SweepResult
 from support import _names_a_field
 
 # Both ends of the float range and its middle: signed zeros, the smallest
@@ -339,3 +347,70 @@ def test_every_property_is_finite_or_a_documented_inf(name, data):
     if math.isfinite(value):
         return
     assert math.isinf(value) and inf_documented is not None and inf_documented(record), value
+
+
+_RESULT = SweepResult(
+    GridVariable.BETA1, 3, 1, (SweepCell(1.0, 0.0, *[0.5] * 8, 0),), np.full((1, 1), 1.5)
+)
+# The cli writers' arguments, valid; os.devnull takes what a valid call writes
+_WRITERS = {
+    "write_sweep_csv": st.just((_RESULT, os.devnull)),
+    "write_raw_csv": st.just((_RESULT, os.devnull)),
+    "emit_plot": st.just((_RESULT, 0.0, os.devnull)),
+}
+# One record of each record and enum type the public signatures name; each is
+# a wrong record wherever a parameter names another class
+_RECORDS = (
+    ridgeiv.Dataset([1.0, 2.0, 4.0], [1.0, 3.0, 2.0], [0.0, 1.0, 3.0]),
+    ridgeiv.aer_calibration(),
+    PenaltySchedule(PenaltyRate.CONSTANT, 0.0),
+    SweepConfig(ridgeiv.aer_calibration(), GridVariable.BETA1, (1.0,), (0.0,), 3, 1, 0),
+    _RESULT,
+    PenaltyRate.CONSTANT,
+    GridVariable.PI1,
+)
+
+
+def _typed_callables():
+    return {**_public_callables(), **{name: getattr(cli, name) for name in _WRITERS}}
+
+
+def _record_parameters():
+    """(callable, parameter, class) for every parameter typed as a record or an enum."""
+    found = []
+    for name, function in sorted(_typed_callables().items()):
+        for parameter, cls in typing.get_type_hints(function).items():
+            record = isinstance(cls, type) and (
+                dataclasses.is_dataclass(cls) or issubclass(cls, enum.Enum)
+            )
+            if record and parameter != "return":
+                found.append((name, parameter, cls))
+    return found
+
+
+_RECORD_PARAMETERS = _record_parameters()
+
+
+@pytest.mark.parametrize(
+    "name, parameter, cls", _RECORD_PARAMETERS, ids=[f"{n}-{p}" for n, p, _ in _RECORD_PARAMETERS]
+)
+# no shrinking: a failure does not depend on the other arguments, and shrinking
+# them took minutes per failure
+@settings(derandomize=True, max_examples=3, deadline=None, phases=[Phase.generate])
+@given(data=st.data())
+def test_a_wrong_record_is_named(name, parameter, cls, data):
+    function = _typed_callables()[name]
+    strategy = _WRITERS[name] if name in _WRITERS else _ARGUMENTS[name][0]
+    args = list(data.draw(strategy, label="args"))
+    parameters = list(inspect.signature(function).parameters)
+    try:
+        function(*args)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        # another argument is invalid, and checked first
+        assume(not _names_a_field(exc, set(parameters) - {parameter}))
+    for wrong in [None, {}] + [record for record in _RECORDS if not isinstance(record, cls)]:
+        args[parameters.index(parameter)] = wrong
+        with pytest.raises(TypeError) as raised:
+            function(*args)
+        assert _names_a_field(raised.value, {parameter}), repr(raised.value)
+        assert str(raised.value) == f"{parameter} must be a {cls.__name__}, got {wrong!r}"

@@ -43,6 +43,35 @@ def test_importing_the_package_and_cli_leaves_heavy_modules_unloaded(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_forked_runs_leave_numpy_random_out_of_the_caller(tmp_path):
+    # the draws run in forked workers, so numpy.random is imported there and
+    # never in the caller, whose peak memory would grow by 5.5 MiB; a seed
+    # derived or a Philox built in the caller would import it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, os, sys\n"
+        "import ridgeiv._fork as _fork\n"
+        "from ridgeiv.cli import run_cli\n"
+        "_fork._usable_cpus = lambda: 2\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(None) or fork()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run_cli(['sweep-pi', '--reps', '100', '--out', 'out']),\n"
+        "             run_cli(['verify-asymptotics', '--regime', 'all', '--reps', '500'])]\n"
+        "print(codes, len(forks) >= 4, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] True False\n"
+
+
 def test_the_fork_mapper_imports_no_ridgeiv_module():
     # _fork maps any task function over forked workers and knows nothing of
     # the draws: montecarlo imports it, never the other way round
