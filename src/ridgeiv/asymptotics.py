@@ -27,12 +27,17 @@ one would give a finite limit.  A ``params`` that is not a
 ...`` (``dgp._instance``) before anything of it is read.  Squares are
 float products, which give inf where ``**`` would raise an unnamed
 OverflowError.
+
+:func:`_linear_quantiles` and :func:`_median` own every order statistic
+of the package: the sweep quantiles and the median and IQR of
+:func:`cauchy_diagnostics`.  They give numpy's bits without importing
+numpy.ma, which np.quantile, np.percentile and np.median load on first use.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,6 +203,48 @@ def staiger_stock_moments(params: DgpParams, lambda0: float) -> tuple[float, flo
     return mean, variance
 
 
+def _linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """numpy's "linear" quantiles of ``values`` along its last axis, one column per q.
+
+    This is type 7 of Hyndman and Fan, "Sample Quantiles in Statistical
+    Packages", The American Statistician 50(4), 1996: the order statistics
+    at positions floor((n - 1) q) and the next, interpolated linearly.  On
+    finite input it returns ``np.quantile(values, qs, axis=-1)`` bit for bit
+    (with the q axis last), because it partitions with numpy's own kth set,
+    which fixes where tied -0.0 and 0.0 land, and interpolates as numpy
+    does, from the upper value where the weight is 0.5 or more.  It reorders
+    ``values`` in place.
+    """
+    n = values.shape[-1]
+    position = (n - 1) * np.asarray(qs, dtype=np.float64)
+    below = np.floor(position)
+    below[position >= n - 1] = -1.0  # numpy takes the last value here, with weight position + 1
+    lower = below.astype(np.intp)
+    upper = np.where(lower == -1, -1, lower + 1)
+    values.partition(sorted({0, -1, *lower.tolist(), *upper.tolist()}), axis=-1)
+    a, b = values[..., lower], values[..., upper]
+    weight = position - below
+    difference = b - a
+    result = a + difference * weight
+    np.subtract(b, difference * (1.0 - weight), out=result, where=weight >= 0.5)
+    return result
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` of a 1-D ``values``, bit for bit on finite input; reorders it.
+
+    The middle value, or the mean of the middle pair, taken as np.mean
+    takes it, summing from +0.0.  That sum turns a middle -0.0 into 0.0, so
+    any partition gives numpy's bits, whichever of tied zeros it puts there.
+    """
+    half, odd = divmod(len(values), 2)
+    if odd:
+        values.partition(half)
+        return 0.0 + float(values[half])
+    values.partition([half - 1, half])
+    return (0.0 + float(values[half - 1]) + float(values[half])) / 2.0
+
+
 def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
     """Robust location/scale summaries plus a heavy-tail flag.
 
@@ -227,8 +274,9 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
         return TailDiagnostics(math.nan, math.nan, True)
     exponent = math.frexp(np.max(np.abs(s)))[1]
     scaled = np.ldexp(s, -exponent)
-    median = math.ldexp(np.median(scaled), exponent)
-    q25, q75 = np.percentile(scaled, [25.0, 75.0])
+    # copies: the quantiles' tied zeros and the mean below depend on the order
+    median = math.ldexp(_median(scaled.copy()), exponent)
+    q25, q75 = _linear_quantiles(scaled.copy(), (0.25, 0.75))
     with np.errstate(over="ignore"):  # _finite_result names an overflow
         iqr = _finite_result("samples", "iqr", float(np.ldexp(q75 - q25, exponent)))
     centered = scaled - scaled.mean()

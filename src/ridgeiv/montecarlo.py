@@ -39,7 +39,9 @@ on several processes (:func:`_draw_moments`, through the fork mapper of
 distribution: 8 or more per worker, reps allowing.  The calling process
 forms every ratio, aggregate and check; a sweep reduces every cell in
 :func:`_aggregate_rows`, one pass for all the rows that keep the same
-number of reps.
+number of reps.  Its quantiles come from
+:func:`~ridgeiv.asymptotics._linear_quantiles`, numpy's "linear" ones bit
+for bit, without the numpy.ma import that np.quantile makes.
 
 The estimates match the per-dataset path (``demeaned_cov`` or
 ``fit_ridge_iv`` on ``generate_dataset``) up to last-bit rounding: at most
@@ -73,6 +75,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _fork
+from .asymptotics import _linear_quantiles
 from .dgp import DgpParams, _finite_real, _finite_result, _instance, _int_at_least, _nonnegative
 from .dgp import _rep_count, _sample_size
 from .estimators import PenaltySchedule, shifted_ratio
@@ -474,8 +477,8 @@ def _aggregate_rows(
         # array of the size of its estimates that is alive at once
         errors -= bias[:, None]
         variance = np.mean(np.square(errors, out=errors), axis=1)
-        quantiles = np.quantile(values, _QUANTILES, axis=1, overwrite_input=True)
-        stats[rows] = np.column_stack((mse, bias, variance, *quantiles))
+        quantiles = _linear_quantiles(values, _QUANTILES)
+        stats[rows] = np.column_stack((mse, bias, variance, quantiles))
     cells = map(SweepCell, grid_values, lams, *stats.T.tolist(), degenerate.tolist())
     return stats, tuple(cells)
 

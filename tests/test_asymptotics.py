@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridgeiv.asymptotics import (
+    _linear_quantiles,
+    _median,
     cauchy_diagnostics,
     delta_method_variance,
     ratio_gradient,
@@ -15,6 +19,7 @@ from ridgeiv.asymptotics import (
     v_ridge,
 )
 from ridgeiv.dgp import DgpParams, aer_calibration
+from ridgeiv.montecarlo import _QUANTILES
 from support import _exact_moments
 
 
@@ -318,6 +323,40 @@ def test_cauchy_diagnostics_needs_samples():
 def test_cauchy_diagnostics_needs_one_dimensional_samples():
     with pytest.raises(ValueError, match="one-dimensional"):
         cauchy_diagnostics(np.ones((600, 2)))
+
+
+# values that tie, change sign at zero, sit below the normal range, or leave
+# the float range in a difference of two of them
+_ORDER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.5e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    pool=st.lists(_ORDER_VALUES, min_size=1, max_size=6),
+    rows=st.integers(1, 4),
+    n=st.one_of(st.integers(1, 8), st.integers(1, 600)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_order_statistics_have_numpys_bits(pool, rows, n, seed):
+    # np.quantile, np.percentile and np.median load numpy.ma; the helpers
+    # that replace them must give their bits, sign of zero included, which
+    # a sort in place of numpy's partition does not
+    values = np.random.default_rng(seed).choice(np.array(pool), size=(rows, n))
+    sample = values[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # both sides overflow alike
+        quantiles = _linear_quantiles(values.copy(), _QUANTILES)
+        quartiles = _linear_quantiles(sample.copy(), (0.25, 0.75))
+        median = np.float64(_median(sample.copy()))
+        expected = np.quantile(values, _QUANTILES, axis=-1).T
+        expected_quartiles = np.percentile(sample, [25.0, 75.0])
+        expected_median = np.median(sample)
+    assert quantiles.shape == expected.shape
+    assert (quantiles.view(np.uint64) == expected.view(np.uint64)).all()
+    assert (quartiles.view(np.uint64) == expected_quartiles.view(np.uint64)).all()
+    assert median.view(np.uint64) == expected_median.view(np.uint64)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,12 @@ def test_importing_the_package_and_cli_leaves_heavy_modules_unloaded(tmp_path):
 def test_forked_runs_leave_numpy_random_out_of_the_caller(tmp_path):
     # the draws run in forked workers, so numpy.random is imported there and
     # never in the caller, whose peak memory would grow by 5.5 MiB; a seed
-    # derived or a Philox built in the caller would import it
+    # derived or a Philox built in the caller would import it.  No run
+    # imports numpy.ma, which np.quantile, np.percentile and np.median load on
+    # first use: 10-13 ms and 1.3 MiB of resident memory in a fresh numpy
+    # process, and 0.6-1.1 MiB of the benchmark's median peak on each
+    # workload (2-core x86-64 host, numpy 2.4.6).  single-run draws its
+    # dataset in the caller, so it comes last.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import contextlib, io, os, sys\n"
@@ -55,10 +60,17 @@ def test_forked_runs_leave_numpy_random_out_of_the_caller(tmp_path):
         "_fork._usable_cpus = lambda: 2\n"
         "forks, fork = [], os.fork\n"
         "os.fork = lambda: forks.append(None) or fork()\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [run_cli(['sweep-pi', '--reps', '100', '--out', 'out']),\n"
-        "             run_cli(['verify-asymptotics', '--regime', 'all', '--reps', '500'])]\n"
-        "print(codes, len(forks) >= 4, 'numpy.random' in sys.modules)"
+        "codes, masked = [], []\n"
+        "def run(*args):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(run_cli(list(args)))\n"
+        "    masked.append('numpy.ma' in sys.modules)\n"
+        "run('sweep-pi', '--reps', '100', '--out', 'out')\n"
+        "run('sweep-beta', '--reps', '100', '--raw', '--plots', '--out', 'out')\n"
+        "run('verify-asymptotics', '--regime', 'all', '--reps', '500')\n"
+        "print(len(forks) >= 6, 'numpy.random' in sys.modules)\n"
+        "run('single-run')\n"
+        "print(codes, masked)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -69,7 +81,28 @@ def test_forked_runs_leave_numpy_random_out_of_the_caller(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0] True False\n"
+    assert proc.stdout == "True False\n[0, 0, 0, 0] [False, False, False, False]\n"
+
+
+def test_no_module_calls_a_numpy_order_statistic_that_imports_numpy_ma():
+    # np.quantile and np.percentile reach numpy.ma through np.unique, and
+    # np.median through its NaN check; asymptotics._linear_quantiles and
+    # _median give their bits without it.  This covers the paths that the
+    # fork test above does not run.
+    banned = {"quantile", "percentile", "median", "unique"}
+    banned |= {f"nan{name}" for name in banned - {"unique"}}
+    calls = []
+    for path in sorted(Path(ridgeiv.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in {"np", "numpy"}
+                and node.func.attr in banned
+            ):
+                calls.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
+    assert calls == []
 
 
 def test_the_fork_mapper_imports_no_ridgeiv_module():
