@@ -350,10 +350,10 @@ def _shock_moments(
     size = _block_reps(n)
     moments = np.empty((3, reps))
     block = np.empty((min(size, reps), 3, n))
-    for start in range(0, reps, size):
-        stop = min(start + size, reps)
-        shocks = block[: stop - start]
-        for seed, out in zip(seeds[start:stop], shocks):
+    for first in range(0, reps, size):
+        last = min(first + size, reps)
+        shocks = block[: last - first]
+        for seed, out in zip(seeds[first:last], shocks):
             draw(seed, out)
         # Cov[x, z] = mean(x z) - mean(x) mean(z), without centering the block
         # first.  einsum runs numpy's own loop; a stacked matmul would call
@@ -361,7 +361,7 @@ def _shock_moments(
         # dot products sum plainly, not pairwise as mean does (see README)
         means = shocks.mean(axis=2)
         dots = np.einsum("rin,rn->ri", shocks, shocks[:, 0])
-        moments[:, start:stop] = (dots / n - means * means[:, :1]).T
+        moments[:, first:last] = (dots / n - means * means[:, :1]).T
     return moments
 
 

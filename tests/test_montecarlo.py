@@ -184,6 +184,44 @@ def test_block_length_follows_n():
     assert _block_reps(10_000) == _block_reps(10**7) == 1
 
 
+# The numpy layers under every sha256 pin, word for word: SeedSequence (through
+# derive_seed), the Philox bit stream at key [k, 0], and the float64 bits of
+# Generator.standard_normal on it.  NEP 19 keeps a bit generator's stream
+# fixed, but a feature release may change what a Generator method returns;
+# if a layer moves, this names it while every digest test fails beside it.
+# The keys go in as uint64 arrays: numpy 2.4.6 casts the list [2**64 - 1, 0]
+# through float and keys Philox at 0, with a RuntimeWarning.
+_CANARY_KEYS = (0, 20260810, 2**64 - 1)
+_CANARY_SEEDS = {
+    (20260810,): 0xA998C6E5AE341311,
+    (20260810, 0, 0): 0x49BB72AD231EEB9E,
+    (20260810, 3, 129): 0x083048B266A56F7A,
+}
+_CANARY_WORDS = (
+    (0x02F4BA6408E4D89B, 0x3DD62B0B9CA8C5B2, 0x1C8667A55D902E79),
+    (0x5BDE4EDAB2E9A257, 0xC9C5F0FEEA41F67C, 0x77917F89C07D9711),
+    (0x3C2521C58DDE5BFB, 0xB7A1AD5DAE1306D7, 0x6942EAE9FD2FEB84),
+)
+_CANARY_NORMALS = (
+    (0x3FC463CB3872ECBD, 0xBFFC6313809C831C, 0x3FF5396485E717B0),
+    (0x3FF18CE405CF9F59, 0x3FDD7B5D48410969, 0xBFDE7BACC37D78A5),
+    (0xC006263D495CD1D9, 0x3FFAD8C353429341, 0xBFDCF161705B3E36),
+)
+
+
+def test_numpys_seed_philox_and_normal_streams_are_pinned():
+    numpy = f"numpy {np.__version__}"
+    seeds = {path: derive_seed(*path) for path in _CANARY_SEEDS}
+    assert seeds == _CANARY_SEEDS, f"the SeedSequence layer of derive_seed moved under {numpy}"
+    for k, words, normals in zip(_CANARY_KEYS, _CANARY_WORDS, _CANARY_NORMALS):
+        raw = np.random.Philox(key=np.array([k, 0], dtype=np.uint64)).random_raw(3)
+        assert tuple(raw.tolist()) == words, f"the Philox bit stream at key {k} moved under {numpy}"
+        drawn = np.random.Generator(np.random.Philox(key=k)).standard_normal(3)
+        assert tuple(drawn.view(np.uint64).tolist()) == normals, (
+            f"Generator.standard_normal over Philox at key {k} moved under {numpy}"
+        )
+
+
 # sha256 of the kernel's moments as little-endian float64 bytes.  They pin
 # the seeds, the Philox stream, the draw order and the summation order of
 # the reduction: a rewrite of any of them that moves one bit fails here.

@@ -23,6 +23,26 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_the_package_re_exports_each_library_modules_names_once():
+    # each library module's __all__ is the one list of its public names;
+    # verify, cli and _fork are imported by name, never re-exported
+    from ridgeiv import _fork, asymptotics, cli, dgp, estimators, montecarlo, verify
+
+    modules = (asymptotics, dgp, estimators, montecarlo)
+    names = [name for module in modules for name in module.__all__] + ["__version__"]
+    assert ridgeiv.__all__ == names
+    assert len(set(names)) == len(names)
+    mismatched = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if getattr(ridgeiv, name) is not getattr(module, name)
+    ]
+    assert mismatched == []
+    private = {name for module in (cli, verify, _fork) for name in module.__all__}
+    assert private & set(vars(ridgeiv)) == set()
+
+
 def test_importing_the_package_and_cli_leaves_heavy_modules_unloaded(tmp_path):
     # numpy.random alone adds 5.5 MiB to the caller's resident memory; the
     # draws import it on first use, in the forked workers when they run there
