@@ -16,18 +16,19 @@ its per-rep estimates.
 
 Neither a sweep nor a sampling distribution builds a dataset.  Each rep
 draws the unit shocks (z, e, h) that ``generate_dataset`` draws for its
-seed, with eps = sigma_eps * e and eta = sigma_eta * h, and reduces them
-to three centered cross-moments: Var z, Cov[e, z] and Cov[h, z].  These are
-sufficient for the ratio, because the model is linear in the shocks and
-the intercepts drop out of every covariance:
+seed, through the same drawer (``dgp._unit_shocks``), with eps =
+sigma_eps * e and eta = sigma_eta * h, and reduces them to three centered
+cross-moments: Var z, Cov[e, z] and Cov[h, z].  These are sufficient for
+the ratio, because the model is linear in the shocks and the intercepts
+drop out of every covariance:
 
     Cov[D,Z] = pi1 * Var z + eps_loading * sigma_eps * Cov[e,z] + sigma_eta * Cov[h,z]
     Cov[Y,Z] = beta1 * Cov[D,Z] + sigma_eps * Cov[e,z]
 
 with pi1 the slope at the sample size n (``DgpParams.effective_pi1``).
 Reps are drawn and reduced in blocks from one Philox per thread, re-keyed
-for every rep, with every rep's moments formed on its own row, so no
-result depends on the block layout.
+for every rep (:mod:`.dgp` owns it), with every rep's moments formed on
+its own row, so no result depends on the block layout.
 
 At n = 150 on one x86-64 core (9-10 us per rep, each stage timed alone
 over 41 seed paths of 100 reps), drawing the normals is 77-85% of the
@@ -69,7 +70,6 @@ import dataclasses
 import enum
 import math
 import operator
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +77,7 @@ import numpy as np
 from . import _fork
 from .asymptotics import _linear_quantiles
 from .dgp import DgpParams, _finite_real, _finite_result, _instance, _int_at_least, _nonnegative
-from .dgp import _rep_count, _sample_size
+from .dgp import _rep_count, _sample_size, _unit_shocks
 from .estimators import PenaltySchedule, shifted_ratio
 
 __all__ = [
@@ -288,54 +288,6 @@ def _block_reps(n: int) -> int:
     return max(1, min(_BLOCK_REPS, _BLOCK_SAMPLES // n))
 
 
-class _UnitShocks:
-    """Draws the unit shocks of ``generate_dataset``, one seed at a time.
-
-    ``draw(seed, out)`` fills ``out`` (shape (3, n)) with the rows z,
-    eps / sigma_eps and eta / sigma_eta exactly as
-    ``generate_dataset(params, n, seed)`` draws them.  One Philox serves
-    every call: it is re-keyed to ``key = [seed, 0]`` with counter 0 and an
-    empty buffer, the state ``Philox(key=seed)`` starts in, whatever an
-    earlier call left behind.  The fresh state is kept as plain ints: on
-    x86-64 the state setter takes 0.5 us for them, against 1.4-2.0 us for
-    the uint64 arrays that ``Philox.state`` returns.
-
-    Building one takes 18-20 us, most of it ``Philox`` seeding itself from
-    OS entropy, so each thread keeps one for all its draws
-    (:func:`_unit_shocks`).  An instance must not be shared between
-    threads: one thread's re-key would change another's draw.
-    """
-
-    def __init__(self) -> None:
-        self._bitgen = np.random.Philox(key=0)
-        self._rng = np.random.Generator(self._bitgen)
-        fresh = self._bitgen.state
-        fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
-        fresh["buffer"] = fresh["buffer"].tolist()
-        self._fresh = fresh
-        self._key = fresh["state"]["key"]
-
-    def draw(self, seed: int, out: np.ndarray) -> None:
-        self._key[0] = seed
-        self._bitgen.state = self._fresh
-        self._rng.standard_normal(out=out)
-
-
-_thread_shocks = threading.local()
-
-
-def _unit_shocks() -> _UnitShocks:
-    """The calling thread's ``_UnitShocks``, built on its first call.
-
-    A forked draw worker inherits the caller's, if the caller has drawn.
-    """
-    try:
-        return _thread_shocks.instance
-    except AttributeError:
-        _thread_shocks.instance = _UnitShocks()
-        return _thread_shocks.instance
-
-
 def _shock_moments(
     master_seed: int, path: tuple[int, ...], start: int, stop: int, n: int
 ) -> np.ndarray:
@@ -368,7 +320,7 @@ def _shock_moments(
 # Tasks per worker: each seed path's reps are cut into equal ranges, about
 # this many tasks per worker in all, and no path is cut at this many paths
 # per worker.  More tasks than workers let a fast CPU's worker claim the tasks
-# a slow one would have held; each range costs one more seed pass and Philox.
+# a slow one would have held; each range costs one more seed pass.
 # On a 2-core x86-64 host, verify_regimes over all regimes at 500 reps and
 # n = 10^4 on 2 workers, 64 calls per setting in alternated fresh
 # processes, in ms:

@@ -597,6 +597,14 @@ def test_every_library_argument_the_cli_sets_has_a_config_key():
         assert cli._ARG_KEYS[argument].split(".")[0] in cli._KEYS
 
 
+def test_a_value_error_that_names_no_argument_leaves_unchanged():
+    # only a library rule stated under an argument's name becomes a ConfigError
+    error = ValueError("sweep result has no cells for lambda = 1.0")
+    with pytest.raises(ValueError) as caught, cli._naming_config_keys():
+        raise error
+    assert caught.value is error
+
+
 def test_unwritable_output_dir_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridgeiv.asymptotics import MIN_TAIL_SAMPLES, cauchy_diagnostics
-from ridgeiv.dgp import DgpParams, aer_calibration, generate_dataset
+from ridgeiv.dgp import (
+    DgpParams,
+    _UnitShocks,
+    _unit_shocks,
+    aer_calibration,
+    generate_dataset,
+)
 from ridgeiv.estimators import (
     DegenerateDenominatorError,
     Estimate,
@@ -36,7 +42,6 @@ from ridgeiv.montecarlo import (
     _draw_moments,
     _ratios,
     _shock_moments,
-    _UnitShocks,
     collect_sampling_distribution,
     derive_seed,
     run_sweep,
@@ -323,6 +328,15 @@ def test_rekeyed_draw_matches_generate_dataset():
         assert np.array_equal(out[0], data.z[:, 0])
         assert np.array_equal(out[1], data.y / params.sigma_eps)
         assert np.array_equal(out[2], data.d / params.sigma_eta)
+    # seeds of 2**64 and beyond set the second Philox key word; the dataset
+    # keeps n values of z alive, not the whole (3, n) block of shocks
+    for seed in (0, 2**64 - 1, 2**64, 2**100 + 7, 2**128 - 1):
+        data = generate_dataset(params, 40, seed)
+        rows = (data.z[:, 0], data.y / params.sigma_eps, data.d / params.sigma_eta)
+        fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal((3, 40))
+        assert np.array_equal(rows, fresh)
+        owner = data.z if data.z.base is None else data.z.base
+        assert owner.nbytes == 40 * 8
 
 
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
@@ -370,8 +384,8 @@ def test_threads_drawing_at_once_each_get_the_serial_bits():
 def test_a_threads_reused_generator_draws_the_same_moments_after_another_draw():
     task = (20260810, (0,), 0, 130, 150)
     before = _shock_moments(*task)
-    shocks = montecarlo._unit_shocks()
-    assert montecarlo._unit_shocks() is shocks
+    shocks = _unit_shocks()
+    assert _unit_shocks() is shocks
     shocks._rng.standard_normal(7)  # leaves a partial buffer behind
     assert np.array_equal(_shock_moments(*task), before)
 

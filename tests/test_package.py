@@ -137,3 +137,33 @@ def test_the_fork_mapper_imports_no_ridgeiv_module():
             imported.append("." * node.level + (node.module or ""))
     assert imported
     assert [name for name in imported if name.startswith((".", "ridgeiv"))] == []
+
+
+def test_only_the_unit_shock_drawer_builds_a_generator():
+    # one drawer turns a seed into the model's unit shocks for every
+    # simulated sample, generate_dataset's and each Monte Carlo rep's alike:
+    # dgp._UnitShocks builds the one Philox and Generator a thread re-keys
+    constructors = {"Philox", "Generator", "default_rng", "RandomState"}
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}"
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in constructors
+                and isinstance(child.func.value, ast.Attribute)
+                and child.func.value.attr == "random"
+                and isinstance(child.func.value.value, ast.Name)
+                and child.func.value.value.id in {"np", "numpy"}
+            ):
+                calls.append((scope, f"{scope}:{child.lineno} np.random.{child.func.attr}"))
+            visit(child, inner)
+
+    for path in sorted(Path(ridgeiv.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert calls
+    assert [call for scope, call in calls if scope != "dgp._UnitShocks.__init__"] == []

@@ -3,6 +3,7 @@
 import dataclasses
 import multiprocessing
 import os
+import sys
 import threading
 
 import numpy as np
@@ -116,6 +117,30 @@ def test_small_work_stays_serial(monkeypatch):
     assert _fork.pool_workers(reps, reps * n) == 1
     assert _fork.pool_workers(1, 10**9) == 1  # one task
     assert _fork.pool_workers(reps, 10**9) == 2
+
+
+def test_without_affinity_masks_the_draws_stay_serial(monkeypatch):
+    # macOS has no os.sched_getaffinity; ridgeiv then counts one usable CPU
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _fork._usable_cpus() == 1
+    assert _fork.pool_workers(4, 10 * _fork._POOL_MIN_SAMPLES) == 1
+
+
+def _exit_with_pool_workers():
+    sys.exit(_fork.pool_workers(2, 10**6))
+
+
+@pytest.mark.parametrize(
+    "daemon, workers", [(True, 1), (False, 2)], ids=["daemonic", "not-daemonic"]
+)
+def test_a_daemonic_process_forks_no_workers(monkeypatch, daemon, workers):
+    # a pool worker is daemonic: a pool on W CPUs would fork W**2 draw workers
+    monkeypatch.setattr(_fork, "_usable_cpus", lambda: 2)
+    context = multiprocessing.get_context("fork")
+    process = context.Process(target=_exit_with_pool_workers, daemon=daemon)
+    process.start()
+    process.join(timeout=60)
+    assert process.exitcode == workers
 
 
 def _two_rows(first, width):
