@@ -64,13 +64,12 @@ from .dgp import (
     DgpParams,
     _instance,
     _int_at_least,
-    _rep_count,
     _sample_size,
     aer_calibration,
     generate_dataset,
 )
 from .estimators import PenaltyRate, PenaltySchedule, fit_ridge_iv
-from .montecarlo import GridVariable, SweepCell, SweepConfig, SweepResult, run_sweep
+from .montecarlo import GridVariable, SweepCell, SweepConfig, SweepResult, _rep_count, run_sweep
 from .verify import VERIFY_REGIMES, verify_min_reps, verify_regimes
 
 __all__ = [

@@ -422,11 +422,16 @@ def lagrange_correspondence(data: Dataset, lambda_n: float) -> float:
     ``gmm_minimize(data, gamma_n)`` equals the uncentered penalized ratio
     sum(ZY) / (sum(ZD) + lambda_n / n).  A multiplier beyond the float
     range raises a ValueError naming ``data`` when sum(Z*D) overflows, else
-    ``lambda_n``.
+    ``lambda_n``.  A lambda_n > 0 beside a sum(Z*D) <= 0 then raises a
+    ValueError naming ``data``: its multiplier would be negative, which
+    ``gmm_minimize`` rejects, or 0, whose minimiser is not the ratio.
     """
     lambda_n = _nonnegative("lambda_n", lambda_n)
     szd, _ = _uncentered_sums(data)
     gamma_n = (szd / data.n) * lambda_n  # floats: an overflow is inf, named below
     name = "data" if not math.isfinite(szd) else "lambda_n"
     quantity = f"multiplier gamma_n at lambda_n = {lambda_n!r}"
-    return _finite_result(name, quantity, gamma_n, f"{{!r}} from sum(Z*D) = {szd!r}")
+    gamma_n = _finite_result(name, quantity, gamma_n, f"{{!r}} from sum(Z*D) = {szd!r}")
+    if lambda_n > 0 and szd <= 0:
+        raise ValueError(f"data must have a positive sum(Z*D) for lambda_n > 0, got {szd!r}")
+    return gamma_n

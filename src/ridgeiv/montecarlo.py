@@ -14,27 +14,12 @@ rep order, so results are bit-identical for a given config on every run
 and at every worker count.  Nothing here writes a file: a sweep returns
 its per-rep estimates.
 
-Neither a sweep nor a sampling distribution builds a dataset.  Each rep
-draws the unit shocks (z, e, h) that ``generate_dataset`` draws for its
-seed, through the same drawer (``dgp._unit_shocks``), with eps =
-sigma_eps * e and eta = sigma_eta * h, and reduces them to three centered
-cross-moments: Var z, Cov[e, z] and Cov[h, z].  These are sufficient for
-the ratio, because the model is linear in the shocks and the intercepts
-drop out of every covariance:
-
-    Cov[D,Z] = pi1 * Var z + eps_loading * sigma_eps * Cov[e,z] + sigma_eta * Cov[h,z]
-    Cov[Y,Z] = beta1 * Cov[D,Z] + sigma_eps * Cov[e,z]
-
-with pi1 the slope at the sample size n (``DgpParams.effective_pi1``).
-Reps are drawn and reduced in blocks from one Philox per thread, re-keyed
-for every rep (:mod:`.dgp` owns it), with every rep's moments formed on
-its own row, so no result depends on the block layout.
-
-At n = 150 on one x86-64 core (9-10 us per rep, each stage timed alone
-over 41 seed paths of 100 reps), drawing the normals is 77-85% of the
-kernel, re-keying Philox 4-5%, deriving the seeds 3%, the reduction about
-5% (the means 2.5%, the dot products 2%, forming the moments under 1%),
-and the loop the rest.  Each rep's seed fixes its draws, so they may run
+The model is :mod:`.dgp`'s alone; this module derives the seeds, splits
+the reps into tasks and aggregates.  Neither a sweep nor a sampling
+distribution builds a dataset.  A rep's seed goes to
+``dgp._unit_moments``, which draws the sample's unit shocks and reduces
+them to three moments, and ``dgp._z_covariances`` turns the moments into
+Cov[Y,Z] and Cov[D,Z].  Each rep's seed fixes its draws, so they may run
 on several processes (:func:`_draw_moments`, through the fork mapper of
 :mod:`._fork`) in equal rep ranges of each grid point or sampling
 distribution: 8 or more per worker, reps allowing.  The calling process
@@ -77,7 +62,7 @@ import numpy as np
 from . import _fork
 from .asymptotics import _linear_quantiles
 from .dgp import DgpParams, _finite_real, _finite_result, _instance, _int_at_least, _nonnegative
-from .dgp import _rep_count, _sample_size, _unit_shocks
+from .dgp import _sample_size, _unit_moments, _z_covariances
 from .estimators import PenaltySchedule, shifted_ratio
 
 __all__ = [
@@ -222,6 +207,21 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# The seeds hash a rep's index as one 32-bit word, so reps 0 to 2**32 - 1
+# are the most one draw can tell apart.
+_MAX_REPS = 2**32
+
+
+def _rep_count(reps: object, least: int = 1) -> int:
+    """``reps`` as a rep count: an int of at least ``least`` and at most ``_MAX_REPS``."""
+    reps = _int_at_least("reps", reps, least)
+    if reps > _MAX_REPS:
+        raise ValueError(
+            f"reps must be at most {_MAX_REPS}, one seed per 32-bit rep index, got {reps}"
+        )
+    return reps
+
+
 # The seeds of one call differ only in their last entropy word, the rep
 # index.  numpy computes the pool that the shared words leave behind
 # (SeedSequence(master_seed, spawn_key=prefix).pool); the rest of its hash,
@@ -277,17 +277,6 @@ def _derive_seeds(
     return halves[0] | (halves[1] << np.uint64(32))
 
 
-# Reps drawn and reduced together: at most _BLOCK_REPS, and at most
-# _BLOCK_SAMPLES samples per shock row, so memory does not grow with n.
-# Results do not depend on it: every rep is reduced on its own row.
-_BLOCK_REPS = 64
-_BLOCK_SAMPLES = 64 * 150
-
-
-def _block_reps(n: int) -> int:
-    return max(1, min(_BLOCK_REPS, _BLOCK_SAMPLES // n))
-
-
 def _shock_moments(
     master_seed: int, path: tuple[int, ...], start: int, stop: int, n: int
 ) -> np.ndarray:
@@ -296,25 +285,7 @@ def _shock_moments(
     Rep i draws the shocks of seed ``derive_seed(master_seed, *path, i)``,
     so any split of a rep range into sub-ranges gives the same columns.
     """
-    seeds = _derive_seeds(master_seed, path, start, stop).tolist()
-    reps = stop - start
-    draw = _unit_shocks().draw
-    size = _block_reps(n)
-    moments = np.empty((3, reps))
-    block = np.empty((min(size, reps), 3, n))
-    for first in range(0, reps, size):
-        last = min(first + size, reps)
-        shocks = block[: last - first]
-        for seed, out in zip(seeds[first:last], shocks):
-            draw(seed, out)
-        # Cov[x, z] = mean(x z) - mean(x) mean(z), without centering the block
-        # first.  einsum runs numpy's own loop; a stacked matmul would call
-        # BLAS, which the forks of _fork.map_tasks rely on no draw doing.  Its
-        # dot products sum plainly, not pairwise as mean does (see README)
-        means = shocks.mean(axis=2)
-        dots = np.einsum("rin,rn->ri", shocks, shocks[:, 0])
-        moments[:, first:last] = (dots / n - means * means[:, :1]).T
-    return moments
+    return _unit_moments(_derive_seeds(master_seed, path, start, stop).tolist(), n)
 
 
 # Tasks per worker: each seed path's reps are cut into equal ranges, about
@@ -357,36 +328,6 @@ def _draw_moments(
     tasks = [(master_seed, path, start, stop, n) for path in paths for start, stop in spans]
     widths = [stop - start for start, stop in spans] * len(paths)
     return _fork.map_tasks(_shock_moments, tasks, widths, 3, workers).reshape(3, len(paths), reps)
-
-
-def _ratios(
-    params: DgpParams,
-    n: int,
-    moments: np.ndarray,
-    shifts: tuple[float, ...],
-    name: str = "params",
-    shift_name: str = "schedule",
-) -> np.ndarray:
-    """Cov[Y,Z] / (Cov[D,Z] + shift) per shift and rep, shape (len(shifts), reps).
-
-    A covariance beyond the float range raises a ValueError naming
-    ``name``, the argument that set ``params``.  The ratios are those of
-    :func:`~ridgeiv.estimators.shifted_ratio`, so every one is finite or
-    NaN for a degenerate rep (``isnan`` is the degenerate mask), or the
-    call raises naming ``name`` or ``shift_name.format(j)`` for shift j.
-    """
-    s_zz, s_ez, s_hz = moments
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-        cov_dz = (
-            params.effective_pi1(n) * s_zz
-            + params.eps_loading * params.sigma_eps * s_ez
-            + params.sigma_eta * s_hz
-        )
-        cov_yz = params.beta1 * cov_dz + params.sigma_eps * s_ez
-    # cov_yz is finite only where cov_dz is
-    got = "Cov[D,Z] or Cov[Y,Z] beyond the float range"
-    _finite_result(name, f"covariances at n = {n}", cov_yz, got, plural=True)
-    return shifted_ratio(cov_yz, cov_dz, shifts, f"{name} at n = {n}", shift_name)
 
 
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -459,8 +400,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     params = [config.params_at(grid_value) for grid_value in grid]
     moments = _draw_moments(config.master_seed, [(gi,) for gi in range(len(grid))], reps, n)
     for gi in range(len(grid)):
-        estimates[:, gi] = _ratios(
-            params[gi], n, moments[:, gi], lambdas, f"grid[{gi}]", "lambda_values[{}]"
+        cov_yz, cov_dz = _z_covariances(params[gi], n, moments[:, gi], f"grid[{gi}]")
+        estimates[:, gi] = shifted_ratio(
+            cov_yz, cov_dz, lambdas, f"grid[{gi}] at n = {n}", "lambda_values[{}]"
         )
     del moments  # kept through the aggregate, it would raise the caller's peak memory
     estimates = estimates.reshape(len(lambdas) * len(grid), reps)
@@ -487,11 +429,10 @@ def _scaled_samples(
 ) -> list[np.ndarray]:
     """The samples of :func:`collect_sampling_distribution`, one array per shift."""
     center = 0.0 if params.stock_c is not None else params.beta1
+    cov_yz, cov_dz = _z_covariances(params, n, moments, "params")
+    ratios = shifted_ratio(cov_yz, cov_dz, shifts, f"params at n = {n}", "schedule")
     with np.errstate(over="ignore"):  # an overflow is named below
-        samples = [
-            math.sqrt(n) * (row[~np.isnan(row)] - center)
-            for row in _ratios(params, n, moments, shifts)
-        ]
+        samples = [math.sqrt(n) * (row[~np.isnan(row)] - center) for row in ratios]
     quantity = f"samples sqrt(n) * (beta1_hat - {center!r}) at n = {n}"
     for sample in samples:
         _finite_result("params", quantity, sample, "one beyond the float range", plural=True)

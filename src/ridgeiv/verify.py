@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from . import asymptotics
-from .dgp import _int_at_least, _rep_count, _sample_size, aer_calibration
+from .dgp import _int_at_least, _sample_size, aer_calibration
 from .estimators import PenaltyRate, PenaltySchedule
-from .montecarlo import _draw_moments, _scaled_samples
+from .montecarlo import _draw_moments, _rep_count, _scaled_samples
 
 __all__ = ["VERIFY_REGIMES", "VERIFY_TOLERANCE", "verify_min_reps", "verify_regimes"]
 

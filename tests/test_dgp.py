@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ridgeiv.dgp import Dataset, DgpParams, aer_calibration, generate_dataset
+from ridgeiv.dgp import Dataset, DgpParams, _z_covariances, aer_calibration, generate_dataset
 from ridgeiv.estimators import first_stage
 
 
@@ -165,6 +165,19 @@ def test_effective_pi1():
     assert fixed.effective_pi1(10_000) == 0.3
     drifting = DgpParams(beta0=0.0, beta1=1.0, pi0=0.0, pi1=0.3, stock_c=2.0)
     assert drifting.effective_pi1(400) == 2.0 / math.sqrt(400)
+
+
+@pytest.mark.parametrize("params", [aer_calibration(), aer_calibration(stock_c=1.0)],
+                         ids=["fixed", "drifting"])
+def test_the_covariances_load_each_unit_moment_as_the_model_does(params):
+    # one unit moment at a time (Var z, Cov[e,z], Cov[h,z]) reads off each
+    # loading: D loads z by the slope at n, e by eps_loading * sigma_eps and
+    # h by sigma_eta; Y loads D by beta1 and e once more by sigma_eps
+    cov_yz, cov_dz = _z_covariances(params, 150, np.eye(3), "params")
+    loadings = (params.effective_pi1(150), params.eps_loading * params.sigma_eps, params.sigma_eta)
+    assert cov_dz.tolist() == list(loadings)
+    beta1, (slope, eps, eta) = params.beta1, loadings
+    assert cov_yz.tolist() == [beta1 * slope, beta1 * eps + params.sigma_eps, beta1 * eta]
 
 
 def test_aer_calibration_values():

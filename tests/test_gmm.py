@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridgeiv.dgp import Dataset, DgpParams, generate_dataset
+from ridgeiv.dgp import Dataset, DgpParams, aer_calibration, generate_dataset
 from ridgeiv.estimators import (
     DegenerateDenominatorError,
     gmm_minimize,
@@ -94,6 +95,23 @@ def test_minimize_degenerate():
 def test_lagrange_correspondence_values():
     assert lagrange_correspondence(HAND_DATA, 0.0) == 0.0
     assert lagrange_correspondence(HAND_DATA, 3.0) == pytest.approx(14.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # sum(Z*D) = -38.38 on a draw with a negative first stage: at lambda_n =
+        # 600 the multiplier would be -153.54, which gmm_minimize rejects
+        generate_dataset(dataclasses.replace(aer_calibration(), pi1=-0.5), 150, 3),
+        # sum(Z*D) = 0: the multiplier would be 0, whose minimiser is degenerate
+        Dataset(y=np.array([1.0, 2.0, 3.0]), d=np.array([1.0, 1.0, 5.0]), z=np.array([1.0, -1.0, 0.0])),
+    ],
+    ids=["negative", "zero"],
+)
+def test_the_lagrange_map_gives_no_multiplier_gmm_minimize_rejects(data):
+    with pytest.raises(ValueError, match=r"^data must have a positive sum\(Z\*D\) for lambda_n > 0"):
+        lagrange_correspondence(data, 600.0)
+    assert lagrange_correspondence(data, 0.0) == 0.0
 
 
 def test_correspondence_round_trip():

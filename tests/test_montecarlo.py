@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from ridgeiv.asymptotics import MIN_TAIL_SAMPLES, cauchy_diagnostics
 from ridgeiv.dgp import (
+    _BLOCK_REPS,
     DgpParams,
     _UnitShocks,
+    _block_reps,
     _unit_shocks,
+    _z_covariances,
     aer_calibration,
     generate_dataset,
 )
@@ -26,21 +29,20 @@ from ridgeiv.estimators import (
     PenaltySchedule,
     demeaned_cov,
     fit_ridge_iv,
+    shifted_ratio,
 )
 import ridgeiv.asymptotics as asymptotics
 import ridgeiv._fork as _fork
 import ridgeiv.montecarlo as montecarlo
 from ridgeiv.cli import write_raw_csv
 from ridgeiv.montecarlo import (
-    _BLOCK_REPS,
     GridVariable,
     SweepCell,
     SweepConfig,
     _aggregate_rows,
-    _block_reps,
     _derive_seeds,
     _draw_moments,
-    _ratios,
+    _scaled_samples,
     _shock_moments,
     collect_sampling_distribution,
     derive_seed,
@@ -417,7 +419,8 @@ def test_kernel_matches_per_dataset_path(config):
     for gi, grid_value in enumerate(config.grid):
         params = config.params_at(grid_value)
         moments = _shock_moments(config.master_seed, (gi,), 0, config.reps, config.n)
-        estimates = _ratios(params, config.n, moments, config.lambda_values)
+        cov_yz, cov_dz = _z_covariances(params, config.n, moments, "params")
+        estimates = shifted_ratio(cov_yz, cov_dz, config.lambda_values)
         for rep in range(config.reps):
             data = generate_dataset(
                 params, config.n, derive_seed(config.master_seed, gi, rep)
@@ -599,7 +602,7 @@ def test_an_overflowing_shifted_denominator_is_named():
     params = DgpParams(beta0=0.0, beta1=1.0, pi0=0.0, pi1=1e308, sigma_eps=0.0, sigma_eta=0.0)
     moments = np.array([[1.0], [0.0], [0.0]])  # Var z, Cov[e,z], Cov[h,z] of one rep
     with pytest.raises(ValueError, match=r"^schedule must give a finite shifted denominator"):
-        _ratios(params, 30, moments, (1e308,))
+        _scaled_samples(params, 30, moments, (1e308,))
 
 
 @pytest.mark.parametrize(

@@ -167,3 +167,26 @@ def test_only_the_unit_shock_drawer_builds_a_generator():
         visit(ast.parse(path.read_text()), path.stem)
     assert calls
     assert [call for scope, call in calls if scope != "dgp._UnitShocks.__init__"] == []
+
+
+def test_only_dgp_knows_the_model():
+    # dgp draws the unit shocks, reduces them and maps them to the model's
+    # covariances; the other modules take its samples, moments and
+    # covariances and never restate a loading or the reduction
+    banned = {"_unit_shocks", "_UnitShocks", "einsum", "effective_pi1", "eps_loading"}
+    references = []
+    for path in sorted(Path(ridgeiv.__file__).parent.rglob("*.py")):
+        if path.name == "dgp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in banned:
+                references.append(f"{path.name}:{node.lineno} {name}")
+    assert references == []
