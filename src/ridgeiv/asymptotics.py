@@ -28,10 +28,12 @@ one would give a finite limit.  A ``params`` that is not a
 float products, which give inf where ``**`` would raise an unnamed
 OverflowError.
 
-:func:`_linear_quantiles` and :func:`_median` own every order statistic
-of the package: the sweep quantiles and the median and IQR of
-:func:`cauchy_diagnostics`.  They give numpy's bits without importing
-numpy.ma, which np.quantile, np.percentile and np.median load on first use.
+:func:`_linear_quantiles` owns every order statistic of the package: the
+sweep quantiles and the median and IQR of :func:`cauchy_diagnostics`.  So
+a median is numpy's "linear" quantile at 0.5 wherever it is reported,
+``TailDiagnostics.median`` and ``SweepCell.q50`` alike.  It gives numpy's
+bits without importing numpy.ma, which np.quantile, np.percentile and
+np.median load on first use.
 """
 
 from __future__ import annotations
@@ -230,21 +232,6 @@ def _linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     return result
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median(values)`` of a 1-D ``values``, bit for bit on finite input; reorders it.
-
-    The middle value, or the mean of the middle pair, taken as np.mean
-    takes it, summing from +0.0.  That sum turns a middle -0.0 into 0.0, so
-    any partition gives numpy's bits, whichever of tied zeros it puts there.
-    """
-    half, odd = divmod(len(values), 2)
-    if odd:
-        values.partition(half)
-        return 0.0 + float(values[half])
-    values.partition([half - 1, half])
-    return (0.0 + float(values[half - 1]) + float(values[half])) / 2.0
-
-
 def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
     """Robust location/scale summaries plus a heavy-tail flag.
 
@@ -256,9 +243,13 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
     order statistics can be infinite or undefined (``-inf`` and ``inf``
     halves), and the flag is True.
 
+    The median is ``np.quantile(samples, 0.5)``, numpy's "linear" quantile
+    and the rule of ``SweepCell.q50``, not ``np.median``, which can differ
+    from it in the last bit of an even-size sample's middle pair.
+
     A finite sample is scaled by a power of two, exactly, to a largest
-    magnitude in [0.5, 1), and every statistic is taken of that: the sum of
-    its middle pair and the difference of its quartiles cannot overflow, and
+    magnitude in [0.5, 1), and every statistic is taken of that: the
+    differences of its middle pair and of its quartiles cannot overflow, and
     the powers in its kurtosis neither overflow nor vanish.  So the median
     and IQR are finite wherever the float range holds them, with the bits
     of the unscaled sample at ordinary scales, and a finite sample's flag
@@ -274,9 +265,9 @@ def cauchy_diagnostics(samples: np.ndarray) -> TailDiagnostics:
         return TailDiagnostics(math.nan, math.nan, True)
     exponent = math.frexp(np.max(np.abs(s)))[1]
     scaled = np.ldexp(s, -exponent)
-    # copies: the quantiles' tied zeros and the mean below depend on the order
-    median = math.ldexp(_median(scaled.copy()), exponent)
-    q25, q75 = _linear_quantiles(scaled.copy(), (0.25, 0.75))
+    # a copy: the quantiles' tied zeros and the mean below depend on the order
+    q25, median, q75 = _linear_quantiles(scaled.copy(), (0.25, 0.5, 0.75))
+    median = math.ldexp(median, exponent)
     with np.errstate(over="ignore"):  # _finite_result names an overflow
         iqr = _finite_result("samples", "iqr", float(np.ldexp(q75 - q25, exponent)))
     centered = scaled - scaled.mean()

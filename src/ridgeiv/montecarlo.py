@@ -353,9 +353,7 @@ def _aggregate_rows(
     has the bits of the 1-D reduction.
     """
     reps = estimates.shape[1]
-    degenerate = np.zeros(len(estimates), dtype=np.intp)
-    partial = np.isnan(estimates).any(axis=1)  # cheaper than counting every row
-    degenerate[partial] = np.isnan(estimates[partial]).sum(axis=1)
+    degenerate = np.isnan(estimates).sum(axis=1)
     true_beta1 = np.asarray(true_beta1)
     stats = np.full((len(estimates), 8), np.nan)
     for n_degenerate in set(degenerate.tolist()) - {reps}:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ridgeiv.asymptotics import (
     _linear_quantiles,
-    _median,
     cauchy_diagnostics,
     delta_method_variance,
     ratio_gradient,
@@ -19,7 +18,7 @@ from ridgeiv.asymptotics import (
     v_ridge,
 )
 from ridgeiv.dgp import DgpParams, aer_calibration
-from ridgeiv.montecarlo import _QUANTILES
+from ridgeiv.montecarlo import _QUANTILES, GridVariable, SweepConfig, run_sweep
 from support import _exact_moments
 
 
@@ -297,7 +296,7 @@ def test_cauchy_diagnostics_median_and_iqr_finite_at_the_float_range(samples):
     quarter = samples / 4  # exact, and far from overflow
     q25, q75 = np.percentile(quarter, [25.0, 75.0])
     diag = cauchy_diagnostics(samples)
-    assert diag.median == 4 * np.median(quarter)
+    assert diag.median == 4 * np.quantile(quarter, 0.5)
     assert diag.iqr == 4 * (q75 - q25)
 
 
@@ -306,7 +305,50 @@ def test_cauchy_diagnostics_keeps_the_unscaled_bits_at_ordinary_scales(scale):
     samples = scale * np.random.default_rng(10).standard_cauchy(1001)
     q25, q75 = np.percentile(samples, [25.0, 75.0])
     diag = cauchy_diagnostics(samples)
-    assert (diag.median, diag.iqr) == (np.median(samples), q75 - q25)
+    assert (diag.median, diag.iqr) == (np.quantile(samples, 0.5), q75 - q25)
+
+
+_UNCHANGED_SAMPLES = {
+    "ordinary": np.r_[np.random.default_rng(11).standard_cauchy(600), 0.0, -0.0],
+    **_EDGE_SAMPLES,
+}
+
+
+@pytest.mark.parametrize(
+    "samples", list(_UNCHANGED_SAMPLES.values()), ids=list(_UNCHANGED_SAMPLES)
+)
+def test_cauchy_diagnostics_leaves_its_samples_unchanged(samples):
+    # the quantiles partition a copy; the caller's values keep their order
+    # and their bits, sign of zero included
+    samples = np.random.default_rng(12).permutation(samples)
+    before = samples.copy()
+    cauchy_diagnostics(samples)
+    assert (samples.view(np.uint64) == before.view(np.uint64)).all()
+
+
+def test_the_median_is_the_linear_quantile_a_sweep_cell_reports():
+    # np.median takes the mean of an even-size sample's middle pair, which
+    # differs in the last bit from numpy's "linear" quantile at 0.5 where
+    # the pair straddles a power of two; SweepCell.q50 is that quantile
+    samples = np.random.default_rng(12).standard_cauchy(500)
+    expected = np.quantile(samples, 0.5)
+    assert np.median(samples) != expected
+    median = np.float64(cauchy_diagnostics(samples).median)
+    assert median.view(np.uint64) == expected.view(np.uint64)
+    config = SweepConfig(
+        base_params=aer_calibration(beta1=0.0),
+        grid_variable=GridVariable.PI1,
+        grid=(1.0,),
+        lambda_values=(0.0,),
+        n=30,
+        reps=500,
+        master_seed=13,
+    )
+    result = run_sweep(config)
+    (cell,), (row,) = result.cells, result.estimates
+    assert cell.n_degenerate == 0
+    assert np.median(row) != cell.q50
+    assert cauchy_diagnostics(row).median == cell.q50
 
 
 def test_cauchy_diagnostics_names_an_iqr_beyond_the_float_range():
@@ -341,22 +383,19 @@ _ORDER_VALUES = st.one_of(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_order_statistics_have_numpys_bits(pool, rows, n, seed):
-    # np.quantile, np.percentile and np.median load numpy.ma; the helpers
-    # that replace them must give their bits, sign of zero included, which
+    # np.quantile and np.percentile load numpy.ma; the helper that
+    # replaces them must give their bits, sign of zero included, which
     # a sort in place of numpy's partition does not
     values = np.random.default_rng(seed).choice(np.array(pool), size=(rows, n))
     sample = values[0]
     with np.errstate(over="ignore", invalid="ignore"):  # both sides overflow alike
         quantiles = _linear_quantiles(values.copy(), _QUANTILES)
         quartiles = _linear_quantiles(sample.copy(), (0.25, 0.75))
-        median = np.float64(_median(sample.copy()))
         expected = np.quantile(values, _QUANTILES, axis=-1).T
         expected_quartiles = np.percentile(sample, [25.0, 75.0])
-        expected_median = np.median(sample)
     assert quantiles.shape == expected.shape
     assert (quantiles.view(np.uint64) == expected.view(np.uint64)).all()
     assert (quartiles.view(np.uint64) == expected_quartiles.view(np.uint64)).all()
-    assert median.view(np.uint64) == expected_median.view(np.uint64)
 
 
 # ---------------------------------------------------------------------------

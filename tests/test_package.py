@@ -106,9 +106,10 @@ def test_forked_runs_leave_numpy_random_out_of_the_caller(tmp_path):
 
 def test_no_module_calls_a_numpy_order_statistic_that_imports_numpy_ma():
     # np.quantile and np.percentile reach numpy.ma through np.unique, and
-    # np.median through its NaN check; asymptotics._linear_quantiles and
-    # _median give their bits without it.  This covers the paths that the
-    # fork test above does not run.
+    # np.median through its NaN check; asymptotics._linear_quantiles gives
+    # np.quantile's bits without it, and every median the package reports
+    # is its linear quantile at 0.5, the rule of SweepCell.q50.  This covers
+    # the paths that the fork test above does not run.
     banned = {"quantile", "percentile", "median", "unique"}
     banned |= {f"nan{name}" for name in banned - {"unique"}}
     calls = []
@@ -123,6 +124,37 @@ def test_no_module_calls_a_numpy_order_statistic_that_imports_numpy_ma():
             ):
                 calls.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
     assert calls == []
+
+
+def test_only_the_linear_quantiles_partition_or_sort_an_array():
+    # one order-statistic routine gives every quantile and median the
+    # package reports, so no two of them can follow different rules;
+    # str.partition splits a string and is no order statistic
+    methods = {"partition", "argpartition", "sort", "argsort"}
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}"
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in methods
+                and not (
+                    isinstance(child.func.value, ast.Call)
+                    and isinstance(child.func.value.func, ast.Name)
+                    and child.func.value.func.id == "str"
+                )
+            ):
+                calls.append((scope, f"{scope}:{child.lineno} .{child.func.attr}"))
+            visit(child, inner)
+
+    for path in sorted(Path(ridgeiv.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert calls
+    assert [call for scope, call in calls if scope != "asymptotics._linear_quantiles"] == []
 
 
 def test_the_fork_mapper_imports_no_ridgeiv_module():
