@@ -24,12 +24,14 @@ single-run            params, n, seed, schedule
 
 Every config value is checked by name; then each flag that is given
 overrides its key (``--out`` sets output_dir, ``--plots`` emit_plots,
-``--raw`` emit_raw, ``--regime`` regimes).  The library owns every value
-rule (``DgpParams``, ``PenaltySchedule``, ``SweepConfig``,
-``verify_min_reps``); a rule it rejects exits 2 naming the config key, and
-so does a value whose covariances, shifted denominators, estimates, sweep
-statistics, data or fitted moments overflow during the run, so a sweep
-reports only finite numbers and NaN for degenerate reps.
+``--raw`` emit_raw, ``--regime`` regimes).  Each subcommand resolves to
+one record of the values it runs with, and the record runs itself.  The
+library owns every value rule (``DgpParams``, ``PenaltySchedule``,
+``SweepConfig``, ``verify_min_reps``); a rule it rejects exits 2 naming
+the config key, and so does a value whose covariances, shifted
+denominators, estimates, sweep statistics, data or fitted moments overflow
+during the run, so a sweep reports only finite numbers and NaN for
+degenerate reps.
 This module states only what JSON adds: JSON type names, finite numbers
 (``NaN`` and ``Infinity`` as JSON writes them), unknown keys, lambdas
 distinct as plot names, a ``seed`` below 2**64, at most 10**6
@@ -51,7 +53,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import enum
 import json
 import math
 import sys
@@ -73,9 +74,7 @@ from .montecarlo import GridVariable, SweepCell, SweepConfig, SweepResult, _rep_
 from .verify import VERIFY_REGIMES, verify_min_reps, verify_regimes
 
 __all__ = [
-    "Command",
     "ConfigError",
-    "ExperimentConfig",
     "run_cli",
     "main",
     "emit_plot",
@@ -94,39 +93,8 @@ _CELL_NAMES = tuple(f.name for f in dataclasses.fields(SweepCell))
 CSV_COLUMNS = tuple("lambda" if name == "lam" else name for name in _CELL_NAMES)
 
 
-class Command(enum.Enum):
-    SWEEP_PI = "sweep-pi"
-    SWEEP_BETA = "sweep-beta"
-    VERIFY_ASYMPTOTICS = "verify-asymptotics"
-    SINGLE_RUN = "single-run"
-
-
 class ConfigError(ValueError):
     """A config file or flag combination violates the experiment schema."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated, dispatchable experiment.
-
-    Each config key of the subcommand sets the field of its name (``grid``
-    and ``lambdas`` only shape ``sweep``); a key not given keeps its default.
-    """
-
-    command: Command
-    sweep: SweepConfig | None = None
-    # sweeps
-    output_dir: Path = Path("ridgeiv_out")
-    emit_plots: bool = False
-    emit_raw: bool = False
-    # verify-asymptotics
-    regimes: tuple[str, ...] = VERIFY_REGIMES
-    reps: int = DEFAULT_REPS
-    seed: int = DEFAULT_SEED
-    # single-run
-    params: DgpParams = aer_calibration(beta1=1.0)
-    n: int = 150
-    schedule: PenaltySchedule = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
 
 
 def default_pi_sweep(
@@ -288,10 +256,14 @@ def _parse_grid(raw: Any) -> tuple[float, ...]:
     )
 
 
+def _plot_name(lam: float) -> str:
+    return f"mse_lambda_{format(lam, 'g')}.svg"
+
+
 def _parse_lambdas(raw: Any) -> tuple[float, ...]:
     lambdas = _finite_list(_check_type(raw, list, "lambdas"), "lambdas")
-    # each penalty level names its plot file with format(lam, "g")
-    if len({format(lam, "g") for lam in lambdas}) < len(lambdas):
+    # each penalty level names its plot file
+    if len({_plot_name(lam) for lam in lambdas}) < len(lambdas):
         raise ConfigError(
             f"config field 'lambdas' must not repeat a value to 6 significant digits, "
             f"got {list(lambdas)}"
@@ -329,39 +301,46 @@ def _parse_output_dir(raw: Any) -> Path:
     return Path(path)
 
 
-_SWEEPS = (Command.SWEEP_PI, Command.SWEEP_BETA)
+# subcommand -> its help; every table below names a subcommand by its key here
+_COMMANDS = {
+    "sweep-pi": "MSE sweep over the first-stage slope",
+    "sweep-beta": "MSE sweep over the effect size",
+    "verify-asymptotics": "check predicted limiting moments against Monte Carlo",
+    "single-run": "fit one simulated dataset",
+}
+_SWEEPS = ("sweep-pi", "sweep-beta")
 _SWITCH = dict(action="store_const", const=True)
 
 
 class _Key(NamedTuple):
     parse: Callable[[Any], Any]  # raises a ConfigError or a library ValueError
-    commands: tuple[Command, ...]  # the subcommands that read the key
+    commands: tuple[str, ...]  # the subcommands that read the key
     flag: tuple[str, dict[str, Any]] | None = None  # its flag and add_argument options
 
 
 # Every top-level config key.  A subcommand reads only the keys that list it, and
 # has their flags in this order; any other key exits 2.
 _KEYS = {
-    "params": _Key(_parse_params, (*_SWEEPS, Command.SINGLE_RUN)),
+    "params": _Key(_parse_params, (*_SWEEPS, "single-run")),
     "grid": _Key(_parse_grid, _SWEEPS),
     "lambdas": _Key(_parse_lambdas, _SWEEPS),
-    "n": _Key(lambda raw: _check_type(raw, int, "n"), (*_SWEEPS, Command.SINGLE_RUN)),
-    "seed": _Key(_parse_seed, tuple(Command),
+    "n": _Key(lambda raw: _check_type(raw, int, "n"), (*_SWEEPS, "single-run")),
+    "seed": _Key(_parse_seed, tuple(_COMMANDS),
                  ("--seed", dict(type=int, help="master seed (u64)"))),
     "reps": _Key(lambda raw: _rep_count(_check_type(raw, int, "reps")),
-                 (*_SWEEPS, Command.VERIFY_ASYMPTOTICS),
+                 (*_SWEEPS, "verify-asymptotics"),
                  ("--reps", dict(type=int, help="Monte Carlo repetitions"))),
     "output_dir": _Key(_parse_output_dir, _SWEEPS, ("--out", dict(help="output directory"))),
     "emit_plots": _Key(lambda raw: _check_type(raw, bool, "emit_plots"), _SWEEPS,
                        ("--plots", dict(_SWITCH, help="emit one SVG per penalty"))),
     "emit_raw": _Key(lambda raw: _check_type(raw, bool, "emit_raw"), _SWEEPS,
                      ("--raw", dict(_SWITCH, help="persist per-rep estimates"))),
-    "regimes": _Key(_parse_regimes, (Command.VERIFY_ASYMPTOTICS,),
+    "regimes": _Key(_parse_regimes, ("verify-asymptotics",),
                     ("--regime", dict(choices=(*VERIFY_REGIMES, "all"),
                                       help="which limit regime to verify"))),
-    "schedule": _Key(_parse_schedule, (Command.SINGLE_RUN,)),
+    "schedule": _Key(_parse_schedule, ("single-run",)),
 }
-_CONFIG_KEYS = {c: tuple(k for k, key in _KEYS.items() if c in key.commands) for c in Command}
+_CONFIG_KEYS = {c: tuple(k for k, key in _KEYS.items() if c in key.commands) for c in _COMMANDS}
 
 
 def _load_json(path: Path) -> dict:
@@ -394,9 +373,11 @@ def _naming_config_keys() -> Iterator[None]:
         raise ConfigError(f"config field '{key}' {reason}") from exc
 
 
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Validate the config file (if any), then apply the flags that were given.
+def build_config(args: argparse.Namespace) -> _SweepRun | _VerifyRun | _SingleRun:
+    """Resolve the subcommand to the one record of the values it runs with.
 
+    The config file (if any) is validated, then the flags that were given
+    override its keys; the record's ``run()`` does the subcommand's work.
     Each top-level key must be one the subcommand reads, and each config
     value is checked by name even when a flag overrides it.  A library
     ValueError leaves as a ConfigError naming the config key of the
@@ -406,10 +387,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         return _resolve_config(args)
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    command = Command(args.command)
+def _resolve_config(args: argparse.Namespace) -> _SweepRun | _VerifyRun | _SingleRun:
+    command = args.command
     file_cfg = _load_json(Path(args.config)) if args.config else {}
-    _reject_unknown(file_cfg, _CONFIG_KEYS[command], "", f" by {command.value}")
+    _reject_unknown(file_cfg, _CONFIG_KEYS[command], "", f" by {command}")
     values = {key: _KEYS[key].parse(raw) for key, raw in file_cfg.items()}
     for key, (parse, _, flag) in _KEYS.items():
         given = getattr(args, flag[0][2:], None) if flag else None
@@ -417,36 +398,22 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             if key == "regimes":
                 given = list(VERIFY_REGIMES) if given == "all" else [given]
             values[key] = parse(given)
-
-    sweep = None
-    if command in _SWEEPS:
-        preset = default_pi_sweep() if command is Command.SWEEP_PI else default_beta_sweep()
-        swept = preset.grid_variable.value
-        for key in file_cfg.get("params", {}):
-            if key in (swept, "beta0", "pi0"):
-                raise ConfigError(
-                    f"config field 'params.{key}' is not recognized by {command.value}: "
-                    f"the grid sets {swept}, and no covariance depends on an intercept"
-                )
-        sweep = dataclasses.replace(
-            preset, **{_SWEEP_FIELDS[k]: v for k, v in values.items() if k in _SWEEP_FIELDS}
-        )
-    config = ExperimentConfig(
-        command=command,
-        sweep=sweep,
-        **{k: v for k, v in values.items() if k not in ("grid", "lambdas")},
-    )
-    if command is Command.VERIFY_ASYMPTOTICS:
-        _rep_count(config.reps, verify_min_reps(config.regimes))
-    if command is Command.SINGLE_RUN:
-        _sample_size(config.n)
-        try:  # a finite lambda0 can still overflow at the run's n
-            config.schedule.lambda_n(config.n)
-        except ValueError as exc:
+    if command == "verify-asymptotics":
+        return _VerifyRun(**values)
+    if command == "single-run":
+        return _SingleRun(**values)
+    preset = default_pi_sweep() if command == "sweep-pi" else default_beta_sweep()
+    swept = preset.grid_variable.value
+    for key in file_cfg.get("params", {}):
+        if key in (swept, "beta0", "pi0"):
             raise ConfigError(
-                f"config field 'schedule.lambda0' is invalid at n = {config.n}: {exc}"
-            ) from exc
-    return config
+                f"config field 'params.{key}' is not recognized by {command}: "
+                f"the grid sets {swept}, and no covariance depends on an intercept"
+            )
+    sweep = dataclasses.replace(
+        preset, **{_SWEEP_FIELDS[k]: values.pop(k) for k in _SWEEP_FIELDS if k in values}
+    )
+    return _SweepRun(sweep, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -597,49 +564,86 @@ def emit_plot(result: SweepResult, lam: float, path: Path) -> None:
 # dispatch
 
 
-def _run_sweep_command(config: ExperimentConfig) -> int:
-    out = config.output_dir
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output directory is not writable: {exc}") from exc
-    result = run_sweep(config.sweep)
-    csv_path = out / "mse_sweep.csv"
-    write_sweep_csv(result, csv_path)
-    print(f"wrote {csv_path}")
-    if config.emit_raw:
-        raw_path = out / "raw_estimates.csv"
-        write_raw_csv(result, raw_path)
-        print(f"wrote {raw_path}")
-    if config.emit_plots:
-        for lam in config.sweep.lambda_values:
-            svg_path = out / f"mse_lambda_{format(lam, 'g')}.svg"
-            emit_plot(result, lam, svg_path)
-            print(f"wrote {svg_path}")
-    return 0
+# Each subcommand resolves to one of these records of the values it runs with.
+# A field is set by the config key of its name, or keeps its default; a sweep's
+# other keys shape its SweepConfig.
 
 
-def _run_verify_command(config: ExperimentConfig) -> int:
-    results = verify_regimes(config.regimes, config.reps, config.seed)
-    for _, lines in results:
-        for line in lines:
-            print(line)
-    if not all(ok for ok, _ in results):
-        print("verification failed: empirical moments outside tolerance")
-        return 1
-    return 0
+@dataclasses.dataclass(frozen=True)
+class _SweepRun:
+    sweep: SweepConfig
+    output_dir: Path = Path("ridgeiv_out")
+    emit_plots: bool = False
+    emit_raw: bool = False
+
+    def run(self) -> int:
+        out = self.output_dir
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory is not writable: {exc}") from exc
+        result = run_sweep(self.sweep)
+        csv_path = out / "mse_sweep.csv"
+        write_sweep_csv(result, csv_path)
+        print(f"wrote {csv_path}")
+        if self.emit_raw:
+            raw_path = out / "raw_estimates.csv"
+            write_raw_csv(result, raw_path)
+            print(f"wrote {raw_path}")
+        if self.emit_plots:
+            for lam in self.sweep.lambda_values:
+                svg_path = out / _plot_name(lam)
+                emit_plot(result, lam, svg_path)
+                print(f"wrote {svg_path}")
+        return 0
 
 
-def _run_single_command(config: ExperimentConfig) -> int:
-    data = generate_dataset(config.params, config.n, config.seed)
-    estimate = fit_ridge_iv(data, config.schedule)
-    payload = dataclasses.asdict(estimate)
-    # JSON has no infinity: an inf std_error (its docstring says where) is null,
-    # and any other non-finite value raises rather than print bad JSON
-    std_error = estimate.std_error
-    payload["std_error"] = std_error if math.isfinite(std_error) else None
-    print(json.dumps(payload, indent=2, allow_nan=False))
-    return 0
+@dataclasses.dataclass(frozen=True)
+class _VerifyRun:
+    regimes: tuple[str, ...] = VERIFY_REGIMES
+    reps: int = DEFAULT_REPS
+    seed: int = DEFAULT_SEED
+
+    def __post_init__(self) -> None:
+        _rep_count(self.reps, verify_min_reps(self.regimes))
+
+    def run(self) -> int:
+        results = verify_regimes(self.regimes, self.reps, self.seed)
+        for _, lines in results:
+            for line in lines:
+                print(line)
+        if not all(ok for ok, _ in results):
+            print("verification failed: empirical moments outside tolerance")
+            return 1
+        return 0
+
+
+@dataclasses.dataclass(frozen=True)
+class _SingleRun:
+    params: DgpParams = aer_calibration(beta1=1.0)
+    n: int = 150
+    seed: int = DEFAULT_SEED
+    schedule: PenaltySchedule = PenaltySchedule(PenaltyRate.CONSTANT, 0.0)
+
+    def __post_init__(self) -> None:
+        _sample_size(self.n)
+        try:  # a finite lambda0 can still overflow at the run's n
+            self.schedule.lambda_n(self.n)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config field 'schedule.lambda0' is invalid at n = {self.n}: {exc}"
+            ) from exc
+
+    def run(self) -> int:
+        data = generate_dataset(self.params, self.n, self.seed)
+        estimate = fit_ridge_iv(data, self.schedule)
+        payload = dataclasses.asdict(estimate)
+        # JSON has no infinity: an inf std_error (its docstring says where) is null,
+        # and any other non-finite value raises rather than print bad JSON
+        std_error = estimate.std_error
+        payload["std_error"] = std_error if math.isfinite(std_error) else None
+        print(json.dumps(payload, indent=2, allow_nan=False))
+        return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -650,16 +654,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, doc in (
-        (Command.SWEEP_PI, "MSE sweep over the first-stage slope"),
-        (Command.SWEEP_BETA, "MSE sweep over the effect size"),
-        (
-            Command.VERIFY_ASYMPTOTICS,
-            "check predicted limiting moments against Monte Carlo",
-        ),
-        (Command.SINGLE_RUN, "fit one simulated dataset"),
-    ):
-        p = sub.add_parser(command.value, help=doc)
+    for command, doc in _COMMANDS.items():
+        p = sub.add_parser(command, help=doc)
         p.add_argument("--config", help="path to a JSON experiment config")
         for _, commands, flag in _KEYS.values():
             if flag and command in commands:
@@ -678,12 +674,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         # a config value whose covariances or data overflow is named like one
         # that fails a rule
         with _naming_config_keys():
-            config = build_config(args)
-            if config.sweep is not None:
-                return _run_sweep_command(config)
-            if config.command is Command.VERIFY_ASYMPTOTICS:
-                return _run_verify_command(config)
-            return _run_single_command(config)
+            return build_config(args).run()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

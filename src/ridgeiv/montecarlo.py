@@ -331,6 +331,8 @@ def _draw_moments(
 
 
 _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+# the statistics of a cell, in SweepCell's field order: all but the grid value, lambda and count
+_STATS = tuple(f.name for f in dataclasses.fields(SweepCell))[2:-1]
 
 
 def _aggregate_rows(
@@ -345,9 +347,9 @@ def _aggregate_rows(
     row's statistics describe its non-NaN values: the MSE, bias and
     variance about its true beta1, then the quantiles.  They are NaN where
     every rep is degenerate.  All of them sit in one array of shape
-    (rows, 8), in ``SweepCell``'s field order, before any cell is built;
-    the array is returned beside the cells, so :func:`run_sweep` checks the
-    float range on it once.  The rows that keep the same number of values
+    (rows, len(_STATS)), in ``SweepCell``'s field order, before any cell is
+    built; the array is returned beside the cells, so :func:`run_sweep`
+    checks the float range on it once.  The rows that keep the same number of values
     are compacted and reduced together, in one pass along ``axis=1``: each
     row is reduced as its own 1-D array of values would be, so every cell
     has the bits of the 1-D reduction.
@@ -355,7 +357,7 @@ def _aggregate_rows(
     reps = estimates.shape[1]
     degenerate = np.isnan(estimates).sum(axis=1)
     true_beta1 = np.asarray(true_beta1)
-    stats = np.full((len(estimates), 8), np.nan)
+    stats = np.full((len(estimates), len(_STATS)), np.nan)
     for n_degenerate in set(degenerate.tolist()) - {reps}:
         rows = np.flatnonzero(degenerate == n_degenerate)
         values = estimates[rows]  # a copy, which the quantiles may reorder
@@ -415,8 +417,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     out_of_range[[cell.n_degenerate == reps for cell in cells]] = False  # NaN by rule
     if out_of_range.any():
         i, j = np.argwhere(out_of_range)[0].tolist()  # row-major: the cell, then its field
-        stat = dataclasses.fields(SweepCell)[2 + j].name
-        quantity = f"{stat} at lambda = {cells[i].lam!r} and n = {n}"
+        quantity = f"{_STATS[j]} at lambda = {cells[i].lam!r} and n = {n}"
         got = "{!r}: its estimates spread beyond the float range"
         _finite_result(f"grid[{i % len(grid)}]", quantity, stats[i, j], got)
     return SweepResult(config.grid_variable, n, reps, cells, estimates)

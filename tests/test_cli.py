@@ -320,7 +320,7 @@ def _build(argv):
 
 
 def test_config_key_table():
-    assert {c.value: set(keys) for c, keys in cli._CONFIG_KEYS.items()} == ACCEPTED_KEYS
+    assert {c: set(keys) for c, keys in cli._CONFIG_KEYS.items()} == ACCEPTED_KEYS
     assert len(FOREIGN_KEYS) == 19
 
 
@@ -351,7 +351,7 @@ def test_every_accepted_key_reaches_the_config(tmp_path, command):
     payload = {key: KEY_VALUES[key] for key in ACCEPTED_KEYS[command]}
     config = _build([command, "--config", _write_config(tmp_path, payload)])
     params = dataclasses.replace(aer_calibration(beta1=1.0), sigma_eta=0.25)
-    if config.sweep is not None:
+    if command in ("sweep-pi", "sweep-beta"):
         assert config.sweep.base_params == params
         assert config.sweep.grid == (0.1, 0.2)
         assert config.sweep.lambda_values == (7.0,)
@@ -362,6 +362,21 @@ def test_every_accepted_key_reaches_the_config(tmp_path, command):
     else:
         assert (config.params, config.n, config.seed) == (params, 50, 3)
         assert config.schedule == PenaltySchedule(PenaltyRate.SQRT_N, 0.5)
+
+
+RECORD_FIELDS = {
+    "sweep-pi": {"sweep", "output_dir", "emit_plots", "emit_raw"},
+    "sweep-beta": {"sweep", "output_dir", "emit_plots", "emit_raw"},
+    "verify-asymptotics": {"regimes", "reps", "seed"},
+    "single-run": {"params", "n", "seed", "schedule"},
+}
+
+
+@pytest.mark.parametrize("command", list(RECORD_FIELDS))
+def test_each_command_resolves_to_a_record_of_only_what_it_runs(command):
+    # a field its subcommand never reads would be a knob that does nothing
+    config = _build([command])
+    assert {f.name for f in dataclasses.fields(config)} == RECORD_FIELDS[command]
 
 
 @pytest.mark.parametrize(
@@ -484,7 +499,7 @@ def test_pi1_beside_a_non_null_stock_c_rejected(tmp_path, capsys, command):
     # beside a null stock_c, pi1 is the slope
     cfg = _write_config(tmp_path, {"params": {"pi1": 0.5, "stock_c": None}})
     config = _build([command, "--config", cfg])
-    assert (config.sweep.base_params if config.sweep else config.params).pi1 == 0.5
+    assert (config.sweep.base_params if command == "sweep-beta" else config.params).pi1 == 0.5
 
 
 @pytest.mark.parametrize(
